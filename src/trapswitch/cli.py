@@ -10,12 +10,10 @@ passed.
 import argparse
 import sys
 
-import yaml
-
 from .errors import SpecValidationError, TrapSwitchError
-from .experiments import run_experiment
-from .io import apply_overrides, load_spec, parse_spec, spec_problems
-from .propagate import PropagationSetup, default_absorber, validate_setup
+from .experiments import planned_setups, run_experiment
+from .io import apply_overrides, load_document, parse_spec, spec_problems
+from .propagate import validate_setup
 
 #: subcommand -> experiment name it shorthands
 _DIRECT = {
@@ -29,40 +27,13 @@ _DIRECT = {
 }
 
 
-def _load_document(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            raise SpecValidationError(f"spec parse error{where}: {exc}") from exc
-
-
-def _numerics_diagnostics(spec) -> list[str]:
-    """Static numerics constraint violations, without running anything."""
-    if spec.name not in ("decay-curves", "spectrum-vs-T", "t-scan"):
-        return []
-    num = spec.numerics
-    box = float(num.get("box_length", 150.0))
-    setup = PropagationSetup(
-        schedule=spec.schedule(),
-        dx=float(num.get("dx", 0.05)),
-        box_length=box,
-        dt=float(num.get("dt", 2e-4)),
-        t_end=float(num.get("t_end", 2.5)),
-        e_cut=float(num.get("e_cut", 1000.0)),
-        absorber=default_absorber(box),
-    )
-    return validate_setup(setup, spec.unit)
-
-
 def _cmd_validate(args) -> int:
-    document = _load_document(args.spec)
-    apply_overrides(document, args.set or [])
+    document = apply_overrides(load_document(args.spec), args.set or [])
     problems = spec_problems(document)
     if not problems:
-        problems = _numerics_diagnostics(parse_spec(document))
+        spec = parse_spec(document)
+        found = [p for s in planned_setups(spec) for p in validate_setup(s, spec.unit)]
+        problems = list(dict.fromkeys(found))
     for problem in problems:
         print(problem)
     if problems:
@@ -81,9 +52,7 @@ def _run_document(document) -> int:
 
 
 def _cmd_run(args) -> int:
-    document = _load_document(args.spec)
-    apply_overrides(document, args.set or [])
-    return _run_document(document)
+    return _run_document(apply_overrides(load_document(args.spec), args.set or []))
 
 
 def _cmd_direct(args) -> int:

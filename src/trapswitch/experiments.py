@@ -8,6 +8,7 @@ switching times, released-energy spectra, the switching-time scan, and the
 prepared bound state itself.
 """
 
+import contextlib
 import math
 from dataclasses import replace
 
@@ -16,12 +17,14 @@ import numpy as np
 from .errors import TrapSwitchError
 from .groundstate import ground_state
 from .io import Check, ExperimentSpec, Table, emit_experiment
+from .model import SwitchingSchedule
 from .poles import BOUND, RESONANCE, find_poles, newton_pole, trace_iso_resonance
-from .propagate import non_escape_probability
+from .propagate import PropagationSetup, non_escape_probability
 from .scattering import delay_time, phase_shift_curve
 from .spectra import (
     DecayRunSpec,
     EXPONENTIAL_OBJECTIVE,
+    FIT_SPAN_LIFETIMES,
     LORENTZIAN_OBJECTIVE,
     SpectrumRunSpec,
     energy_distribution,
@@ -32,6 +35,7 @@ from .spectra import (
     lorentzian_reference,
     lowest_resonance,
     optimal_switch_time,
+    scan_plan,
     switch_and_project,
     switch_and_record,
 )
@@ -41,19 +45,17 @@ from .spectra import (
 DEFAULT_T_FRACTIONS = (0.0, 0.058, 0.13, 1.0)
 
 
-class _Stage:
-    """Re-raise package errors with the experiment stage in front."""
+@contextlib.contextmanager
+def _stage(name):
+    """Put the experiment stage in front of a package error's message.
 
-    def __init__(self, name):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, TrapSwitchError):
-            raise type(exc)(f"stage {self.name}: {exc}") from exc
-        return False
+    The error object itself is re-raised, so its structured fields survive.
+    """
+    try:
+        yield
+    except TrapSwitchError as exc:
+        exc.args = (f"stage {name}: {exc}",)
+        raise
 
 
 def _frac_label(frac: float) -> str:
@@ -71,12 +73,15 @@ def _pole_table(name, poles):
     return table
 
 
-def run_poles(spec: ExperimentSpec):
-    e_cut = float(spec.numerics.get("e_cut", 1000.0))
-    k_hi = 1.05 * math.sqrt(2.0 * e_cut / spec.unit.kappa)
+def _pole_region(unit, e_cut: float = 1000.0):
     # cover the positive imaginary axis too, so bound states are reported
-    region = spec.options.get("region") or (0.0, k_hi, -0.45 * k_hi, k_hi)
-    with _Stage("pole-search"):
+    k_hi = 1.05 * math.sqrt(2.0 * e_cut / unit.kappa)
+    return (0.0, k_hi, -0.45 * k_hi, k_hi)
+
+
+def run_poles(spec: ExperimentSpec):
+    region = spec.options.get("region") or _pole_region(spec.unit, **spec.numerics)
+    with _stage("pole-search"):
         initial_poles = find_poles(spec.initial, spec.unit, tuple(region))
         final_poles = find_poles(spec.final, spec.unit, tuple(region))
     tables = [
@@ -118,12 +123,10 @@ def run_poles(spec: ExperimentSpec):
 
 
 def run_ground_state(spec: ExperimentSpec):
-    dx = float(spec.numerics.get("dx", 0.05))
     x_max = spec.options.get("x_max")
-    with _Stage("bound-state"):
-        state, e0 = ground_state(
-            spec.initial, spec.unit, dx=dx, x_max=None if x_max is None else float(x_max)
-        )
+    x_max = None if x_max is None else float(x_max)
+    with _stage("bound-state"):
+        state, e0 = ground_state(spec.initial, spec.unit, x_max=x_max, **spec.numerics)
     table = Table("groundstate")
     table.add("x", "um", state.x)
     table.add("psi_re", "1/sqrt(um)", state.values.real)
@@ -139,7 +142,7 @@ def run_ground_state(spec: ExperimentSpec):
         Check("starts_in_well", p_w > 0.5, f"in-well probability {p_w:.6g} > 0.5",
               "groundstate.csv:density:all"),
     ]
-    scalars = {"e0": e0, "p_well": p_w, "dx": dx, "x_max": state.x_max}
+    scalars = {"e0": e0, "p_well": p_w, "dx": state.dx, "x_max": state.x_max}
     plot = (
         'set datafile separator ","\n'
         "set xlabel 'x (um)'\nset ylabel 'density (1/um)'\n"
@@ -152,20 +155,20 @@ def run_delay_spectrum(spec: ExperimentSpec):
     halfwidth = float(spec.options.get("window_halfwidth", 10.0))
     n_energy = int(spec.options.get("n_energy", 800))
     with_offset = bool(spec.options.get("with_offset", True))
-    with _Stage("resonance"):
+    with _stage("resonance"):
         res = lowest_resonance(spec.final, spec.unit)
     e = np.linspace(
         res.e_r - halfwidth * res.gamma, res.e_r + halfwidth * res.gamma, n_energy
     )
     k_grid = np.sqrt(2.0 * e / spec.unit.kappa)
-    with _Stage("phase-curve"):
+    with _stage("phase-curve"):
         phases = phase_shift_curve(spec.final, spec.unit, k_grid)
         delays = np.array([delay_time(spec.final, spec.unit, float(k)) for k in k_grid])
     table = Table("delay_spectrum")
     table.add("e", "hbar/s", e)
     table.add("phase", "rad", phases)
     table.add("delay", "s", delays)
-    with _Stage("lorentzian-fit"):
+    with _stage("lorentzian-fit"):
         fit = fit_lorentzian(e, delays, with_offset=with_offset)
     err_e = abs(fit.e_r - res.e_r) / res.e_r
     err_g = abs(fit.gamma - res.gamma) / res.gamma
@@ -197,10 +200,8 @@ def _t_fractions(spec: ExperimentSpec):
     return [float(f) for f in fracs]
 
 
-def run_decay_curves(spec: ExperimentSpec):
-    with _Stage("resonance"):
-        res = lowest_resonance(spec.final, spec.unit)
-    tau = res.tau
+def _decay_plan(spec: ExperimentSpec, tau: float):
+    """Switching fractions, late-fit starts and run record of decay-curves."""
     fracs = _t_fractions(spec)
     override_t_min = spec.options.get("t_min_fit")
     # late-fit start: past the switch transient, where the residual trap
@@ -210,21 +211,21 @@ def run_decay_curves(spec: ExperimentSpec):
         else max(0.5, 6.32 * f * tau)
         for f in fracs
     ]
-    t_end = float(spec.numerics.get("t_end", max(t_mins) + 1.45))
-    run = DecayRunSpec(
-        dx=float(spec.numerics.get("dx", 0.05)),
-        dt=float(spec.numerics.get("dt", 2e-4)),
-        t_end=t_end,
-        box_length=float(spec.numerics.get("box_length", 150.0)),
-        e_cut=float(spec.numerics.get("e_cut", 1000.0)),
-        record_every=int(spec.numerics.get("record_every", 5)),
-    )
+    t_end = max(t_mins) + max(1.45, FIT_SPAN_LIFETIMES * tau)
+    return fracs, t_mins, replace(DecayRunSpec(t_end=t_end), **spec.numerics)
+
+
+def run_decay_curves(spec: ExperimentSpec):
+    with _stage("resonance"):
+        res = lowest_resonance(spec.final, spec.unit)
+    tau = res.tau
+    fracs, t_mins, run = _decay_plan(spec, tau)
     table = Table("decay_curves")
     checks = []
-    scalars = {"tau_pole": tau, "t_end": t_end}
+    scalars = {"tau_pole": tau, "t_end": run.t_end}
     for frac, t_min in zip(fracs, t_mins):
         label = _frac_label(frac)
-        with _Stage(f"decay-{label}"):
+        with _stage(f"decay-{label}"):
             record = switch_and_record(spec.initial, spec.final, frac * tau, spec.unit, run)
             tau_fit, quality, _ = fit_exponential_decay(record, t_min)
         if not table.columns:
@@ -236,7 +237,7 @@ def run_decay_curves(spec: ExperimentSpec):
                 f"late_decay_rate_{label}",
                 err <= 0.02,
                 f"|tau_fit-tau_pole|/tau_pole = {err:.3e} <= 0.02 "
-                f"(fit window [{t_min:.3g}, {t_end:.3g}] s)",
+                f"(fit window [{t_min:.3g}, {run.t_end:.3g}] s)",
                 f"decay_curves.csv:p_w_{label}:all",
             )
         )
@@ -251,17 +252,16 @@ def run_decay_curves(spec: ExperimentSpec):
     return [table], scalars, checks, {"decay_curves": plot}
 
 
+def _spectrum_plan(spec: ExperimentSpec):
+    """Switching fractions and run record of spectrum-vs-T."""
+    return _t_fractions(spec), replace(SpectrumRunSpec(), **spec.numerics)
+
+
 def run_spectrum_vs_t(spec: ExperimentSpec):
-    with _Stage("resonance"):
+    with _stage("resonance"):
         res = lowest_resonance(spec.final, spec.unit)
     tau = res.tau
-    fracs = _t_fractions(spec)
-    run = SpectrumRunSpec(
-        dx=float(spec.numerics.get("dx", 0.1)),
-        dt=float(spec.numerics.get("dt", 2e-4)),
-        e_cut=float(spec.numerics.get("e_cut", 400.0)),
-        n_energy=int(spec.numerics.get("n_energy", 2000)),
-    )
+    fracs, run = _spectrum_plan(spec)
     grid = energy_grid(res.e_r, res.gamma, run.e_cut, run.n_energy, e_min=run.e_min)
     table = Table("spectrum_vs_t")
     table.add("e", "hbar/s", grid)
@@ -270,7 +270,7 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
     scalars = {"e_r": res.e_r, "gamma": res.gamma, "tau": tau}
     for frac in fracs:
         label = _frac_label(frac)
-        with _Stage(f"spectrum-{label}"):
+        with _stage(f"spectrum-{label}"):
             if frac == 0.0:
                 # sudden release: project the prepared state directly; the
                 # wide auxiliary grid checks that nothing is lost to high E
@@ -315,7 +315,7 @@ def run_iso_curves(spec: ExperimentSpec):
     tables, checks, scalars = [], [], {}
     for idx, target in enumerate(targets, start=1):
         name = f"iso_curve_{idx}"
-        with _Stage(name):
+        with _stage(name):
             curve = trace_iso_resonance(
                 target,
                 spec.unit,
@@ -335,7 +335,7 @@ def run_iso_curves(spec: ExperimentSpec):
         table.add("k_im", "1/um", [k.imag for k in curve.k_res])
         tables.append(table)
 
-        with _Stage(f"{name}-reverify"):
+        with _stage(f"{name}-reverify"):
             worst = 0.0
             for vw, vb, k0 in zip(curve.v_well, curve.v_barrier, curve.k_res):
                 cfg = replace(spec.final, v_well=float(vw), v_barrier=float(vb))
@@ -378,19 +378,24 @@ def run_iso_curves(spec: ExperimentSpec):
     return tables, scalars, checks, {"iso_curves": plot}
 
 
-def run_t_scan(spec: ExperimentSpec):
+def _scan_options(spec: ExperimentSpec):
+    """Objectives, switching-time range in lifetimes, and coarse grid size."""
     objectives = spec.options.get(
         "objectives", [LORENTZIAN_OBJECTIVE, EXPONENTIAL_OBJECTIVE]
     )
     fracs = spec.options.get("t_range_fractions", (0.01, 0.6))
-    n_coarse = int(spec.options.get("n_coarse", 15))
+    return objectives, fracs, int(spec.options.get("n_coarse", 15))
+
+
+def run_t_scan(spec: ExperimentSpec):
+    objectives, fracs, n_coarse = _scan_options(spec)
     refine_rtol = float(spec.options.get("refine_rtol", 0.05))
     tables, checks, scalars = [], [], {}
     stars = {}
     for objective in objectives:
         short = objective.split("-")[0]
         # range fractions refer to the lifetime, so resolve tau first
-        with _Stage(f"scan-{short}"):
+        with _stage(f"scan-{short}"):
             res = lowest_resonance(spec.final, spec.unit)
             result = optimal_switch_time(
                 objective,
@@ -440,6 +445,29 @@ def run_t_scan(spec: ExperimentSpec):
         f"plot {series}\n"
     )
     return tables, scalars, checks, {"t_scan": plot}
+
+
+def planned_setups(spec: ExperimentSpec) -> list[PropagationSetup]:
+    """The setups `run` would propagate, built without propagating (t-scan:
+    the coarse scan points; refined points lie between them)."""
+    if spec.name not in ("decay-curves", "spectrum-vs-T", "t-scan"):
+        return []
+    with _stage("resonance"):
+        tau = lowest_resonance(spec.final, spec.unit).tau
+    if spec.name == "decay-curves":
+        fracs, _, run = _decay_plan(spec, tau)
+        plan = [(run, f * tau) for f in fracs]
+    elif spec.name == "spectrum-vs-T":
+        fracs, run = _spectrum_plan(spec)
+        # the sudden point projects the prepared state without propagating
+        plan = [(run, f * tau) for f in fracs if f != 0.0]
+    else:
+        objectives, fracs, n_coarse = _scan_options(spec)
+        plan = []
+        for objective in objectives:
+            run, ts = scan_plan(objective, tau, (fracs[0] * tau, fracs[1] * tau), n_coarse)
+            plan += [(run, t) for t in ts]
+    return [r.setup(SwitchingSchedule(spec.initial, spec.final, t), spec.unit) for r, t in plan]
 
 
 RUNNERS = {

@@ -1,12 +1,12 @@
 """Experiment specs on disk, deterministic CSV/report emission.
 
 A spec is a small YAML document with four sections: experiment (name plus
-per-experiment options), physics (trap shapes and switching time), numerics
-(grid overrides), and outputs (target directory).  Unknown keys anywhere are
-errors.  All emitted files are plain text, carry '#'-prefixed metadata
-(code version, spec hash, units), print floats with 12 significant digits,
-and contain nothing run-dependent, so identical specs produce byte-identical
-outputs.
+per-experiment options), physics (trap shapes), numerics (overrides of the
+run-record fields the experiment's runner reads), and outputs (target
+directory).  Unknown keys anywhere are errors.  All emitted files are plain
+text, carry '#'-prefixed metadata (code version, spec hash, units), print
+floats with 12 significant digits, and contain nothing run-dependent, so
+identical specs produce byte-identical outputs.
 """
 
 import hashlib
@@ -19,7 +19,7 @@ import yaml
 
 from . import __version__
 from .errors import SpecValidationError
-from .model import PotentialConfig, SwitchingSchedule, UnitSystem, make_unit_system
+from .model import PotentialConfig, UnitSystem, make_unit_system
 
 EXPERIMENT_NAMES = (
     "iso-curves",
@@ -31,19 +31,8 @@ EXPERIMENT_NAMES = (
     "ground-state",
 )
 
-_PHYSICS_KEYS = {"mass_amu", "initial", "final", "d", "b", "t_switch"}
+_PHYSICS_KEYS = {"mass_amu", "initial", "final", "d", "b"}
 _TRAP_KEYS = {"v_well", "v_barrier"}
-_NUMERICS_KEYS = {
-    "dx",
-    "dt",
-    "t_end",
-    "box_length",
-    "e_cut",
-    "absorber_width",
-    "absorber_strength",
-    "record_every",
-    "n_energy",
-}
 _OPTION_KEYS = {
     "iso-curves": {"e_r_targets", "v_well_range", "n_points", "v_barrier_bracket", "rtol"},
     "delay-spectrum": {"window_halfwidth", "n_energy", "with_offset"},
@@ -52,6 +41,23 @@ _OPTION_KEYS = {
     "t-scan": {"objectives", "t_range_fractions", "n_coarse", "refine_rtol"},
     "poles": {"region"},
     "ground-state": {"x_max"},
+}
+#: experiment -> {numerics key its runner reads: type}; every value is > 0
+_NUMERICS_KEYS = {
+    "iso-curves": {},
+    "delay-spectrum": {},
+    "decay-curves": {
+        "dx": float,
+        "dt": float,
+        "t_end": float,
+        "box_length": float,
+        "e_cut": float,
+        "record_every": int,
+    },
+    "spectrum-vs-T": {"dx": float, "dt": float, "e_cut": float, "n_energy": int},
+    "t-scan": {},
+    "poles": {"e_cut": float},
+    "ground-state": {"dx": float},
 }
 
 
@@ -63,13 +69,9 @@ class ExperimentSpec:
     unit: UnitSystem
     initial: PotentialConfig
     final: PotentialConfig
-    t_switch: float
     numerics: dict
     options: dict
     output_dir: str
-
-    def schedule(self) -> SwitchingSchedule:
-        return SwitchingSchedule(self.initial, self.final, self.t_switch)
 
 
 def _as_float(value, path, problems):
@@ -79,24 +81,13 @@ def _as_float(value, path, problems):
     return float(value)
 
 
-def _parse_trap(raw, path, default, problems):
-    if raw is None:
-        return default
-    if not isinstance(raw, dict):
-        problems.append(f"{path}: expected a mapping with v_well/v_barrier")
-        return default
-    unknown = set(raw) - _TRAP_KEYS
-    if unknown:
-        problems.append(f"{path}: unknown keys {sorted(unknown)}")
-    vw = _as_float(raw.get("v_well", default.v_well), f"{path}.v_well", problems)
-    vb = _as_float(raw.get("v_barrier", default.v_barrier), f"{path}.v_barrier", problems)
-    if vw is None or vb is None:
-        return default
-    if vw < 0.0:
-        problems.append(f"{path}.v_well: must be >= 0, got {vw}")
-    if vb < 0.0:
-        problems.append(f"{path}.v_barrier: must be >= 0, got {vb}")
-    return PotentialConfig(vw, vb, default.d, default.b)
+def _check_positive(value, path, kind, problems):
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        problems.append(f"{path}: expected an integer, got {value!r}")
+        return
+    v = _as_float(value, path, problems)
+    if v is not None and not v > 0.0:
+        problems.append(f"{path}: must be > 0, got {value}")
 
 
 def spec_problems(document) -> list[str]:
@@ -130,42 +121,33 @@ def spec_problems(document) -> list[str]:
     unknown = set(phys) - _PHYSICS_KEYS
     if unknown:
         problems.append(f"physics: unknown keys {sorted(unknown)}")
-    for key in ("d", "b"):
+    for key in ("d", "b", "mass_amu"):
         if key in phys:
-            v = _as_float(phys[key], f"physics.{key}", problems)
-            if v is not None and v <= 0.0:
-                problems.append(f"physics.{key}: must be > 0, got {v}")
-    if "mass_amu" in phys:
-        v = _as_float(phys["mass_amu"], "physics.mass_amu", problems)
-        if v is not None and v <= 0.0:
-            problems.append(f"physics.mass_amu: must be > 0, got {v}")
-    if "t_switch" in phys:
-        v = _as_float(phys["t_switch"], "physics.t_switch", problems)
-        if v is not None and v < 0.0:
-            problems.append(f"physics.t_switch: must be >= 0, got {v}")
+            _check_positive(phys[key], f"physics.{key}", float, problems)
     for trap in ("initial", "final"):
-        if trap in phys and isinstance(phys[trap], dict):
-            unknown = set(phys[trap]) - _TRAP_KEYS
-            if unknown:
-                problems.append(f"physics.{trap}: unknown keys {sorted(unknown)}")
+        raw = phys.get(trap) or {}
+        if not isinstance(raw, dict):
+            problems.append(f"physics.{trap}: expected a mapping with v_well/v_barrier")
+            continue
+        unknown = set(raw) - _TRAP_KEYS
+        if unknown:
+            problems.append(f"physics.{trap}: unknown keys {sorted(unknown)}")
+        for key in sorted(_TRAP_KEYS & set(raw)):
+            v = _as_float(raw[key], f"physics.{trap}.{key}", problems)
+            if v is not None and v < 0.0:
+                problems.append(f"physics.{trap}.{key}: must be >= 0, got {v}")
 
     num = document.get("numerics") or {}
     if not isinstance(num, dict):
         problems.append("numerics: expected a mapping")
-        num = {}
-    unknown = set(num) - _NUMERICS_KEYS
-    if unknown:
-        problems.append(f"numerics: unknown keys {sorted(unknown)}")
-    for key in ("dx", "dt", "t_end", "box_length", "e_cut", "absorber_strength"):
-        if key in num:
-            v = _as_float(num[key], f"numerics.{key}", problems)
-            if v is not None and v <= 0.0 and key != "t_end":
-                problems.append(f"numerics.{key}: must be > 0, got {v}")
-    if "absorber_width" in num and not (
-        num["absorber_width"] in ("none", "auto")
-        or isinstance(num["absorber_width"], (int, float))
-    ):
-        problems.append("numerics.absorber_width: expected a number, 'none', or 'auto'")
+    elif name in EXPERIMENT_NAMES:
+        kinds = _NUMERICS_KEYS[name]
+        unknown = set(num) - set(kinds)
+        if unknown:
+            problems.append(f"numerics: unknown keys {sorted(unknown)} for {name}")
+        for key, kind in kinds.items():
+            if key in num:
+                _check_positive(num[key], f"numerics.{key}", kind, problems)
 
     out = document.get("outputs") or {}
     if not isinstance(out, dict):
@@ -187,34 +169,43 @@ def parse_spec(document) -> ExperimentSpec:
     phys = document.get("physics") or {}
     d = float(phys.get("d", 5.0))
     b = float(phys.get("b", 10.0))
-    initial = _parse_trap(phys.get("initial"), "physics.initial", PotentialConfig(350.0, 400.0, d, b), [])
-    final = _parse_trap(phys.get("final"), "physics.final", PotentialConfig(100.0, 200.0, d, b), [])
+
+    def trap(key, v_well, v_barrier):
+        raw = phys.get(key) or {}
+        return PotentialConfig(
+            float(raw.get("v_well", v_well)), float(raw.get("v_barrier", v_barrier)), d, b
+        )
+
     unit = make_unit_system(float(phys["mass_amu"])) if "mass_amu" in phys else make_unit_system()
     exp = document["experiment"]
+    kinds = _NUMERICS_KEYS[exp["name"]]
     options = {k: v for k, v in exp.items() if k != "name"}
     outputs = document.get("outputs") or {}
     return ExperimentSpec(
         name=exp["name"],
         unit=unit,
-        initial=initial,
-        final=final,
-        t_switch=float(phys.get("t_switch", 0.0)),
-        numerics=dict(document.get("numerics") or {}),
+        initial=trap("initial", 350.0, 400.0),
+        final=trap("final", 100.0, 200.0),
+        numerics={k: kinds[k](v) for k, v in (document.get("numerics") or {}).items()},
         options=options,
         output_dir=str(outputs.get("directory", os.path.join("out", exp["name"]))),
     )
 
 
-def load_spec(path: str) -> ExperimentSpec:
-    """Parse a spec file; YAML errors surface with their line and column."""
+def load_document(path: str):
+    """Raw YAML document of a spec file; errors carry their line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            document = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
             raise SpecValidationError(f"spec parse error{where}: {exc}") from exc
-    return parse_spec(document)
+
+
+def load_spec(path: str) -> ExperimentSpec:
+    """Parse and validate a spec file."""
+    return parse_spec(load_document(path))
 
 
 def apply_overrides(document, assignments: list[str]):
@@ -247,7 +238,6 @@ def canonical_document(spec: ExperimentSpec) -> dict:
             "final": {"v_well": spec.final.v_well, "v_barrier": spec.final.v_barrier},
             "d": spec.initial.d,
             "b": spec.initial.b,
-            "t_switch": spec.t_switch,
         },
         "numerics": {k: spec.numerics[k] for k in sorted(spec.numerics)},
         "outputs": {"directory": spec.output_dir},

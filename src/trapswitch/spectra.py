@@ -11,7 +11,7 @@ whole-history closeness of the decay curve to a single exponential).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -364,6 +364,10 @@ def fit_exponential_decay(
 # ---------------------------------------------------------------------------
 # per-T run recipes
 
+#: Fit span, in lifetimes, that a decay record must cover past its late-fit
+#: start; fit_exponential_decay needs 3, the rest is margin.
+FIT_SPAN_LIFETIMES = 3.3
+
 
 @dataclass(frozen=True)
 class SpectrumRunSpec:
@@ -383,9 +387,24 @@ class SpectrumRunSpec:
     # catches a grossly undersized box.
     contain_rtol: float = 0.1
 
-
-def projection_time_for(schedule: SwitchingSchedule, spec: SpectrumRunSpec) -> float:
-    return max(schedule.settle_time(spec.residual_v), spec.min_projection_time)
+    def setup(
+        self, schedule: SwitchingSchedule, unit: UnitSystem, extra_snapshot_gap: float | None = None
+    ) -> PropagationSetup:
+        """Propagate to the settle time (and one gap later, if asked) in a box
+        the e_cut front cannot cross before the last snapshot."""
+        t_star = max(schedule.settle_time(self.residual_v), self.min_projection_time)
+        t_end = t_star + (extra_snapshot_gap or 0.0)
+        v_cut = unit.kappa * math.sqrt(2.0 * self.e_cut / unit.kappa)
+        box = schedule.final.outer_edge + v_cut * t_end + self.box_pad
+        return PropagationSetup(
+            schedule=schedule,
+            dx=self.dx,
+            box_length=math.ceil(box / self.dx) * self.dx,
+            dt=self.dt,
+            t_end=t_end,
+            e_cut=self.e_cut,
+            snapshot_times=(t_star, t_end) if extra_snapshot_gap else (t_star,),
+        )
 
 
 def switch_and_project(
@@ -402,25 +421,11 @@ def switch_and_project(
     With extra_snapshot_gap a second distribution is returned, projected one
     gap later, for stationarity checks.
     """
-    schedule = SwitchingSchedule(initial_config, final_config, t_switch)
     if resonance is None:
         resonance = lowest_resonance(final_config, unit, spec.e_cut)
-    t_star = projection_time_for(schedule, spec)
-    stamps = [t_star] + ([t_star + extra_snapshot_gap] if extra_snapshot_gap else [])
-    t_end = stamps[-1]
-    v_cut = unit.kappa * math.sqrt(2.0 * spec.e_cut / unit.kappa)
-    box = final_config.outer_edge + v_cut * t_end + spec.box_pad
-    box = math.ceil(box / spec.dx) * spec.dx
-    phi0, _ = ground_state(initial_config, unit, dx=spec.dx, x_max=box)
-    setup = PropagationSetup(
-        schedule=schedule,
-        dx=spec.dx,
-        box_length=box,
-        dt=spec.dt,
-        t_end=t_end,
-        e_cut=spec.e_cut,
-        snapshot_times=tuple(stamps),
-    )
+    schedule = SwitchingSchedule(initial_config, final_config, t_switch)
+    setup = spec.setup(schedule, unit, extra_snapshot_gap)
+    phi0, _ = ground_state(initial_config, unit, dx=spec.dx, x_max=setup.box_length)
     result = propagate(phi0, setup, unit, record_every=max(1, setup.n_steps() // 50))
     grid = energy_grid(
         resonance.e_r, resonance.gamma, spec.e_cut, spec.n_energy, e_min=spec.e_min
@@ -450,7 +455,18 @@ class DecayRunSpec:
     box_length: float = 150.0
     e_cut: float = 1000.0
     record_every: int = 5
-    absorber_strength: float | None = None
+
+    def setup(self, schedule: SwitchingSchedule, unit: UnitSystem) -> PropagationSetup:
+        """The fixed absorbing box; unit is unused, kept so both records share one signature."""
+        return PropagationSetup(
+            schedule=schedule,
+            dx=self.dx,
+            box_length=self.box_length,
+            dt=self.dt,
+            t_end=self.t_end,
+            e_cut=self.e_cut,
+            absorber=default_absorber(self.box_length),
+        )
 
 
 def switch_and_record(
@@ -461,20 +477,8 @@ def switch_and_record(
     spec: DecayRunSpec = DecayRunSpec(),
 ) -> DecayRecord:
     """Run the switch in the absorbing box and return the decay record."""
-    schedule = SwitchingSchedule(initial_config, final_config, t_switch)
-    absorber = default_absorber(spec.box_length)
-    if spec.absorber_strength is not None:
-        absorber = replace(absorber, strength=spec.absorber_strength)
-    phi0, _ = ground_state(initial_config, unit, dx=spec.dx, x_max=spec.box_length)
-    setup = PropagationSetup(
-        schedule=schedule,
-        dx=spec.dx,
-        box_length=spec.box_length,
-        dt=spec.dt,
-        t_end=spec.t_end,
-        e_cut=spec.e_cut,
-        absorber=absorber,
-    )
+    setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
+    phi0, _ = ground_state(initial_config, unit, dx=spec.dx, x_max=setup.box_length)
     return propagate(phi0, setup, unit, record_every=spec.record_every).record
 
 
@@ -563,6 +567,31 @@ def _golden_refine(f, a, b, rtol, budget):
     return t_min, extra
 
 
+def scan_plan(
+    objective: str,
+    tau: float,
+    t_range: tuple[float, float] | None = None,
+    n_coarse: int = 15,
+    spectrum_spec: SpectrumRunSpec = SpectrumRunSpec(),
+    decay_spec: DecayRunSpec | None = None,
+) -> tuple[SpectrumRunSpec | DecayRunSpec, np.ndarray]:
+    """The run record and the coarse switching times of one scan."""
+    if t_range is None:
+        t_range = (0.01 * tau, 0.6 * tau)
+    if not (0.0 < t_range[0] < t_range[1] <= 2.0 * tau):
+        raise InvalidArgumentError(f"t_range {t_range} outside (0, 2 tau]")
+    if objective == LORENTZIAN_OBJECTIVE:
+        run = spectrum_spec
+    elif objective == EXPONENTIAL_OBJECTIVE:
+        run = decay_spec or DecayRunSpec(t_end=LATE_FIT_T_MIN + FIT_SPAN_LIFETIMES * tau)
+    else:
+        raise InvalidArgumentError(
+            f"unknown objective {objective!r}; use "
+            f"{LORENTZIAN_OBJECTIVE!r} or {EXPONENTIAL_OBJECTIVE!r}"
+        )
+    return run, np.geomspace(t_range[0], t_range[1], n_coarse)
+
+
 def optimal_switch_time(
     objective: str,
     initial_config: PotentialConfig,
@@ -584,36 +613,17 @@ def optimal_switch_time(
     """
     resonance = lowest_resonance(final_config, unit)
     tau = resonance.tau
-    if t_range is None:
-        t_range = (0.01 * tau, 0.6 * tau)
-    if not (0.0 < t_range[0] < t_range[1] <= 2.0 * tau):
-        raise InvalidArgumentError(f"t_range {t_range} outside (0, 2 tau]")
-    if decay_spec is None:
-        decay_spec = DecayRunSpec(t_end=LATE_FIT_T_MIN + 3.3 * tau)
+    run, ts = scan_plan(objective, tau, t_range, n_coarse, spectrum_spec, decay_spec)
 
-    if objective == LORENTZIAN_OBJECTIVE:
-
-        def evaluate(t_switch: float) -> float:
+    def evaluate(t_switch: float) -> float:
+        if objective == LORENTZIAN_OBJECTIVE:
             (dist,) = switch_and_project(
-                initial_config, final_config, t_switch, unit, spectrum_spec, resonance
+                initial_config, final_config, t_switch, unit, run, resonance
             )
             return lorentzian_deviation(dist, resonance)
+        record = switch_and_record(initial_config, final_config, t_switch, unit, run)
+        return exponential_deviation(record, tau)
 
-    elif objective == EXPONENTIAL_OBJECTIVE:
-
-        def evaluate(t_switch: float) -> float:
-            record = switch_and_record(
-                initial_config, final_config, t_switch, unit, decay_spec
-            )
-            return exponential_deviation(record, tau)
-
-    else:
-        raise InvalidArgumentError(
-            f"unknown objective {objective!r}; use "
-            f"{LORENTZIAN_OBJECTIVE!r} or {EXPONENTIAL_OBJECTIVE!r}"
-        )
-
-    ts = np.geomspace(t_range[0], t_range[1], n_coarse)
     vs = np.array([evaluate(t) for t in ts])
 
     minima = []
@@ -622,7 +632,6 @@ def optimal_switch_time(
         right_ok = i == n_coarse - 1 or vs[i] <= vs[i + 1]
         if left_ok and right_ok:
             minima.append(i)
-    interior = [i for i in minima if 0 < i < n_coarse - 1]
     best = int(np.argmin(vs))
     multimodal = False
     if len(minima) > 1:

@@ -2,17 +2,20 @@
 
 import os
 
+import numpy as np
 import pytest
 import yaml
 
+from trapswitch import experiments, spectra
 from trapswitch.cli import main
+from trapswitch.model import make_unit_system
+from trapswitch.propagate import DecayRecord, PropagationResult, Snapshot, validate_setup
+from trapswitch.spectra import EnergyDistribution
 
 GOOD_SPEC = """\
 experiment:
   name: poles
   region: [0.0, 0.9, -0.4, 0.0]
-physics:
-  t_switch: 0.0
 """
 
 
@@ -28,10 +31,10 @@ def test_validate_accepts_good_spec(tmp_path, capsys):
 
 
 def test_validate_lists_schema_problems(tmp_path, capsys):
-    spec = _write(tmp_path, "experiment:\n  name: poles\nphysics:\n  t_switch: -0.02\n")
+    spec = _write(tmp_path, "experiment:\n  name: poles\nphysics:\n  mass_amu: -1\n")
     assert main(["validate", spec]) == 1
     out = capsys.readouterr().out
-    assert "physics.t_switch: must be >= 0, got -0.02" in out
+    assert "physics.mass_amu: must be > 0, got -1" in out
 
 
 def test_validate_flags_unresolvable_grid(tmp_path, capsys):
@@ -80,17 +83,45 @@ def test_groundstate_subcommand_emits_bundle(tmp_path, capsys):
     assert any(name.endswith(".gp") for name in names)
 
 
-def test_groundstate_rerun_is_byte_identical(tmp_path):
-    out = str(tmp_path / "gs")
-    assert main(["groundstate", "--out", out]) == 0
-    first = {
-        name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)
+#: experiment -> (options, numerics) small enough to run twice in CI
+TINY = {
+    "poles": ({"region": [0.0, 0.5, -0.2, 0.0]}, {}),
+    "ground-state": ({}, {}),
+    "delay-spectrum": ({"n_energy": 100}, {}),
+    "iso-curves": ({"e_r_targets": [134.511248728], "n_points": 3}, {}),
+    "decay-curves": (
+        {"t_switch_fractions": [0.02]},
+        {"dx": 0.5, "e_cut": 100.0, "box_length": 60.0, "dt": 5e-4, "record_every": 20},
+    ),
+    "spectrum-vs-T": (
+        {"t_switch_fractions": [0.02]},
+        {"dx": 0.4, "dt": 5e-4, "e_cut": 200.0, "n_energy": 300},
+    ),
+    "t-scan": (
+        {"objectives": ["lorentzian-deviation"], "n_coarse": 3, "t_range_fractions": [0.01, 0.03]},
+        {},
+    ),
+}
+
+
+def _emitted(out):
+    return {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY))
+def test_rerun_is_byte_identical(tmp_path, experiment):
+    options, numerics = TINY[experiment]
+    out = str(tmp_path / "run")
+    document = {
+        "experiment": {"name": experiment, **options},
+        "numerics": numerics,
+        "outputs": {"directory": out},
     }
-    assert main(["groundstate", "--out", out]) == 0
-    second = {
-        name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)
-    }
-    assert first == second
+    spec = _write(tmp_path, yaml.safe_dump(document))
+    assert main(["run", spec]) in (0, 1)
+    first = _emitted(out)
+    assert main(["run", spec]) in (0, 1)
+    assert _emitted(out) == first
 
 
 def test_set_override_lands_in_emitted_spec(tmp_path, capsys):
@@ -112,3 +143,64 @@ def test_run_spec_file_matches_direct_subcommand(tmp_path, capsys):
     a = open(tmp_path / "a" / "summary.csv").read()
     b = open(tmp_path / "b" / "summary.csv").read()
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["numerics.n_energy=abc", "numerics.n_energy=1.5", "numerics.record_every=0"],
+)
+def test_bad_numerics_are_schema_problems(tmp_path, capsys, override):
+    experiment = "decay-curves" if "record_every" in override else "spectrum-vs-T"
+    spec = _write(tmp_path, f"experiment:\n  name: {experiment}\n")
+    assert main(["validate", spec, "--set", override]) == 1
+    assert main(["run", spec, "--set", override]) == 2
+    captured = capsys.readouterr()
+    key = override.split("=")[0]
+    assert f"{key}: " in captured.out and f"{key}: " in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+AGREEMENT_CASES = [(name, None) for name in sorted(os.listdir(CONFIGS))] + [
+    ("poles.yaml", "numerics.dt=9"),
+    ("spectrum_vs_t.yaml", "numerics.dx=0.35"),
+    ("switch_scan.yaml", "numerics.dx=3"),
+    ("decay_curves.yaml", "numerics.dx=0.5"),
+]
+
+
+@pytest.mark.parametrize("config, override", AGREEMENT_CASES)
+def test_validate_agrees_with_the_runners_own_setups(
+    tmp_path, monkeypatch, capsys, config, override
+):
+    # Run the real runner, but let propagation and projection only record
+    # what they were handed: the setups are the runner's own, and nothing
+    # propagates.
+    setups = []
+
+    def record_setup(initial, setup, unit, record_every=1, accuracy_check=True):
+        setups.append(setup)
+        t = np.linspace(0.0, setup.t_end, 200)
+        record = DecayRecord(t, np.exp(-t / 0.1), np.ones_like(t))
+        return PropagationResult(None, record, [Snapshot(s, None) for s in setup.snapshot_times])
+
+    def flat_distribution(state, final_config, unit, e_grid, **kwargs):
+        return EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0, 0.0)
+
+    monkeypatch.setattr(spectra, "propagate", record_setup)
+    monkeypatch.setattr(spectra, "energy_distribution", flat_distribution)
+    monkeypatch.setattr(experiments, "energy_distribution", flat_distribution)
+
+    args = [os.path.join(CONFIGS, config)] + (["--set", override] if override else [])
+    verdict = main(["validate", *args])
+    printed = set(capsys.readouterr().out.splitlines())
+    code = main(["run", *args, "--set", f"outputs.directory={tmp_path / 'out'}"])
+    if code == 2:  # the spec is refused before anything is built
+        assert verdict == 1 and not setups
+        return
+    unit = make_unit_system()
+    problems = {p for s in setups for p in validate_setup(s, unit)}
+    assert verdict == (1 if problems else 0)
+    assert printed == (problems or {"ok"})
+    propagating = ("decay_curves.yaml", "spectrum_vs_t.yaml", "switch_scan.yaml")
+    assert bool(setups) == (config in propagating)

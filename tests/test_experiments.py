@@ -10,8 +10,11 @@ import os
 
 import pytest
 
-from trapswitch.io import load_spec, parse_spec, spec_hash
-from trapswitch.experiments import run_experiment
+from trapswitch import experiments
+from trapswitch.errors import IncompleteSearchError
+from trapswitch.experiments import _decay_plan, _stage, planned_setups, run_experiment
+from trapswitch.io import load_spec, parse_spec, spec_hash, spec_problems
+from trapswitch.spectra import FIT_SPAN_LIFETIMES, lowest_resonance
 
 from conftest import E_RES, GAMMA_RES
 
@@ -115,3 +118,80 @@ def test_runner_failure_emits_nothing(tmp_path):
     with pytest.raises(Exception):
         run_experiment(spec)
     assert not os.path.exists(str(tmp_path / "run"))
+
+
+def test_stage_keeps_the_error_object_and_its_fields():
+    with pytest.raises(IncompleteSearchError) as err:
+        with _stage("pole-search"):
+            raise IncompleteSearchError("winding count 3, found 2", found=2, expected=3)
+    assert str(err.value) == "stage pole-search: winding count 3, found 2"
+    assert (err.value.found, err.value.expected) == (2, 3)
+
+
+def test_decay_default_window_spans_the_fit_margin_for_long_lifetimes(tmp_path):
+    spec = parse_spec(
+        {
+            "experiment": {"name": "decay-curves"},
+            "physics": {"final": {"v_well": 105.0, "v_barrier": 210.0}},
+        }
+    )
+    tau = lowest_resonance(spec.final, spec.unit).tau
+    assert tau > 0.5
+    _, t_mins, run = _decay_plan(spec, tau)
+    assert run.t_end - max(t_mins) >= FIT_SPAN_LIFETIMES * tau
+    # planned and run setups come from the same record
+    assert {s.t_end for s in planned_setups(spec)} == {run.t_end}
+
+
+#: experiment -> a value for each numerics key its runner reads
+READS = {
+    "poles": {"e_cut": 300.0},
+    "ground-state": {"dx": 0.04},
+    "delay-spectrum": {},
+    "iso-curves": {},
+    "decay-curves": {
+        "dx": 0.04, "dt": 1e-4, "t_end": 3.0, "box_length": 120.0,
+        "e_cut": 800.0, "record_every": 7,
+    },
+    "spectrum-vs-T": {"dx": 0.12, "dt": 1e-4, "e_cut": 300.0, "n_energy": 999},
+    "t-scan": {},
+}
+ALL_KEYS = set().union(*READS.values()) | {"absorber_width", "absorber_strength"}
+
+#: experiment -> (callee in experiments, what of its call the numerics shape)
+CONSUMERS = {
+    "poles": ("find_poles", lambda args, kwargs: args[2]),
+    "ground-state": ("ground_state", lambda args, kwargs: kwargs.get("dx")),
+    "decay-curves": ("switch_and_record", lambda args, kwargs: args[4]),
+    "spectrum-vs-T": ("switch_and_project", lambda args, kwargs: args[4]),
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _runner_record(monkeypatch, name, numerics):
+    callee, pick = CONSUMERS[name]
+
+    def capture(*args, **kwargs):
+        raise _Captured(pick(args, kwargs))
+
+    monkeypatch.setattr(experiments, callee, capture)
+    options = {"t_switch_fractions": [0.1]} if name == "spectrum-vs-T" else {}
+    spec = parse_spec({"experiment": {"name": name, **options}, "numerics": numerics})
+    with pytest.raises(_Captured) as got:
+        experiments.RUNNERS[name](spec)
+    return got.value.args[0]
+
+
+@pytest.mark.parametrize("name", sorted(READS))
+def test_numerics_keys_are_exactly_those_the_runner_reads(monkeypatch, name):
+    for key in sorted(ALL_KEYS - set(READS[name])):
+        doc = {"experiment": {"name": name}, "numerics": {key: 1}}
+        assert spec_problems(doc) == [f"numerics: unknown keys ['{key}'] for {name}"]
+    if not READS[name]:
+        return
+    default = _runner_record(monkeypatch, name, {})
+    for key, value in READS[name].items():
+        assert _runner_record(monkeypatch, name, {key: value}) != default, key

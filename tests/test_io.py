@@ -43,7 +43,7 @@ def test_root_must_be_mapping():
 
 def test_unknown_sections_and_keys_are_each_reported():
     doc = {
-        "experiment": {"name": "poles", "banana": 1},
+        "experiment": {"name": "decay-curves", "banana": 1},
         "physics": {"mass_amu": 23.0, "colour": "red"},
         "numerics": {"dx": 0.05, "speed": 9},
         "outputs": {"directory": "out", "format": "csv"},
@@ -70,15 +70,13 @@ def test_experiment_name_is_required_and_checked():
         ("physics", "d", -1.0, "physics.d: must be > 0"),
         ("physics", "b", 0.0, "physics.b: must be > 0"),
         ("physics", "mass_amu", -23.0, "physics.mass_amu: must be > 0"),
-        ("physics", "t_switch", -0.02, "physics.t_switch: must be >= 0"),
         ("numerics", "dx", -0.05, "numerics.dx: must be > 0"),
         ("numerics", "dt", 0.0, "numerics.dt: must be > 0"),
         ("physics", "d", "wide", "physics.d: expected a number"),
     ],
 )
 def test_bad_values_are_flagged(section, key, value, fragment):
-    doc = _minimal_doc()
-    doc[section] = {key: value}
+    doc = {"experiment": {"name": "decay-curves"}, section: {key: value}}
     assert any(fragment in p for p in spec_problems(doc))
 
 
@@ -86,6 +84,14 @@ def test_trap_subsections_reject_unknown_keys():
     doc = _minimal_doc()
     doc["physics"] = {"initial": {"v_well": 350.0, "depth": 1.0}}
     assert any("physics.initial: unknown keys ['depth']" in p for p in spec_problems(doc))
+
+
+def test_trap_values_are_checked():
+    doc = _minimal_doc()
+    doc["physics"] = {"initial": {"v_well": "deep"}, "final": {"v_barrier": -5.0}}
+    problems = spec_problems(doc)
+    assert "physics.initial.v_well: expected a number, got 'deep'" in problems
+    assert "physics.final.v_barrier: must be >= 0, got -5.0" in problems
 
 
 def test_parse_spec_raises_with_all_problems_listed():
@@ -106,7 +112,6 @@ def test_parse_spec_fills_documented_defaults():
     assert (spec.initial.v_well, spec.initial.v_barrier) == (350.0, 400.0)
     assert (spec.final.v_well, spec.final.v_barrier) == (100.0, 200.0)
     assert (spec.initial.d, spec.initial.b) == (5.0, 10.0)
-    assert spec.t_switch == 0.0
     assert spec.numerics == {}
     assert spec.options == {}
     assert spec.output_dir == os.path.join("out", "poles")
@@ -141,9 +146,9 @@ def test_experiment_options_pass_through():
 
 def test_override_values_parse_as_yaml():
     doc = _minimal_doc()
-    apply_overrides(doc, ["physics.final.v_well=120", "physics.t_switch=0.05"])
+    apply_overrides(doc, ["physics.final.v_well=120", "physics.d=4.5"])
     assert doc["physics"]["final"]["v_well"] == 120
-    assert doc["physics"]["t_switch"] == 0.05
+    assert doc["physics"]["d"] == 4.5
 
 
 def test_override_creates_missing_sections():
@@ -171,7 +176,6 @@ def test_overridden_document_still_validates():
 def test_canonical_document_round_trips():
     doc = {
         "experiment": {"name": "spectrum-vs-T", "t_switch_fractions": [0.0, 1.0]},
-        "physics": {"t_switch": 0.02},
         "numerics": {"dx": 0.15, "dt": 0.00025},
         "outputs": {"directory": "run1"},
     }
@@ -210,10 +214,9 @@ def test_load_spec_reports_yaml_error_location(tmp_path):
 
 def test_load_spec_reads_valid_file(tmp_path):
     path = tmp_path / "ok.yaml"
-    path.write_text("experiment:\n  name: delay-spectrum\nphysics:\n  t_switch: 0.01\n")
+    path.write_text("experiment:\n  name: delay-spectrum\n")
     spec = load_spec(str(path))
     assert spec.name == "delay-spectrum"
-    assert spec.t_switch == 0.01
 
 
 # ---------------------------------------------------------------------------
