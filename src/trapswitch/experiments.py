@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TrapSwitchError
 from .groundstate import ground_state
-from .io import Check, ExperimentSpec, Table, emit_experiment
+from .io import Check, ExperimentSpec, Table, emit_experiment, frac_label
 from .model import SwitchingSchedule
 from .poles import BOUND, RESONANCE, find_poles, newton_pole, trace_iso_resonance
 from .propagate import PropagationSetup, non_escape_probability
@@ -26,6 +26,7 @@ from .spectra import (
     EXPONENTIAL_OBJECTIVE,
     FIT_SPAN_LIFETIMES,
     LORENTZIAN_OBJECTIVE,
+    OBJECTIVES,
     SpectrumRunSpec,
     energy_distribution,
     energy_grid,
@@ -58,10 +59,6 @@ def _stage(name):
         raise
 
 
-def _frac_label(frac: float) -> str:
-    return "T0" if frac == 0.0 else f"T{frac:g}tau"
-
-
 def _pole_table(name, poles):
     table = Table(name)
     table.add("k_re", "1/um", [p.k_res.real for p in poles])
@@ -80,10 +77,10 @@ def _pole_region(unit, e_cut: float = 1000.0):
 
 
 def run_poles(spec: ExperimentSpec):
-    region = spec.options.get("region") or _pole_region(spec.unit, **spec.numerics)
+    region = spec.options.get("region") or _pole_region(spec.unit)
     with _stage("pole-search"):
-        initial_poles = find_poles(spec.initial, spec.unit, tuple(region))
-        final_poles = find_poles(spec.final, spec.unit, tuple(region))
+        initial_poles = find_poles(spec.initial, spec.unit, region)
+        final_poles = find_poles(spec.final, spec.unit, region)
     tables = [
         _pole_table("poles_initial", initial_poles),
         _pole_table("poles_final", final_poles),
@@ -123,10 +120,8 @@ def run_poles(spec: ExperimentSpec):
 
 
 def run_ground_state(spec: ExperimentSpec):
-    x_max = spec.options.get("x_max")
-    x_max = None if x_max is None else float(x_max)
     with _stage("bound-state"):
-        state, e0 = ground_state(spec.initial, spec.unit, x_max=x_max, **spec.numerics)
+        state, e0 = ground_state(spec.initial, spec.unit, **spec.options, **spec.numerics)
     table = Table("groundstate")
     table.add("x", "um", state.x)
     table.add("psi_re", "1/sqrt(um)", state.values.real)
@@ -152,9 +147,9 @@ def run_ground_state(spec: ExperimentSpec):
 
 
 def run_delay_spectrum(spec: ExperimentSpec):
-    halfwidth = float(spec.options.get("window_halfwidth", 10.0))
-    n_energy = int(spec.options.get("n_energy", 800))
-    with_offset = bool(spec.options.get("with_offset", True))
+    halfwidth = spec.options.get("window_halfwidth", 10.0)
+    n_energy = spec.options.get("n_energy", 800)
+    with_offset = spec.options.get("with_offset", True)
     with _stage("resonance"):
         res = lowest_resonance(spec.final, spec.unit)
     e = np.linspace(
@@ -196,21 +191,15 @@ def run_delay_spectrum(spec: ExperimentSpec):
 
 
 def _t_fractions(spec: ExperimentSpec):
-    fracs = spec.options.get("t_switch_fractions", list(DEFAULT_T_FRACTIONS))
-    return [float(f) for f in fracs]
+    return spec.options.get("t_switch_fractions", DEFAULT_T_FRACTIONS)
 
 
 def _decay_plan(spec: ExperimentSpec, tau: float):
     """Switching fractions, late-fit starts and run record of decay-curves."""
     fracs = _t_fractions(spec)
-    override_t_min = spec.options.get("t_min_fit")
     # late-fit start: past the switch transient, where the residual trap
     # reshaping perturbs the decay rate well below the check tolerance
-    t_mins = [
-        float(override_t_min) if override_t_min is not None
-        else max(0.5, 6.32 * f * tau)
-        for f in fracs
-    ]
+    t_mins = [max(0.5, 6.32 * f * tau) for f in fracs]
     t_end = max(t_mins) + max(1.45, FIT_SPAN_LIFETIMES * tau)
     return fracs, t_mins, replace(DecayRunSpec(t_end=t_end), **spec.numerics)
 
@@ -224,7 +213,7 @@ def run_decay_curves(spec: ExperimentSpec):
     checks = []
     scalars = {"tau_pole": tau, "t_end": run.t_end}
     for frac, t_min in zip(fracs, t_mins):
-        label = _frac_label(frac)
+        label = frac_label(frac)
         with _stage(f"decay-{label}"):
             record = switch_and_record(spec.initial, spec.final, frac * tau, spec.unit, run)
             tau_fit, quality, _ = fit_exponential_decay(record, t_min)
@@ -269,7 +258,7 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
     checks = []
     scalars = {"e_r": res.e_r, "gamma": res.gamma, "tau": tau}
     for frac in fracs:
-        label = _frac_label(frac)
+        label = frac_label(frac)
         with _stage(f"spectrum-{label}"):
             if frac == 0.0:
                 # sudden release: project the prepared state directly; the
@@ -307,25 +296,13 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
 
 
 def run_iso_curves(spec: ExperimentSpec):
-    targets = [float(t) for t in spec.options.get("e_r_targets", (53.391, 7.422))]
-    v_range = tuple(float(v) for v in spec.options.get("v_well_range", (5.0, 350.0)))
-    n_points = int(spec.options.get("n_points", 40))
-    bracket = tuple(float(v) for v in spec.options.get("v_barrier_bracket", (0.5, 4000.0)))
-    rtol = float(spec.options.get("rtol", 1e-4))
+    trace = dict(spec.options)  # v_well_range, n_points
+    targets = trace.pop("e_r_targets", (53.391, 7.422))
     tables, checks, scalars = [], [], {}
     for idx, target in enumerate(targets, start=1):
         name = f"iso_curve_{idx}"
         with _stage(name):
-            curve = trace_iso_resonance(
-                target,
-                spec.unit,
-                spec.final.d,
-                spec.final.b,
-                v_well_range=v_range,
-                n_points=n_points,
-                v_barrier_bracket=bracket,
-                rtol=rtol,
-            )
+            curve = trace_iso_resonance(target, spec.unit, spec.final.d, spec.final.b, **trace)
         table = Table(name, meta={"e_r_target": f"{target:.12g}"})
         table.add("v_well", "hbar/s", curve.v_well)
         table.add("v_barrier", "hbar/s", curve.v_barrier)
@@ -378,34 +355,15 @@ def run_iso_curves(spec: ExperimentSpec):
     return tables, scalars, checks, {"iso_curves": plot}
 
 
-def _scan_options(spec: ExperimentSpec):
-    """Objectives, switching-time range in lifetimes, and coarse grid size."""
-    objectives = spec.options.get(
-        "objectives", [LORENTZIAN_OBJECTIVE, EXPONENTIAL_OBJECTIVE]
-    )
-    fracs = spec.options.get("t_range_fractions", (0.01, 0.6))
-    return objectives, fracs, int(spec.options.get("n_coarse", 15))
-
-
 def run_t_scan(spec: ExperimentSpec):
-    objectives, fracs, n_coarse = _scan_options(spec)
-    refine_rtol = float(spec.options.get("refine_rtol", 0.05))
+    scan = dict(spec.options)  # t_range_fractions, n_coarse, refine_rtol
+    objectives = scan.pop("objectives", OBJECTIVES)
     tables, checks, scalars = [], [], {}
     stars = {}
     for objective in objectives:
         short = objective.split("-")[0]
-        # range fractions refer to the lifetime, so resolve tau first
         with _stage(f"scan-{short}"):
-            res = lowest_resonance(spec.final, spec.unit)
-            result = optimal_switch_time(
-                objective,
-                spec.initial,
-                spec.final,
-                spec.unit,
-                t_range=(fracs[0] * res.tau, fracs[1] * res.tau),
-                n_coarse=n_coarse,
-                refine_rtol=refine_rtol,
-            )
+            result = optimal_switch_time(objective, spec.initial, spec.final, spec.unit, **scan)
         table = Table(f"tscan_{short}")
         table.add("t_switch", "s", result.t_values)
         table.add("objective", "-", result.values)
@@ -462,10 +420,12 @@ def planned_setups(spec: ExperimentSpec) -> list[PropagationSetup]:
         # the sudden point projects the prepared state without propagating
         plan = [(run, f * tau) for f in fracs if f != 0.0]
     else:
-        objectives, fracs, n_coarse = _scan_options(spec)
+        scan = dict(spec.options)  # t_range_fractions, n_coarse, refine_rtol
+        objectives = scan.pop("objectives", OBJECTIVES)
+        scan.pop("refine_rtol", None)
         plan = []
         for objective in objectives:
-            run, ts = scan_plan(objective, tau, (fracs[0] * tau, fracs[1] * tau), n_coarse)
+            run, ts = scan_plan(objective, tau, **scan)
             plan += [(run, t) for t in ts]
     return [r.setup(SwitchingSchedule(spec.initial, spec.final, t), spec.unit) for r, t in plan]
 

@@ -20,6 +20,7 @@ import yaml
 from . import __version__
 from .errors import SpecValidationError
 from .model import PotentialConfig, UnitSystem, make_unit_system
+from .spectra import OBJECTIVES
 
 EXPERIMENT_NAMES = (
     "iso-curves",
@@ -33,14 +34,85 @@ EXPERIMENT_NAMES = (
 
 _PHYSICS_KEYS = {"mass_amu", "initial", "final", "d", "b"}
 _TRAP_KEYS = {"v_well", "v_barrier"}
+_ROOT_PROBLEM = "spec root must be a mapping with experiment/physics/numerics/outputs"
+
+
+def frac_label(frac: float) -> str:
+    """Column and check label of a switching time given in lifetimes."""
+    return "T0" if frac == 0.0 else f"T{frac:g}tau"
+
+
+def _number_fault(value, kind=float, low=0.0, closed=False):
+    """Why value is not a `kind` above low (at or above, if closed), or None."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        return f"expected {'an integer' if kind is int else 'a number'}, got {value!r}"
+    if not (value >= low if closed else value > low):
+        return f"must be {'>=' if closed else '>'} {low:g}, got {value}"
+    return None
+
+
+def _numbers_fault(value, length=None):
+    """Why value is not a non-empty list of numbers (of that length), or None."""
+    if not (
+        isinstance(value, list)
+        and value
+        and len(value) == (length or len(value))
+        and not any(_number_fault(v, low=-np.inf) for v in value)
+    ):
+        return f"expected a list of {length or 'one or more'} numbers, got {value!r}"
+    return None
+
+
+def _range_fault(value, low, high=np.inf, closed=True):
+    """Why value is not [a, b] with low <= a < b <= high (low < a unless closed), or None."""
+    return _numbers_fault(value, 2) or _number_fault(value[0], low=low, closed=closed) or (
+        None if value[0] < value[1] <= high else f"need low < high <= {high:g}, got {value}"
+    )
+
+
+def _fractions_fault(value):
+    fault = _numbers_fault(value) or _number_fault(min(value), closed=True)
+    labels = [] if fault else [frac_label(f) for f in value]
+    if len(set(labels)) < len(labels):
+        fault = f"{value} repeat a column label {labels}"
+    return fault
+
+
+def _objectives_fault(value):
+    if not isinstance(value, list) or not value or any(v not in OBJECTIVES for v in value):
+        return f"expected a list of names from {list(OBJECTIVES)}, got {value!r}"
+    return None if len(set(value)) == len(value) else f"names an objective twice: {value}"
+
+
+#: experiment -> {option key its runner reads: why a value is bad, or None};
+#: well-formed values are kept as parsed
 _OPTION_KEYS = {
-    "iso-curves": {"e_r_targets", "v_well_range", "n_points", "v_barrier_bracket", "rtol"},
-    "delay-spectrum": {"window_halfwidth", "n_energy", "with_offset"},
-    "decay-curves": {"t_switch_fractions", "t_min_fit"},
-    "spectrum-vs-T": {"t_switch_fractions"},
-    "t-scan": {"objectives", "t_range_fractions", "n_coarse", "refine_rtol"},
-    "poles": {"region"},
-    "ground-state": {"x_max"},
+    "iso-curves": {
+        "e_r_targets": lambda v: _numbers_fault(v) or _number_fault(min(v)),
+        "v_well_range": lambda v: _range_fault(v, 0.0),
+        "n_points": lambda v: _number_fault(v, int, 2, closed=True),
+    },
+    "delay-spectrum": {
+        "window_halfwidth": _number_fault,
+        "n_energy": lambda v: _number_fault(v, int),
+        "with_offset": lambda v: (
+            None if isinstance(v, bool) else f"expected true or false, got {v!r}"
+        ),
+    },
+    "decay-curves": {"t_switch_fractions": _fractions_fault},
+    "spectrum-vs-T": {"t_switch_fractions": _fractions_fault},
+    "t-scan": {
+        "objectives": _objectives_fault,
+        "t_range_fractions": lambda v: _range_fault(v, 0.0, 2.0, closed=False),
+        "n_coarse": lambda v: _number_fault(v, int),
+        "refine_rtol": _number_fault,
+    },
+    "poles": {
+        "region": lambda v: _numbers_fault(v, 4) or (
+            None if v[0] < v[1] and v[2] < v[3] else f"need min < max on both axes, got {v}"
+        ),
+    },
+    "ground-state": {"x_max": _number_fault},
 }
 #: experiment -> {numerics key its runner reads: type}; every value is > 0
 _NUMERICS_KEYS = {
@@ -56,7 +128,7 @@ _NUMERICS_KEYS = {
     },
     "spectrum-vs-T": {"dx": float, "dt": float, "e_cut": float, "n_energy": int},
     "t-scan": {},
-    "poles": {"e_cut": float},
+    "poles": {},
     "ground-state": {"dx": float},
 }
 
@@ -74,27 +146,16 @@ class ExperimentSpec:
     output_dir: str
 
 
-def _as_float(value, path, problems):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{path}: expected a number, got {value!r}")
-        return None
-    return float(value)
-
-
-def _check_positive(value, path, kind, problems):
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        problems.append(f"{path}: expected an integer, got {value!r}")
-        return
-    v = _as_float(value, path, problems)
-    if v is not None and not v > 0.0:
-        problems.append(f"{path}: must be > 0, got {value}")
+def _check(fault, path, problems):
+    if fault:
+        problems.append(f"{path}: {fault}")
 
 
 def spec_problems(document) -> list[str]:
     """All schema violations in a raw spec document; empty means parseable."""
     problems: list[str] = []
     if not isinstance(document, dict):
-        return ["spec root must be a mapping with experiment/physics/numerics/outputs"]
+        return [_ROOT_PROBLEM]
     unknown = set(document) - {"experiment", "physics", "numerics", "outputs"}
     if unknown:
         problems.append(f"unknown top-level sections {sorted(unknown)}")
@@ -110,9 +171,12 @@ def spec_problems(document) -> list[str]:
                 f"experiment.name: {name!r} not one of {sorted(EXPERIMENT_NAMES)}"
             )
         else:
-            unknown = set(exp) - {"name"} - _OPTION_KEYS[name]
+            faults = _OPTION_KEYS[name]
+            unknown = set(exp) - {"name"} - set(faults)
             if unknown:
                 problems.append(f"experiment: unknown keys {sorted(unknown)} for {name}")
+            for key in sorted(set(faults) & set(exp)):
+                _check(faults[key](exp[key]), f"experiment.{key}", problems)
 
     phys = document.get("physics") or {}
     if not isinstance(phys, dict):
@@ -123,7 +187,7 @@ def spec_problems(document) -> list[str]:
         problems.append(f"physics: unknown keys {sorted(unknown)}")
     for key in ("d", "b", "mass_amu"):
         if key in phys:
-            _check_positive(phys[key], f"physics.{key}", float, problems)
+            _check(_number_fault(phys[key]), f"physics.{key}", problems)
     for trap in ("initial", "final"):
         raw = phys.get(trap) or {}
         if not isinstance(raw, dict):
@@ -133,9 +197,7 @@ def spec_problems(document) -> list[str]:
         if unknown:
             problems.append(f"physics.{trap}: unknown keys {sorted(unknown)}")
         for key in sorted(_TRAP_KEYS & set(raw)):
-            v = _as_float(raw[key], f"physics.{trap}.{key}", problems)
-            if v is not None and v < 0.0:
-                problems.append(f"physics.{trap}.{key}: must be >= 0, got {v}")
+            _check(_number_fault(raw[key], closed=True), f"physics.{trap}.{key}", problems)
 
     num = document.get("numerics") or {}
     if not isinstance(num, dict):
@@ -147,7 +209,7 @@ def spec_problems(document) -> list[str]:
             problems.append(f"numerics: unknown keys {sorted(unknown)} for {name}")
         for key, kind in kinds.items():
             if key in num:
-                _check_positive(num[key], f"numerics.{key}", kind, problems)
+                _check(_number_fault(num[key], kind), f"numerics.{key}", problems)
 
     out = document.get("outputs") or {}
     if not isinstance(out, dict):
@@ -219,9 +281,13 @@ def apply_overrides(document, assignments: list[str]):
             value = yaml.safe_load(raw)
         except yaml.YAMLError:
             value = raw
+        if not isinstance(document, dict):
+            raise SpecValidationError(f"override {dotted}: {_ROOT_PROBLEM}")
         node = document
         for key in keys[:-1]:
-            node = node.setdefault(key, {})
+            if node.get(key) is None:  # a section left empty in YAML reads as null
+                node[key] = {}
+            node = node[key]
             if not isinstance(node, dict):
                 raise SpecValidationError(f"override {dotted}: {key} is not a section")
         node[keys[-1]] = value

@@ -500,6 +500,8 @@ def lowest_resonance(
 
 LORENTZIAN_OBJECTIVE = "lorentzian-deviation"
 EXPONENTIAL_OBJECTIVE = "exponential-deviation"
+#: Every scan metric, in the order a t-scan runs them by default.
+OBJECTIVES = (LORENTZIAN_OBJECTIVE, EXPONENTIAL_OBJECTIVE)
 
 #: Start of the late-time window used to anchor the pure-exponential
 #: extrapolation in the exponential-deviation metric.
@@ -570,16 +572,13 @@ def _golden_refine(f, a, b, rtol, budget):
 def scan_plan(
     objective: str,
     tau: float,
-    t_range: tuple[float, float] | None = None,
+    t_range_fractions: tuple[float, float] = (0.01, 0.6),
     n_coarse: int = 15,
     spectrum_spec: SpectrumRunSpec = SpectrumRunSpec(),
     decay_spec: DecayRunSpec | None = None,
 ) -> tuple[SpectrumRunSpec | DecayRunSpec, np.ndarray]:
-    """The run record and the coarse switching times of one scan."""
-    if t_range is None:
-        t_range = (0.01 * tau, 0.6 * tau)
-    if not (0.0 < t_range[0] < t_range[1] <= 2.0 * tau):
-        raise InvalidArgumentError(f"t_range {t_range} outside (0, 2 tau]")
+    """The run record and the coarse switching times of one scan; the range
+    is in lifetimes, 0 < low < high <= 2 (checked when a spec is parsed)."""
     if objective == LORENTZIAN_OBJECTIVE:
         run = spectrum_spec
     elif objective == EXPONENTIAL_OBJECTIVE:
@@ -589,7 +588,8 @@ def scan_plan(
             f"unknown objective {objective!r}; use "
             f"{LORENTZIAN_OBJECTIVE!r} or {EXPONENTIAL_OBJECTIVE!r}"
         )
-    return run, np.geomspace(t_range[0], t_range[1], n_coarse)
+    lo, hi = t_range_fractions
+    return run, np.geomspace(lo * tau, hi * tau, n_coarse)
 
 
 def optimal_switch_time(
@@ -597,23 +597,23 @@ def optimal_switch_time(
     initial_config: PotentialConfig,
     final_config: PotentialConfig,
     unit: UnitSystem,
-    t_range: tuple[float, float] | None = None,
-    n_coarse: int = 15,
     refine_rtol: float = 0.05,
     refine_budget: int = 20,
-    spectrum_spec: SpectrumRunSpec = SpectrumRunSpec(),
-    decay_spec: DecayRunSpec | None = None,
+    **plan,
 ) -> SwitchScanResult:
     """Scan the switching time for the best release, under a declared metric.
 
-    A coarse log-spaced scan brackets the minimum, golden-section refines it
-    to +-refine_rtol.  Several coarse local minima within 10% of each other
-    flag the scan as multimodal; the global grid minimum is then returned
-    unrefined rather than silently picking one basin.
+    A coarse log-spaced scan, `scan_plan(objective, tau, **plan)` (keywords
+    t_range_fractions, n_coarse, spectrum_spec, decay_spec), brackets the
+    minimum, golden-section refines it to +-refine_rtol.  Several coarse
+    local minima within 10% of each other flag the scan as multimodal; the
+    global grid minimum is then returned unrefined rather than silently
+    picking one basin.
     """
     resonance = lowest_resonance(final_config, unit)
     tau = resonance.tau
-    run, ts = scan_plan(objective, tau, t_range, n_coarse, spectrum_spec, decay_spec)
+    run, ts = scan_plan(objective, tau, **plan)
+    n_coarse = len(ts)
 
     def evaluate(t_switch: float) -> float:
         if objective == LORENTZIAN_OBJECTIVE:

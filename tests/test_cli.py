@@ -161,6 +161,30 @@ def test_bad_numerics_are_schema_problems(tmp_path, capsys, override):
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize(
+    "config, override",
+    [
+        ("switch_scan.yaml", "experiment.n_coarse=abc"),
+        ("switch_scan.yaml", "experiment.refine_rtol=-1"),
+        ("switch_scan.yaml", "experiment.objectives=[lorentz]"),
+        ("switch_scan.yaml", "experiment.t_range_fractions=[0.6, 0.01]"),
+        ("delay_spectrum.yaml", "experiment.with_offset='false'"),
+        ("delay_spectrum.yaml", "experiment.n_energy=abc"),
+        ("decay_curves.yaml", "experiment.t_switch_fractions=abc"),
+        ("ground_state.yaml", "experiment.x_max=abc"),
+    ],
+)
+def test_bad_options_are_schema_problems(tmp_path, capsys, config, override):
+    spec = os.path.join(CONFIGS, config)
+    assert main(["validate", spec, "--set", override]) == 1
+    key = override.split("=")[0]
+    assert capsys.readouterr().out.startswith(f"{key}: ")
+    assert main(["run", spec, "--set", override, "--set", f"outputs.directory={tmp_path}"]) == 2
+    captured = capsys.readouterr()
+    assert f"  - {key}: " in captured.err
+    assert "Traceback" not in captured.out + captured.err
 AGREEMENT_CASES = [(name, None) for name in sorted(os.listdir(CONFIGS))] + [
     ("poles.yaml", "numerics.dt=9"),
     ("spectrum_vs_t.yaml", "numerics.dx=0.35"),

@@ -7,6 +7,7 @@ emission contract they all share.
 
 import csv
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -145,7 +146,7 @@ def test_decay_default_window_spans_the_fit_margin_for_long_lifetimes(tmp_path):
 
 #: experiment -> a value for each numerics key its runner reads
 READS = {
-    "poles": {"e_cut": 300.0},
+    "poles": {},
     "ground-state": {"dx": 0.04},
     "delay-spectrum": {},
     "iso-curves": {},
@@ -160,7 +161,6 @@ ALL_KEYS = set().union(*READS.values()) | {"absorber_width", "absorber_strength"
 
 #: experiment -> (callee in experiments, what of its call the numerics shape)
 CONSUMERS = {
-    "poles": ("find_poles", lambda args, kwargs: args[2]),
     "ground-state": ("ground_state", lambda args, kwargs: kwargs.get("dx")),
     "decay-curves": ("switch_and_record", lambda args, kwargs: args[4]),
     "spectrum-vs-T": ("switch_and_project", lambda args, kwargs: args[4]),
@@ -171,18 +171,24 @@ class _Captured(Exception):
     pass
 
 
-def _runner_record(monkeypatch, name, numerics):
-    callee, pick = CONSUMERS[name]
+def _captured_call(monkeypatch, consumers, document):
+    """What the runner hands its consumer, which is replaced by a capture."""
+    spec = parse_spec(document)
+    callee, pick = consumers[spec.name]
 
     def capture(*args, **kwargs):
         raise _Captured(pick(args, kwargs))
 
     monkeypatch.setattr(experiments, callee, capture)
-    options = {"t_switch_fractions": [0.1]} if name == "spectrum-vs-T" else {}
-    spec = parse_spec({"experiment": {"name": name, **options}, "numerics": numerics})
     with pytest.raises(_Captured) as got:
-        experiments.RUNNERS[name](spec)
+        experiments.RUNNERS[spec.name](spec)
     return got.value.args[0]
+
+
+def _runner_record(monkeypatch, name, numerics):
+    options = {"t_switch_fractions": [0.1]} if name == "spectrum-vs-T" else {}
+    document = {"experiment": {"name": name, **options}, "numerics": numerics}
+    return _captured_call(monkeypatch, CONSUMERS, document)
 
 
 @pytest.mark.parametrize("name", sorted(READS))
@@ -195,3 +201,78 @@ def test_numerics_keys_are_exactly_those_the_runner_reads(monkeypatch, name):
     default = _runner_record(monkeypatch, name, {})
     for key, value in READS[name].items():
         assert _runner_record(monkeypatch, name, {key: value}) != default, key
+
+
+#: experiment -> {option its runner reads: (a value that changes the runner's
+#: call, values the schema must refuse)}
+OPTIONS = {
+    "poles": {
+        "region": ([0.0, 0.5, -0.2, 0.1], ["wide", [0.0, 0.5, -0.2], [0.5, 0.0, -0.2, 0.1]]),
+    },
+    "ground-state": {"x_max": (90, ["abc", 0, -1.0, True])},
+    "delay-spectrum": {
+        "window_halfwidth": (6.0, ["abc", 0.0, [10.0]]),
+        "n_energy": (120, ["abc", 1.5, 0]),
+        "with_offset": (False, ["false", 0, None]),
+    },
+    "iso-curves": {
+        "e_r_targets": ([134.511248728], ["abc", [], [53.391, -1.0], 53.391]),
+        "v_well_range": ([20, 300], ["abc", [5.0], [350.0, 5.0], [-1.0, 5.0]]),
+        "n_points": (7, ["abc", 1, 2.5]),
+    },
+    "decay-curves": {
+        "t_switch_fractions": ([0.1], ["abc", [], [-0.1], [0.02, 0.02], [0.1, 0.1000001]]),
+    },
+    "spectrum-vs-T": {
+        "t_switch_fractions": ([0.1], ["abc", [0.0, "x"], [0.5, 0.5]]),
+    },
+    "t-scan": {
+        "objectives": (
+            ["exponential-deviation"],
+            ["lorentzian-deviation", ["lorentz"], [], ["exponential-deviation"] * 2],
+        ),
+        "t_range_fractions": ([0.02, 0.3], ["abc", [0.6, 0.01], [0.0, 0.6], [0.01, 2.5], [0.1]]),
+        "n_coarse": (5, ["abc", 0, 3.0]),
+        "refine_rtol": (0.1, ["abc", -1, 0.0]),
+    },
+}
+#: option keys no experiment accepts any more
+DELETED_OPTIONS = {"v_barrier_bracket", "rtol", "t_min_fit"}
+ALL_OPTIONS = set().union(*OPTIONS.values()) | DELETED_OPTIONS
+
+#: experiment -> (callee in experiments, what of its call the options shape)
+OPTION_CONSUMERS = {
+    "poles": ("find_poles", lambda args, kwargs: args[2]),
+    "ground-state": ("ground_state", lambda args, kwargs: kwargs),
+    "delay-spectrum": ("fit_lorentzian", lambda args, kwargs: (args[0].tolist(), kwargs)),
+    "iso-curves": ("trace_iso_resonance", lambda args, kwargs: (args[0], kwargs)),
+    "decay-curves": ("switch_and_record", lambda args, kwargs: args[2]),
+    "spectrum-vs-T": ("switch_and_project", lambda args, kwargs: args[2]),
+    "t-scan": ("optimal_switch_time", lambda args, kwargs: (args[0], kwargs)),
+}
+
+
+def _options_call(monkeypatch, name, options):
+    # nothing heavier than the pole search runs before the captured call
+    monkeypatch.setattr(experiments, "delay_time", lambda config, unit, k: 1.0)
+    flat = SimpleNamespace(p=[], total=1.0)
+    monkeypatch.setattr(experiments, "energy_distribution", lambda *args, **kwargs: flat)
+    monkeypatch.setattr(experiments, "lorentzian_deviation", lambda dist, res: 0.0)
+    document = {"experiment": {"name": name, **options}}
+    return _captured_call(monkeypatch, OPTION_CONSUMERS, document)
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+def test_options_are_typed_and_each_changes_the_runners_call(monkeypatch, name):
+    for key in sorted(ALL_OPTIONS - set(OPTIONS[name])):
+        doc = {"experiment": {"name": name, key: 1}}
+        assert spec_problems(doc) == [f"experiment: unknown keys ['{key}'] for {name}"]
+    default = _options_call(monkeypatch, name, {})
+    for key, (good, bad_values) in OPTIONS[name].items():
+        assert spec_problems({"experiment": {"name": name, key: good}}) == []
+        for bad in bad_values:
+            problems = spec_problems({"experiment": {"name": name, key: bad}})
+            assert len(problems) == 1 and problems[0].startswith(f"experiment.{key}: "), (
+                key, bad, problems
+            )
+        assert _options_call(monkeypatch, name, {key: good}) != default, key

@@ -1,6 +1,7 @@
 """Spec parsing, overrides, hashing, and the CSV/report emission layer."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import yaml
 
 from trapswitch.errors import SpecValidationError
 from trapswitch.io import (
+    _NUMERICS_KEYS,
+    _OPTION_KEYS,
     Check,
     Table,
     apply_overrides,
@@ -94,6 +97,29 @@ def test_trap_values_are_checked():
     assert "physics.final.v_barrier: must be >= 0, got -5.0" in problems
 
 
+@pytest.mark.parametrize("name", ["decay-curves", "spectrum-vs-T"])
+@pytest.mark.parametrize("fractions", [[0.02, 0.02], [0.0, 0.1, 0.1000001]])
+def test_switching_times_must_label_distinct_columns(name, fractions):
+    problems = spec_problems({"experiment": {"name": name, "t_switch_fractions": fractions}})
+    assert len(problems) == 1
+    assert problems[0].startswith("experiment.t_switch_fractions: ")
+    assert "repeat a column label" in problems[0]
+
+
+def test_readme_key_tables_match_the_schema():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `([\w-]+)` \| `(experiment|numerics)\.(\w+)` \|", fh.read(), re.M)
+    accepted = {
+        (name, section, key)
+        for section, table in (("experiment", _OPTION_KEYS), ("numerics", _NUMERICS_KEYS))
+        for name, keys in table.items()
+        for key in keys
+    }
+    assert len(rows) == len(set(rows))
+    assert set(rows) == accepted
+
+
 def test_parse_spec_raises_with_all_problems_listed():
     doc = {"experiment": {"name": "nope"}, "physics": {"d": -1.0}}
     with pytest.raises(SpecValidationError) as err:
@@ -155,6 +181,20 @@ def test_override_creates_missing_sections():
     doc = _minimal_doc()
     apply_overrides(doc, ["outputs.directory=/tmp/somewhere"])
     assert doc["outputs"]["directory"] == "/tmp/somewhere"
+
+
+def test_override_fills_a_section_left_empty():
+    doc = yaml.safe_load("experiment:\n  name: decay-curves\nnumerics:\n")
+    assert doc["numerics"] is None
+    apply_overrides(doc, ["numerics.dx=0.04"])
+    assert doc["numerics"] == {"dx": 0.04}
+    assert spec_problems(doc) == []
+
+
+@pytest.mark.parametrize("root", [None, [1, 2], "poles"])
+def test_override_into_a_root_that_is_not_a_mapping_is_rejected(root):
+    with pytest.raises(SpecValidationError, match="numerics.dx: spec root must be a mapping"):
+        apply_overrides(root, ["numerics.dx=0.04"])
 
 
 def test_override_without_equals_sign_rejected():
