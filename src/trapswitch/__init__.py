@@ -4,159 +4,13 @@ The package models a 1-d trap made of a hard wall, a square well, and a
 square barrier.  It locates the S-matrix poles of that trap, propagates the
 initially bound atom through a timed reshaping of the well and barrier, and
 measures how the reshaping time imprints itself on the energy distribution
-of the released atom.
+of the released atom.  Everything else is imported from its module.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AmbiguousBoundStateError,
-    CompletenessViolationError,
-    ContainmentError,
-    FitFailureError,
-    IncompleteSearchError,
-    InsufficientDataError,
-    InvalidArgumentError,
-    NoBoundStateError,
-    NumericalBlowupError,
-    RefinementError,
-    ResolutionError,
-    SpecValidationError,
-    TrapSwitchError,
-    WindowError,
-)
-from .model import (
-    PotentialConfig,
-    SwitchingSchedule,
-    UnitSystem,
-    kinetic_energy,
-    make_unit_system,
-    potential_at,
-    sample_potential,
-    wavenumber_of_energy,
-)
-from .groundstate import WavefunctionGrid, bound_state_profile, ground_state
-from .poles import (
-    IsoResonanceCurve,
-    Resonance,
-    find_bound_states,
-    find_poles,
-    pole_function,
-    trace_iso_resonance,
-    winding_number,
-)
-from .propagate import (
-    AbsorbingLayer,
-    DecayRecord,
-    PropagationResult,
-    PropagationSetup,
-    Snapshot,
-    default_absorber,
-    non_escape_probability,
-    propagate,
-    validate_setup,
-)
-from .scattering import (
-    ScatteringSolution,
-    delay_time,
-    evaluate_scattering_state,
-    phase_shift_curve,
-    s_matrix,
-    solve_scattering,
-)
 from .experiments import run_experiment
-from .io import ExperimentSpec, load_spec, parse_spec
-from .spectra import (
-    DecayRunSpec,
-    EnergyDistribution,
-    LorentzianFit,
-    SpectrumRunSpec,
-    SwitchScanResult,
-    distribution_median,
-    energy_distribution,
-    energy_grid,
-    exponential_deviation,
-    fit_exponential_decay,
-    fit_lorentzian,
-    l1_difference,
-    lorentzian_deviation,
-    lorentzian_reference,
-    lorentzian_window_weight,
-    lowest_resonance,
-    optimal_switch_time,
-    switch_and_project,
-    switch_and_record,
-)
+from .io import load_spec
+from .poles import find_poles
 
-__all__ = [
-    "AbsorbingLayer",
-    "AmbiguousBoundStateError",
-    "CompletenessViolationError",
-    "ContainmentError",
-    "DecayRecord",
-    "DecayRunSpec",
-    "EnergyDistribution",
-    "ExperimentSpec",
-    "FitFailureError",
-    "IncompleteSearchError",
-    "InsufficientDataError",
-    "InvalidArgumentError",
-    "IsoResonanceCurve",
-    "LorentzianFit",
-    "NoBoundStateError",
-    "NumericalBlowupError",
-    "PotentialConfig",
-    "PropagationResult",
-    "PropagationSetup",
-    "RefinementError",
-    "Resonance",
-    "ResolutionError",
-    "ScatteringSolution",
-    "Snapshot",
-    "SpecValidationError",
-    "SpectrumRunSpec",
-    "SwitchScanResult",
-    "SwitchingSchedule",
-    "TrapSwitchError",
-    "UnitSystem",
-    "WavefunctionGrid",
-    "WindowError",
-    "bound_state_profile",
-    "default_absorber",
-    "delay_time",
-    "distribution_median",
-    "energy_distribution",
-    "energy_grid",
-    "evaluate_scattering_state",
-    "exponential_deviation",
-    "find_bound_states",
-    "find_poles",
-    "fit_exponential_decay",
-    "fit_lorentzian",
-    "ground_state",
-    "kinetic_energy",
-    "l1_difference",
-    "load_spec",
-    "lorentzian_deviation",
-    "lorentzian_reference",
-    "lorentzian_window_weight",
-    "lowest_resonance",
-    "make_unit_system",
-    "non_escape_probability",
-    "optimal_switch_time",
-    "parse_spec",
-    "phase_shift_curve",
-    "pole_function",
-    "potential_at",
-    "propagate",
-    "run_experiment",
-    "sample_potential",
-    "s_matrix",
-    "solve_scattering",
-    "switch_and_project",
-    "switch_and_record",
-    "trace_iso_resonance",
-    "validate_setup",
-    "wavenumber_of_energy",
-    "winding_number",
-]
+__all__ = ["find_poles", "load_spec", "run_experiment"]

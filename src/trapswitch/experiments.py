@@ -18,7 +18,7 @@ from .errors import TrapSwitchError
 from .groundstate import ground_state
 from .io import Check, ExperimentSpec, Table, emit_experiment, frac_label
 from .model import SwitchingSchedule
-from .poles import BOUND, RESONANCE, find_poles, newton_pole, trace_iso_resonance
+from .poles import BOUND, find_poles, newton_pole, resonances, trace_iso_resonance
 from .propagate import PropagationSetup, non_escape_probability
 from .scattering import delay_time, phase_shift_curve
 from .spectra import (
@@ -70,9 +70,10 @@ def _pole_table(name, poles):
     return table
 
 
-def _pole_region(unit, e_cut: float = 1000.0):
-    # cover the positive imaginary axis too, so bound states are reported
-    k_hi = 1.05 * math.sqrt(2.0 * e_cut / unit.kappa)
+def _pole_region(unit):
+    # resonances up to 1000 hbar/s, and the positive imaginary axis too, so
+    # bound states are reported
+    k_hi = 1.05 * math.sqrt(2.0 * 1000.0 / unit.kappa)
     return (0.0, k_hi, -0.45 * k_hi, k_hi)
 
 
@@ -85,7 +86,7 @@ def run_poles(spec: ExperimentSpec):
         _pole_table("poles_initial", initial_poles),
         _pole_table("poles_final", final_poles),
     ]
-    res = [p for p in final_poles if p.kind == RESONANCE and p.e_r > 0.0]
+    res = resonances(final_poles)
     checks = [
         Check(
             "final_trap_has_resonance",
@@ -102,7 +103,7 @@ def run_poles(spec: ExperimentSpec):
     ]
     scalars = {}
     if res:
-        low = min(res, key=lambda p: p.e_r)
+        low = res[0]
         row = final_poles.index(low)
         scalars = {
             "lowest_resonance_e_r": low.e_r,
@@ -261,14 +262,15 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
         label = frac_label(frac)
         with _stage(f"spectrum-{label}"):
             if frac == 0.0:
-                # sudden release: project the prepared state directly; the
-                # wide auxiliary grid checks that nothing is lost to high E
-                state, _ = ground_state(spec.initial, spec.unit, dx=0.05)
+                # sudden release: project the prepared state directly.  Its
+                # weight reaches far above e_cut (~5% beyond 400 hbar/s), so
+                # unit weight is checked on a fixed grid up to 3000 hbar/s
+                state, _ = ground_state(spec.initial, spec.unit, dx=run.dx)
                 dist = energy_distribution(state, spec.final, spec.unit, grid)
                 wide = energy_grid(res.e_r, res.gamma, 3000.0, 2600, e_min=run.e_min)
                 total = energy_distribution(state, spec.final, spec.unit, wide).total
             else:
-                (dist,) = switch_and_project(
+                dist = switch_and_project(
                     spec.initial, spec.final, frac * tau, spec.unit, run, res
                 )
                 total = dist.total

@@ -90,13 +90,12 @@ def ground_state(
     unit: UnitSystem,
     dx: float = 0.05,
     x_max: float | None = None,
-    select_lowest: bool = False,
 ) -> tuple[WavefunctionGrid, float]:
     """Normalized bound state of the trap and its energy.
 
     With x_max = None the grid ends where the exponential tail falls below
     TAIL_CUTOFF of the peak amplitude.  A trap holding several bound levels
-    is rejected unless select_lowest asks for the deepest one.
+    is rejected: which one to prepare is not defined.
     """
     if dx <= 0.0:
         raise InvalidArgumentError(f"dx must be positive, got {dx}")
@@ -105,12 +104,12 @@ def ground_state(
         raise NoBoundStateError(
             f"configuration {config} holds no bound state; nothing to prepare"
         )
-    if len(levels) > 1 and not select_lowest:
+    if len(levels) > 1:
         raise AmbiguousBoundStateError(
-            "configuration holds several bound states; pass select_lowest=True",
+            "configuration holds several bound states",
             energies=[p.e_r for p in levels],
         )
-    pole = min(levels, key=lambda p: p.e_r)
+    (pole,) = levels
     kappa0 = pole.k_res.imag
     e0 = pole.e_r
 

@@ -20,7 +20,7 @@ import yaml
 from . import __version__
 from .errors import SpecValidationError
 from .model import PotentialConfig, UnitSystem, make_unit_system
-from .spectra import OBJECTIVES
+from .spectra import MIN_FIT_SAMPLES, OBJECTIVES
 
 EXPERIMENT_NAMES = (
     "iso-curves",
@@ -33,6 +33,8 @@ EXPERIMENT_NAMES = (
 )
 
 _PHYSICS_KEYS = {"mass_amu", "initial", "final", "d", "b"}
+#: default well width d and barrier width b, in um
+_GEOMETRY = {"d": 5.0, "b": 10.0}
 _TRAP_KEYS = {"v_well", "v_barrier"}
 _ROOT_PROBLEM = "spec root must be a mapping with experiment/physics/numerics/outputs"
 
@@ -94,7 +96,7 @@ _OPTION_KEYS = {
     },
     "delay-spectrum": {
         "window_halfwidth": _number_fault,
-        "n_energy": lambda v: _number_fault(v, int),
+        "n_energy": lambda v: _number_fault(v, int, MIN_FIT_SAMPLES, closed=True),
         "with_offset": lambda v: (
             None if isinstance(v, bool) else f"expected true or false, got {v!r}"
         ),
@@ -198,6 +200,14 @@ def spec_problems(document) -> list[str]:
             problems.append(f"physics.{trap}: unknown keys {sorted(unknown)}")
         for key in sorted(_TRAP_KEYS & set(raw)):
             _check(_number_fault(raw[key], closed=True), f"physics.{trap}.{key}", problems)
+    if name == "ground-state" and "x_max" in exp:
+        # the grid must hold the whole trap, or the state is cut inside it
+        edge = [phys.get(key, default) for key, default in _GEOMETRY.items()]
+        if not any(map(_number_fault, [exp["x_max"], *edge])) and exp["x_max"] <= sum(edge):
+            problems.append(
+                f"experiment.x_max: must be > the trap's outer edge physics.d + physics.b "
+                f"= {sum(edge):g}, got {exp['x_max']}"
+            )
 
     num = document.get("numerics") or {}
     if not isinstance(num, dict):
@@ -229,8 +239,7 @@ def parse_spec(document) -> ExperimentSpec:
             "spec failed validation: " + "; ".join(problems), problems=problems
         )
     phys = document.get("physics") or {}
-    d = float(phys.get("d", 5.0))
-    b = float(phys.get("b", 10.0))
+    d, b = (float(phys.get(key, default)) for key, default in _GEOMETRY.items())
 
     def trap(key, v_well, v_barrier):
         raw = phys.get(key) or {}

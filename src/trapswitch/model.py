@@ -15,8 +15,6 @@ T = 0 means a sudden switch (final values for every t > 0).
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidArgumentError
 
 HBAR_SI = 1.054571817e-34            # J s, CODATA 2018
@@ -39,28 +37,12 @@ class UnitSystem:
         if not (self.mass_amu > 0.0 and math.isfinite(self.mass_amu)):
             raise InvalidArgumentError(f"mass_amu must be positive, got {self.mass_amu}")
 
-    def consistency_error(self) -> float:
-        """Relative deviation of kappa from hbar/(mass_amu * u)."""
-        ref = HBAR_SI / (self.mass_amu * ATOMIC_MASS_SI) * _M2_PER_S_TO_UM2_PER_S
-        return abs(self.kappa - ref) / ref
-
 
 def make_unit_system(mass_amu: float = SODIUM23_MASS_AMU) -> UnitSystem:
     if not (mass_amu > 0.0 and math.isfinite(mass_amu)):
         raise InvalidArgumentError(f"mass_amu must be positive, got {mass_amu}")
     kappa = HBAR_SI / (mass_amu * ATOMIC_MASS_SI) * _M2_PER_S_TO_UM2_PER_S
     return UnitSystem(kappa=kappa, mass_amu=mass_amu)
-
-
-def kinetic_energy(unit: UnitSystem, k):
-    """Energy of wave number k, (kappa/2) k^2; accepts arrays and complex k."""
-    k = np.asarray(k)
-    return 0.5 * unit.kappa * k * k
-
-
-def wavenumber_of_energy(unit: UnitSystem, energy):
-    """Positive wave number for energy > 0 (complex input allowed)."""
-    return np.sqrt(np.asarray(energy) * (2.0 / unit.kappa))
 
 
 @dataclass(frozen=True)
@@ -85,24 +67,6 @@ class PotentialConfig:
     @property
     def outer_edge(self) -> float:
         return self.d + self.b
-
-    def value_at(self, x: float) -> float:
-        if x <= 0.0:
-            return math.inf
-        if x <= self.d:
-            return -self.v_well
-        if x <= self.d + self.b:
-            return self.v_barrier
-        return 0.0
-
-    def sample(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized value_at; x <= 0 maps to +inf."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[x <= self.d] = -self.v_well
-        out[(x > self.d) & (x <= self.d + self.b)] = self.v_barrier
-        out[x <= 0.0] = np.inf
-        return out
 
 
 @dataclass(frozen=True)
@@ -140,26 +104,3 @@ class SwitchingSchedule:
         if self.t_switch == 0.0 or dv <= residual:
             return 0.0
         return self.t_switch * math.log(dv / residual)
-
-
-def potential_at(schedule: SwitchingSchedule, t: float, x: float) -> float:
-    """Pointwise potential during the switch; +inf inside the hard wall."""
-    w = schedule.weight(t)
-    vi = schedule.initial.value_at(x)
-    if math.isinf(vi):
-        return math.inf
-    vf = schedule.final.value_at(x)
-    return vi + w * (vf - vi)
-
-
-def sample_potential(schedule: SwitchingSchedule, t: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized potential_at over a coordinate array."""
-    w = schedule.weight(t)
-    x = np.asarray(x, dtype=float)
-    wall = x <= 0.0
-    xs = np.where(wall, 1.0, x)  # keep the blend finite, then restore the wall
-    vi = schedule.initial.sample(xs)
-    vf = schedule.final.sample(xs)
-    out = vi + w * (vf - vi)
-    out[wall] = np.inf
-    return out

@@ -36,6 +36,9 @@ ANTIRESONANCE = "antiresonance"
 #: Newton residual acceptance, relative to the larger of Omega's two terms.
 RESIDUAL_RTOL = 1e-10
 
+#: Most poles find_poles returns from one region.
+MAX_POLES = 32
+
 #: Allowance for the double-precision floor of Omega, relative to the
 #: cancellation mass of its four internal products.  Needed for narrow
 #: resonances, where both additive terms vanish together and their size
@@ -100,13 +103,13 @@ def _classify(unit: UnitSystem, k: complex) -> Resonance:
     )
 
 
-def newton_pole(
-    config: PotentialConfig,
-    unit: UnitSystem,
-    k0: complex,
-    max_iter: int = 80,
-) -> complex | None:
-    """Newton iteration on Omega from seed k0; None if it fails to settle.
+def resonances(poles: list[Resonance]) -> list[Resonance]:
+    """The positive-energy resonances among poles, lowest first."""
+    return sorted((p for p in poles if p.kind == RESONANCE and p.e_r > 0.0), key=lambda p: p.e_r)
+
+
+def newton_pole(config: PotentialConfig, unit: UnitSystem, k0: complex) -> complex | None:
+    """Newton iteration on Omega from seed k0; None if it fails to settle in 80 steps.
 
     Steps are clamped to half the current scale so a near-zero derivative
     cannot fling the iterate into overflow territory.
@@ -114,7 +117,7 @@ def newton_pole(
     k = complex(k0)
     with np.errstate(over="ignore", invalid="ignore"):
         f = complex(pole_function(config, unit, k))
-        for _ in range(max_iter):
+        for _ in range(80):
             h = 1e-7 * (1.0 + abs(k))
             fp = (
                 complex(pole_function(config, unit, k + h))
@@ -139,13 +142,12 @@ def find_bound_states(
     config: PotentialConfig,
     unit: UnitSystem,
     kappa_range: tuple[float, float] | None = None,
-    n_scan: int = 4000,
 ) -> list[Resonance]:
     """Bound-state poles k = i kappa0 on the positive imaginary axis.
 
-    Omega(i kappa)/i is real, so a sign scan plus bisection is exhaustive at
-    the scan resolution; kappa < sqrt(2 v_well / kappa_unit) since a bound
-    level cannot sit below the well floor.
+    Omega(i kappa)/i is real, so a sign scan on 4000 points plus bisection
+    is exhaustive at the scan resolution; kappa < sqrt(2 v_well / kappa_unit)
+    since a bound level cannot sit below the well floor.
     """
     kap_ceiling = math.sqrt(2.0 * config.v_well / unit.kappa) if config.v_well > 0 else 0.0
     if kap_ceiling == 0.0:
@@ -159,7 +161,7 @@ def find_bound_states(
     def g(kap):
         return (pole_function(config, unit, 1j * kap) / 1j).real
 
-    grid = np.linspace(lo, hi, n_scan)
+    grid = np.linspace(lo, hi, 4000)
     vals = np.array([g(k) for k in grid])
     roots = []
     sign = np.sign(vals)
@@ -186,12 +188,13 @@ def find_bound_states(
 # argument principle on rectangles
 
 
-def _arg_increment(config, unit, za, zb, fa, fb, depth, max_depth=48):
-    """Continuous change of arg Omega along the segment za -> zb."""
+def _arg_increment(config, unit, za, zb, fa, fb, depth):
+    """Continuous change of arg Omega along the segment za -> zb, halved at
+    most 48 times."""
     diff = cmath.phase(fb / fa) if fa != 0 and fb != 0 else math.pi
     if abs(diff) < 0.5 * math.pi:
         return diff
-    if depth >= max_depth:
+    if depth >= 48:
         raise RefinementError(
             f"winding refinement stalled near {za:.6g} .. {zb:.6g}",
             interval=(za, zb),
@@ -207,12 +210,10 @@ def _arg_increment(config, unit, za, zb, fa, fb, depth, max_depth=48):
 
 
 def winding_number(
-    config: PotentialConfig,
-    unit: UnitSystem,
-    rect: tuple[float, float, float, float],
-    n_per_edge: int = 64,
+    config: PotentialConfig, unit: UnitSystem, rect: tuple[float, float, float, float]
 ) -> int:
-    """Number of Omega roots strictly inside the rectangle (argument principle)."""
+    """Number of Omega roots strictly inside the rectangle (argument principle);
+    each edge starts as 64 segments, split where the phase jumps."""
     re_min, re_max, im_min, im_max = rect
     corners = [
         complex(re_min, im_min),
@@ -222,41 +223,42 @@ def winding_number(
     ]
     total = 0.0
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        ts = np.linspace(0.0, 1.0, n_per_edge + 1)
-        zs = [a + (b - a) * t for t in ts]
+        zs = [a + (b - a) * t for t in np.linspace(0.0, 1.0, 65)]
         fs = [complex(pole_function(config, unit, z)) for z in zs]
-        for i in range(n_per_edge):
-            total += _arg_increment(config, unit, zs[i], zs[i + 1], fs[i], fs[i + 1], 0)
+        for za, zb, fa, fb in zip(zs, zs[1:], fs, fs[1:]):
+            total += _arg_increment(config, unit, za, zb, fa, fb, 0)
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.05:
         raise RefinementError(f"winding number did not converge to an integer: {w}")
     return int(round(w))
 
 
-def _delay_peak_seeds(config, unit, re_min, re_max, kappa_unit, n=300):
-    """Resonance seeds k1 - i gamma/(2 kappa k1) from Wigner delay maxima."""
-    ks = np.linspace(max(re_min, 1e-4), re_max, n)
+def _delay_peak_seeds(config, unit, re_min, re_max):
+    """Resonance seeds k1 - i gamma/(2 kappa k1) from Wigner delay maxima on
+    300 points."""
+    ks = np.linspace(max(re_min, 1e-4), re_max, 300)
     try:
         dts = np.array([delay_time(config, unit, k) for k in ks])
     except Exception:
         return []
     seeds = []
-    for i in range(1, n - 1):
+    for i in range(1, ks.size - 1):
         if dts[i] > dts[i - 1] and dts[i] >= dts[i + 1] and dts[i] > 0.0:
             k1 = ks[i]
             gamma = 4.0 / dts[i]
-            k2 = -gamma / (2.0 * kappa_unit * k1)
+            k2 = -gamma / (2.0 * unit.kappa * k1)
             seeds.append(complex(k1, k2))
     return seeds
 
 
-def _rect_contains(rect, z, pad=0.0):
+def _rect_contains(rect, z):
     re_min, re_max, im_min, im_max = rect
-    return (re_min - pad) < z.real < (re_max + pad) and (im_min - pad) < z.imag < (im_max + pad)
+    return re_min < z.real < re_max and im_min < z.imag < im_max
 
 
-def _subdivide_search(config, unit, rect, found, depth=0, max_depth=40):
-    """Recursive bisection until every root is pinned by Newton."""
+def _subdivide_search(config, unit, rect, found, depth=0):
+    """Recursive bisection, at most 40 levels deep, until every root is
+    pinned by Newton."""
     expected = winding_number(config, unit, rect)
     have = [z for z in found if _rect_contains(rect, z)]
     if expected == len(have):
@@ -267,7 +269,7 @@ def _subdivide_search(config, unit, rect, found, depth=0, max_depth=40):
             found=len(have),
             expected=expected,
         )
-    if depth >= max_depth:
+    if depth >= 40:
         raise IncompleteSearchError(
             f"root isolation stalled in {rect}",
             found=len(have),
@@ -278,7 +280,7 @@ def _subdivide_search(config, unit, rect, found, depth=0, max_depth=40):
     z = newton_pole(config, unit, center)
     if z is not None and _rect_contains(rect, z) and all(abs(z - y) > 1e-8 * (1 + abs(z)) for y in found):
         found.append(z)
-        _subdivide_search(config, unit, rect, found, depth, max_depth)
+        _subdivide_search(config, unit, rect, found, depth)
         return
     # split the longer side, slightly off middle so roots don't sit on the cut
     frac = 0.5000037
@@ -289,14 +291,13 @@ def _subdivide_search(config, unit, rect, found, depth=0, max_depth=40):
         cut = im_min + frac * (im_max - im_min)
         halves = [(re_min, re_max, im_min, cut), (re_min, re_max, cut, im_max)]
     for h in halves:
-        _subdivide_search(config, unit, h, found, depth + 1, max_depth)
+        _subdivide_search(config, unit, h, found, depth + 1)
 
 
 def find_poles(
     config: PotentialConfig,
     unit: UnitSystem,
     region: tuple[float, float, float, float],
-    max_count: int = 32,
 ) -> list[Resonance]:
     """All S-matrix poles inside a rectangle of the complex k plane.
 
@@ -304,7 +305,8 @@ def find_poles(
     Im k < 0, Re k > 0 is searched for resonances with an argument-principle
     certificate; if the rectangle covers a stretch of the positive imaginary
     axis, bound states on it are found by the 1-d real scan.  Output is
-    deterministic and sorted by e_r.
+    deterministic and sorted by e_r; a region holding more than MAX_POLES
+    poles is refused.
     """
     re_min, re_max, im_min, im_max = (float(v) for v in region)
     if not (re_min < re_max and im_min < im_max):
@@ -325,7 +327,7 @@ def find_poles(
         expected = winding_number(config, unit, rect)
         found: list[complex] = []
         if expected > 0:
-            for seed in _delay_peak_seeds(config, unit, rect[0], rect[1], unit.kappa):
+            for seed in _delay_peak_seeds(config, unit, rect[0], rect[1]):
                 if len(found) >= expected:
                     break
                 z = newton_pole(config, unit, seed)
@@ -345,9 +347,9 @@ def find_poles(
                 )
         results.extend(_classify(unit, z) for z in found)
 
-    if len(results) > max_count:
+    if len(results) > MAX_POLES:
         raise InvalidArgumentError(
-            f"region holds {len(results)} poles, more than max_count={max_count}"
+            f"region holds {len(results)} poles, more than {MAX_POLES}"
         )
     return sorted(results, key=lambda r: (r.e_r, -r.gamma))
 
@@ -370,14 +372,10 @@ class IsoResonanceCurve:
     reason: str | None
 
 
-def _lowest_resonance(config, unit, region):
-    """Lowest positive-energy resonance in the region, or None."""
-    poles = [
-        p for p in find_poles(config, unit, region) if p.kind == RESONANCE and p.e_r > 0.0
-    ]
-    if not poles:
-        return None
-    return min(poles, key=lambda p: p.e_r)
+#: First-point search range of the barrier height, and the relative
+#: tolerance on Re(E_pole) of every point of an iso-resonance curve.
+ISO_BARRIER_BRACKET = (0.5, 4000.0)
+ISO_RTOL = 1e-4
 
 
 def trace_iso_resonance(
@@ -387,8 +385,6 @@ def trace_iso_resonance(
     b: float,
     v_well_range: tuple[float, float] = (5.0, 350.0),
     n_points: int = 40,
-    v_barrier_bracket: tuple[float, float] = (0.5, 4000.0),
-    rtol: float = 1e-4,
 ) -> IsoResonanceCurve:
     """Continuation of one resonance along well depth at fixed Re(E_pole).
 
@@ -408,14 +404,14 @@ def trace_iso_resonance(
 
     def lowest_e_r(v_well, v_barrier):
         cfg = PotentialConfig(v_well=v_well, v_barrier=v_barrier, d=d, b=b)
-        pole = _lowest_resonance(cfg, unit, region)
-        return (pole.e_r if pole is not None else None), pole
+        found = resonances(find_poles(cfg, unit, region))
+        return (found[0].e_r, found[0]) if found else (None, None)
 
     # first point: geometric scan for a sign change, then bisection.  The
     # scan walks the barrier DOWN from the top so the bracket lands on the
     # narrowest family that reaches the target, not on a broad whole-cavity
     # mode that happens to cross it at a near-zero barrier.
-    vb_lo, vb_hi = v_barrier_bracket
+    vb_lo, vb_hi = ISO_BARRIER_BRACKET
     scan = np.geomspace(vb_hi, max(vb_lo, 1e-3), 40)
     prev_v, prev_f = None, None
     bracket = None
@@ -431,7 +427,7 @@ def trace_iso_resonance(
         prev_v, prev_f = vb, f
     if bracket is None:
         raise InvalidArgumentError(
-            f"no barrier height in {v_barrier_bracket} puts the lowest resonance at {e_r_target}"
+            f"no barrier height in {ISO_BARRIER_BRACKET} puts the lowest resonance at {e_r_target}"
         )
     a, bb = bracket
     fa = lowest_e_r(v_wells[0], a)[0] - e_r_target
@@ -452,7 +448,7 @@ def trace_iso_resonance(
             bb = m
         # 3x inside the verification tolerance is enough; each probe is a
         # full certified pole search, so do not polish further
-        if abs(fm) <= 0.3 * rtol * e_r_target or abs(bb - a) < 1e-12 * (1 + bb):
+        if abs(fm) <= 0.3 * ISO_RTOL * e_r_target or abs(bb - a) < 1e-12 * (1 + bb):
             break
     _, vb0, er0, pole0 = best
 
@@ -481,7 +477,7 @@ def trace_iso_resonance(
         if pole_a is None:
             return None
         f_a = pole_a.e_r - e_r_target
-        if abs(f_a) <= rtol * e_r_target:
+        if abs(f_a) <= ISO_RTOL * e_r_target:
             return vb_a, pole_a
         vb_b = vb_a * 1.02 + 0.5
         pole_b = track(vw, vb_b, pole_a.k_res)
@@ -489,7 +485,7 @@ def trace_iso_resonance(
             if pole_b is None:
                 return None
             f_b = pole_b.e_r - e_r_target
-            if abs(f_b) <= rtol * e_r_target:
+            if abs(f_b) <= ISO_RTOL * e_r_target:
                 return vb_b, pole_b
             if f_b == f_a:
                 return None

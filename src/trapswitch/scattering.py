@@ -25,7 +25,6 @@ both J and R are real and |S| = 1 identically.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,27 +41,6 @@ def cardinal_sine(z):
     zs = np.where(small, 1.0, z)
     out = np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, np.sin(zs) / zs)
     return out
-
-
-@dataclass(frozen=True)
-class ChannelWavenumbers:
-    """Exterior wave number k and the interior channel values q, q_prime.
-
-    q and q_prime use the principal square root; every quantity derived
-    from them downstream is even in both, so the branch is a convention
-    with no physical content.
-    """
-
-    k: complex
-    q: complex
-    q_prime: complex
-
-
-def channel_wavenumbers(config: PotentialConfig, unit: UnitSystem, k) -> ChannelWavenumbers:
-    k = complex(k)
-    q = cmath.sqrt(k * k + 2.0 * config.v_well / unit.kappa)
-    q_prime = cmath.sqrt(k * k - 2.0 * config.v_barrier / unit.kappa)
-    return ChannelWavenumbers(k=k, q=q, q_prime=q_prime)
 
 
 def _interior_blocks(config: PotentialConfig, unit: UnitSystem, k):
@@ -111,49 +89,6 @@ def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
     return -np.exp(-2j * k * length) * (t1 - t2) / (t1 + t2)
 
 
-@dataclass(frozen=True)
-class ScatteringSolution:
-    """Region coefficients, S-matrix value and phase shift at one wave number.
-
-    delta is the principal phase, arg(S)/2 in (-pi/2, pi/2]; continuous
-    curves come from phase_shift_curve.  The coefficients assume the
-    principal branch of q and q_prime recorded in `channels`; the assembled
-    wave function itself is branch independent.
-    """
-
-    channels: ChannelWavenumbers
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-    s: complex
-    delta: float
-
-
-def solve_scattering(config: PotentialConfig, unit: UnitSystem, k: float) -> ScatteringSolution:
-    if not (np.isreal(k) and k > 0.0):
-        raise InvalidArgumentError(f"solve_scattering requires real k > 0, got {k}")
-    k = float(k)
-    ch = channel_wavenumbers(config, unit, k)
-    t1, t2 = pole_function_terms(config, unit, k)
-    t1, t2 = complex(t1), complex(t2)
-    length = config.d + config.b
-    s = -cmath.exp(-2j * k * length) * (t1 - t2) / (t1 + t2)
-    delta = 0.5 * cmath.phase(s)
-
-    # Interior amplitude: psi_I = A sin(qx) with A q Omega = 2 k e^{-ikL}.
-    q, p = ch.q, ch.q_prime
-    amp_q = 2.0 * k * cmath.exp(-1j * k * length) / (t1 + t2)  # A*q, branch free
-    a = amp_q / q
-    c1 = a / 2j
-    c2 = -c1
-    half = 0.5 * a
-    sin_qd, cos_qd = cmath.sin(q * config.d), cmath.cos(q * config.d)
-    c3 = half * (sin_qd - 1j * (q / p) * cos_qd) * cmath.exp(-1j * p * config.d)
-    c4 = half * (sin_qd + 1j * (q / p) * cos_qd) * cmath.exp(1j * p * config.d)
-    return ScatteringSolution(channels=ch, c1=c1, c2=c2, c3=c3, c4=c4, s=s, delta=delta)
-
-
 def evaluate_scattering_state(
     config: PotentialConfig, unit: UnitSystem, k: float, x: np.ndarray
 ) -> np.ndarray:
@@ -197,19 +132,14 @@ def _wrap_half_pi(diff: float) -> float:
     return -((-diff + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
 
 
-def phase_shift_curve(
-    config: PotentialConfig,
-    unit: UnitSystem,
-    k_grid: np.ndarray,
-    max_depth: int = 26,
-) -> np.ndarray:
+def phase_shift_curve(config: PotentialConfig, unit: UnitSystem, k_grid: np.ndarray) -> np.ndarray:
     """Continuous phase shift delta(k) on an increasing grid of real k > 0.
 
     S = e^{2 i delta} defines delta modulo pi; the curve is anchored at the
     principal value of the first node and stitched with pi jumps removed.
     Each interval is checked by midpoint refinement: the two half-steps must
     agree with the direct step, otherwise the interval is subdivided, up to
-    max_depth, after which a refinement error names the offending interval.
+    26 halvings, after which a refinement error names the offending interval.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size < 2:
@@ -223,7 +153,7 @@ def phase_shift_curve(
     def step(ka, da, kb, db, depth):
         """Continuous increment of delta from ka to kb (raw values da, db)."""
         direct = _wrap_half_pi(db - da)
-        if depth >= max_depth:
+        if depth >= 26:
             raise RefinementError(
                 f"phase unwrap did not settle on [{ka:.9g}, {kb:.9g}]",
                 interval=(ka, kb),

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .groundstate import WavefunctionGrid, ground_state
 from .model import PotentialConfig, SwitchingSchedule, UnitSystem
-from .poles import RESONANCE, Resonance, find_bound_states, find_poles
+from .poles import RESONANCE, Resonance, find_bound_states, find_poles, resonances
 from .propagate import DecayRecord, PropagationSetup, default_absorber, propagate
 from .scattering import evaluate_scattering_state
 
@@ -57,20 +57,18 @@ def energy_grid(
     e_cut: float,
     n_points: int = 2000,
     e_min: float = 0.5,
-    dense_halfwidth: float = 5.0,
-    dense_per_width: int = 50,
 ) -> np.ndarray:
-    """Grid dense near the resonance (spacing gamma/dense_per_width within
-    e_r +- dense_halfwidth*gamma), linear elsewhere from e_min up to e_cut."""
+    """Grid dense near the resonance (spacing gamma/50 within e_r +- 5 gamma),
+    linear elsewhere from e_min up to e_cut."""
     if not (0.0 < e_min < e_cut):
         raise InvalidArgumentError("need 0 < e_min < e_cut")
     if gamma <= 0.0 or e_r <= 0.0:
         raise InvalidArgumentError("resonance parameters must be positive")
-    w_lo = max(e_min, e_r - dense_halfwidth * gamma)
-    w_hi = min(e_cut, e_r + dense_halfwidth * gamma)
+    w_lo = max(e_min, e_r - 5.0 * gamma)
+    w_hi = min(e_cut, e_r + 5.0 * gamma)
     if w_hi <= w_lo:
         return np.linspace(e_min, e_cut, n_points)
-    spacing = gamma / dense_per_width
+    spacing = gamma / 50
     n_dense = int(math.ceil((w_hi - w_lo) / spacing)) + 2
     dense = np.linspace(w_lo, w_hi, n_dense)
     n_rest = max(n_points - n_dense, 2)
@@ -138,22 +136,6 @@ def energy_distribution(
     return EnergyDistribution(e_grid, p, total, projection_time)
 
 
-def distribution_median(dist: EnergyDistribution) -> float:
-    """Energy below which half of the distribution's computed weight lies."""
-    incr = 0.5 * (dist.p[1:] + dist.p[:-1]) * np.diff(dist.energies)
-    cum = np.concatenate([[0.0], np.cumsum(incr)])
-    if cum[-1] <= 0.0:
-        raise InvalidArgumentError("distribution has no weight")
-    return float(np.interp(0.5 * cum[-1], cum, dist.energies))
-
-
-def l1_difference(a: EnergyDistribution, b: EnergyDistribution) -> float:
-    """Integral of |P_a - P_b| over their (identical) grid."""
-    if a.energies.size != b.energies.size or np.any(a.energies != b.energies):
-        raise InvalidArgumentError("distributions live on different grids")
-    return float(np.trapezoid(np.abs(a.p - b.p), a.energies))
-
-
 # ---------------------------------------------------------------------------
 # reference Lorentzian
 
@@ -167,16 +149,13 @@ def lorentzian_reference(resonance: Resonance, e_grid: np.ndarray) -> np.ndarray
     return (resonance.gamma / (2.0 * math.pi)) / ((e - resonance.e_r) ** 2 + g2 * g2)
 
 
-def lorentzian_window_weight(resonance: Resonance, e_lo: float, e_hi: float) -> float:
-    """Closed-form weight of the unit Lorentzian inside [e_lo, e_hi]."""
-    g2 = 0.5 * resonance.gamma
-    return (
-        math.atan((e_hi - resonance.e_r) / g2) - math.atan((e_lo - resonance.e_r) / g2)
-    ) / math.pi
-
-
 # ---------------------------------------------------------------------------
 # fits
+
+
+#: Fewest samples fit_lorentzian fits; the delay-spectrum schema refuses
+#: an n_energy below it.
+MIN_FIT_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -228,16 +207,14 @@ def fit_lorentzian(
     values: np.ndarray,
     window: tuple[float, float] | None = None,
     with_offset: bool = False,
-    initial_guess: tuple[float, ...] | None = None,
-    max_iterations: int = 200,
-    update_rtol: float = 1e-10,
 ) -> LorentzianFit:
     """Levenberg-Marquardt fit of a Lorentzian peak (optionally plus a constant).
 
-    Deterministic for identical inputs.  Raises a window error when the
-    fitted peak sits at the window edge or the window spans fewer than four
-    fitted widths, and a fit failure carrying the last iterate when damping
-    cannot converge within the iteration budget.
+    Needs MIN_FIT_SAMPLES samples in the window and stops once no parameter
+    moves by 1e-10 of itself.  Deterministic for identical inputs.  Raises a
+    window error when the fitted peak sits at the window edge or the window
+    spans fewer than four fitted widths, and a fit failure carrying the last
+    iterate when damping cannot converge within 200 iterations.
     """
     e = np.asarray(energies, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -246,28 +223,24 @@ def fit_lorentzian(
     if window is not None:
         mask = (e >= window[0]) & (e <= window[1])
         e, y = e[mask], y[mask]
-    if e.size < 10:
-        raise InvalidArgumentError(f"need at least 10 samples in the window, got {e.size}")
+    if e.size < MIN_FIT_SAMPLES:
+        raise InvalidArgumentError(
+            f"need at least {MIN_FIT_SAMPLES} samples in the window, got {e.size}"
+        )
     win = (float(e.min()), float(e.max()))
 
-    if initial_guess is not None:
-        theta = np.array(initial_guess, dtype=float)
-    else:
-        i_pk = int(np.argmax(y))
-        a0 = float(y[i_pk])
-        e0 = float(e[i_pk])
-        above = y > 0.5 * a0
-        g0 = max(float(e[above].max() - e[above].min()), 4.0 * float(np.median(np.diff(e))))
-        theta = np.array([a0, e0, g0, 0.0] if with_offset else [a0, e0, g0])
-    n_par = 4 if with_offset else 3
-    if theta.size != n_par:
-        raise InvalidArgumentError(f"initial guess needs {n_par} parameters")
+    i_pk = int(np.argmax(y))
+    a0 = float(y[i_pk])
+    e0 = float(e[i_pk])
+    above = y > 0.5 * a0
+    g0 = max(float(e[above].max() - e[above].min()), 4.0 * float(np.median(np.diff(e))))
+    theta = np.array([a0, e0, g0, 0.0] if with_offset else [a0, e0, g0])
 
     lam = 1e-3
     r = _lorentzian_model(theta, e, with_offset) - y
     cost = float(r @ r)
-    n_done = max_iterations
-    for it in range(max_iterations):
+    n_done = 200
+    for it in range(200):
         jac = _lorentzian_jacobian(theta, e, with_offset)
         jtj = jac.T @ jac
         jtr = jac.T @ r
@@ -294,13 +267,11 @@ def fit_lorentzian(
         new_theta, r, cost = step
         rel = np.max(np.abs(new_theta - theta) / (np.abs(new_theta) + 1e-300))
         theta = new_theta
-        if rel < update_rtol:
+        if rel < 1e-10:
             n_done = it + 1
             break
     else:
-        raise FitFailureError(
-            f"no convergence in {max_iterations} iterations", last_iterate=tuple(theta)
-        )
+        raise FitFailureError("no convergence in 200 iterations", last_iterate=tuple(theta))
 
     amp, e_r_fit, g_fit = float(theta[0]), float(theta[1]), abs(float(theta[2]))
     c_fit = float(theta[3]) if with_offset else 0.0
@@ -387,23 +358,20 @@ class SpectrumRunSpec:
     # catches a grossly undersized box.
     contain_rtol: float = 0.1
 
-    def setup(
-        self, schedule: SwitchingSchedule, unit: UnitSystem, extra_snapshot_gap: float | None = None
-    ) -> PropagationSetup:
-        """Propagate to the settle time (and one gap later, if asked) in a box
-        the e_cut front cannot cross before the last snapshot."""
+    def setup(self, schedule: SwitchingSchedule, unit: UnitSystem) -> PropagationSetup:
+        """Propagate to the settle time in a box the e_cut front cannot cross
+        before then."""
         t_star = max(schedule.settle_time(self.residual_v), self.min_projection_time)
-        t_end = t_star + (extra_snapshot_gap or 0.0)
         v_cut = unit.kappa * math.sqrt(2.0 * self.e_cut / unit.kappa)
-        box = schedule.final.outer_edge + v_cut * t_end + self.box_pad
+        box = schedule.final.outer_edge + v_cut * t_star + self.box_pad
         return PropagationSetup(
             schedule=schedule,
             dx=self.dx,
             box_length=math.ceil(box / self.dx) * self.dx,
             dt=self.dt,
-            t_end=t_end,
+            t_end=t_star,
             e_cut=self.e_cut,
-            snapshot_times=(t_star, t_end) if extra_snapshot_gap else (t_star,),
+            snapshot_times=(t_star,),
         )
 
 
@@ -414,35 +382,26 @@ def switch_and_project(
     unit: UnitSystem,
     spec: SpectrumRunSpec = SpectrumRunSpec(),
     resonance: Resonance | None = None,
-    extra_snapshot_gap: float | None = None,
-) -> tuple[EnergyDistribution, ...]:
-    """Run the switch, then project the released packet at the settle time.
-
-    With extra_snapshot_gap a second distribution is returned, projected one
-    gap later, for stationarity checks.
-    """
+) -> EnergyDistribution:
+    """Run the switch, then project the released packet at the settle time."""
     if resonance is None:
         resonance = lowest_resonance(final_config, unit, spec.e_cut)
     schedule = SwitchingSchedule(initial_config, final_config, t_switch)
-    setup = spec.setup(schedule, unit, extra_snapshot_gap)
+    setup = spec.setup(schedule, unit)
     phi0, _ = ground_state(initial_config, unit, dx=spec.dx, x_max=setup.box_length)
     result = propagate(phi0, setup, unit, record_every=max(1, setup.n_steps() // 50))
     grid = energy_grid(
         resonance.e_r, resonance.gamma, spec.e_cut, spec.n_energy, e_min=spec.e_min
     )
-    out = []
-    for snap in result.snapshots:
-        out.append(
-            energy_distribution(
-                snap.state,
-                final_config,
-                unit,
-                grid,
-                projection_time=snap.time,
-                contain_rtol=spec.contain_rtol,
-            )
-        )
-    return tuple(out)
+    (snap,) = result.snapshots
+    return energy_distribution(
+        snap.state,
+        final_config,
+        unit,
+        grid,
+        projection_time=snap.time,
+        contain_rtol=spec.contain_rtol,
+    )
 
 
 @dataclass(frozen=True)
@@ -487,11 +446,10 @@ def lowest_resonance(
 ) -> Resonance:
     """Lowest positive-energy resonance below e_cut, via the certified search."""
     k_hi = 1.05 * math.sqrt(2.0 * e_cut / unit.kappa)
-    poles = find_poles(config, unit, (0.0, k_hi, -0.45 * k_hi, 0.0))
-    res = [p for p in poles if p.kind == RESONANCE and p.e_r > 0.0]
+    res = resonances(find_poles(config, unit, (0.0, k_hi, -0.45 * k_hi, 0.0)))
     if not res:
         raise InvalidArgumentError(f"no resonance below {e_cut} for {config}")
-    return min(res, key=lambda p: p.e_r)
+    return res[0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +503,15 @@ class SwitchScanResult:
     resonance: Resonance
 
 
-def _golden_refine(f, a, b, rtol, budget):
-    """Golden-section minimization on [a, b]; returns (t_min, extra points)."""
+def _golden_refine(f, a, b, rtol):
+    """Golden-section minimization on [a, b], at most 20 steps; returns
+    (t_min, extra points)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     extra = [(c, fc), (d, fd)]
-    for _ in range(budget):
+    for _ in range(20):
         if (b - a) <= rtol * 2.0 * (0.5 * (a + b)):
             break
         if fc < fd:
@@ -598,7 +557,6 @@ def optimal_switch_time(
     final_config: PotentialConfig,
     unit: UnitSystem,
     refine_rtol: float = 0.05,
-    refine_budget: int = 20,
     **plan,
 ) -> SwitchScanResult:
     """Scan the switching time for the best release, under a declared metric.
@@ -617,9 +575,7 @@ def optimal_switch_time(
 
     def evaluate(t_switch: float) -> float:
         if objective == LORENTZIAN_OBJECTIVE:
-            (dist,) = switch_and_project(
-                initial_config, final_config, t_switch, unit, run, resonance
-            )
+            dist = switch_and_project(initial_config, final_config, t_switch, unit, run, resonance)
             return lorentzian_deviation(dist, resonance)
         record = switch_and_record(initial_config, final_config, t_switch, unit, run)
         return exponential_deviation(record, tau)
@@ -645,7 +601,7 @@ def optimal_switch_time(
     else:
         a = float(ts[best - 1])
         b = float(ts[best + 1])
-        t_star, extra = _golden_refine(evaluate, a, b, refine_rtol, refine_budget)
+        t_star, extra = _golden_refine(evaluate, a, b, refine_rtol)
         points.extend(extra)
 
     points.sort(key=lambda p: p[0])

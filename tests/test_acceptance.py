@@ -31,12 +31,10 @@ from trapswitch.spectra import (
     EXPONENTIAL_OBJECTIVE,
     LORENTZIAN_OBJECTIVE,
     SpectrumRunSpec,
-    distribution_median,
     energy_distribution,
     energy_grid,
     fit_exponential_decay,
     fit_lorentzian,
-    l1_difference,
     lorentzian_deviation,
     lowest_resonance,
     optimal_switch_time,
@@ -47,6 +45,7 @@ from trapswitch.groundstate import WavefunctionGrid
 
 import fd_oracle
 from conftest import FINAL, INITIAL
+from distributions import distribution_median, l1_difference
 
 
 def _verdict(name: str, ok: bool, detail: str):
@@ -198,9 +197,7 @@ def test_criterion_5_sudden_spectrum(unit, resonance):
 
 
 def _program_deviation(unit, resonance, t_switch):
-    (dist,) = switch_and_project(
-        INITIAL, FINAL, t_switch, unit, SpectrumRunSpec(), resonance
-    )
+    dist = switch_and_project(INITIAL, FINAL, t_switch, unit, SpectrumRunSpec(), resonance)
     return lorentzian_deviation(dist, resonance)
 
 
@@ -255,7 +252,7 @@ def test_criterion_6_optimal_switch_time(unit, scan_results, resonance):
 def test_criterion_7_slow_switch_distortion(unit, resonance, scan_results):
     lor, _ = scan_results
     best_dev = float(np.min(lor.values))
-    (dist,) = switch_and_project(
+    dist = switch_and_project(
         INITIAL,
         FINAL,
         resonance.tau,

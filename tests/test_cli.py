@@ -172,8 +172,10 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
         ("switch_scan.yaml", "experiment.t_range_fractions=[0.6, 0.01]"),
         ("delay_spectrum.yaml", "experiment.with_offset='false'"),
         ("delay_spectrum.yaml", "experiment.n_energy=abc"),
+        ("delay_spectrum.yaml", "experiment.n_energy=5"),
         ("decay_curves.yaml", "experiment.t_switch_fractions=abc"),
         ("ground_state.yaml", "experiment.x_max=abc"),
+        ("ground_state.yaml", "experiment.x_max=3"),
     ],
 )
 def test_bad_options_are_schema_problems(tmp_path, capsys, config, override):

@@ -209,10 +209,10 @@ OPTIONS = {
     "poles": {
         "region": ([0.0, 0.5, -0.2, 0.1], ["wide", [0.0, 0.5, -0.2], [0.5, 0.0, -0.2, 0.1]]),
     },
-    "ground-state": {"x_max": (90, ["abc", 0, -1.0, True])},
+    "ground-state": {"x_max": (90, ["abc", 0, -1.0, True, 15.0])},
     "delay-spectrum": {
         "window_halfwidth": (6.0, ["abc", 0.0, [10.0]]),
-        "n_energy": (120, ["abc", 1.5, 0]),
+        "n_energy": (120, ["abc", 1.5, 0, 9]),
         "with_offset": (False, ["false", 0, None]),
     },
     "iso-curves": {

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trapswitch.errors import InvalidArgumentError, NoBoundStateError
+from trapswitch.errors import AmbiguousBoundStateError, InvalidArgumentError, NoBoundStateError
 from trapswitch.groundstate import TAIL_CUTOFF, WavefunctionGrid, ground_state
-from trapswitch.model import SwitchingSchedule
+from trapswitch.model import PotentialConfig, SwitchingSchedule
 from trapswitch.propagate import (
     PropagationSetup,
     _tri_mul,
@@ -65,6 +65,24 @@ def test_ground_state_respects_requested_box(unit):
 def test_ground_state_missing_level_raises(unit):
     with pytest.raises(NoBoundStateError):
         ground_state(FINAL, unit, dx=0.05)
+
+
+def test_ground_state_rejects_a_trap_with_two_levels(unit):
+    wide = PotentialConfig(v_well=350.0, v_barrier=400.0, d=15.0, b=10.0)
+    with pytest.raises(AmbiguousBoundStateError) as err:
+        ground_state(wide, unit)
+    energies = err.value.energies
+    assert len(set(energies)) == len(energies) == 2
+    for e in energies:
+        # each is a level: the log-derivative carried from the wall through
+        # the barrier meets the evanescent tail slope -kap
+        kap = math.sqrt(-2.0 * e / unit.kappa)
+        q = math.sqrt(2.0 * wide.v_well / unit.kappa - kap * kap)
+        mu = math.sqrt(2.0 * wide.v_barrier / unit.kappa + kap * kap)
+        f, fp = math.sin(q * wide.d), q * math.cos(q * wide.d)
+        ch, sh = math.cosh(mu * wide.b), math.sinh(mu * wide.b)
+        slope = (f * mu * sh + fp * ch) / (f * ch + fp * sh / mu)
+        assert slope == pytest.approx(-kap, rel=1e-7)  # cosh(mu b) ~ 600 amplifies roundoff
 
 
 def test_fem_residual_second_order_convergence(unit):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from trapswitch.errors import InvalidArgumentError
@@ -10,11 +9,7 @@ from trapswitch.model import (
     PotentialConfig,
     SODIUM23_MASS_AMU,
     SwitchingSchedule,
-    kinetic_energy,
     make_unit_system,
-    potential_at,
-    sample_potential,
-    wavenumber_of_energy,
 )
 
 from conftest import FINAL, INITIAL, KAPPA
@@ -25,32 +20,6 @@ def test_kappa_matches_si_constants(unit):
     expected = HBAR_SI / (SODIUM23_MASS_AMU * ATOMIC_MASS_SI) * 1e12
     assert unit.kappa == pytest.approx(expected, rel=1e-12)
     assert unit.kappa == pytest.approx(KAPPA, rel=1e-12)
-    assert unit.consistency_error() < 1e-12
-
-
-def test_dispersion_round_trip(unit):
-    k = np.linspace(0.01, 1.5, 7)
-    e = kinetic_energy(unit, k)
-    assert np.allclose(e, 0.5 * unit.kappa * k**2, rtol=1e-14)
-    assert np.allclose(wavenumber_of_energy(unit, e), k, rtol=1e-14)
-
-
-def test_potential_piecewise_values():
-    cfg = FINAL
-    assert cfg.outer_edge == 15.0
-    assert cfg.value_at(2.5) == -100.0
-    assert cfg.value_at(5.0) == -100.0      # well includes its outer edge
-    assert cfg.value_at(5.0 + 1e-12) == 200.0
-    assert cfg.value_at(15.0) == 200.0
-    assert cfg.value_at(15.1) == 0.0
-    assert cfg.value_at(250.0) == 0.0
-
-
-def test_potential_sample_matches_scalar():
-    x = np.linspace(0.01, 20.0, 400)
-    sampled = INITIAL.sample(x)
-    scalar = np.array([INITIAL.value_at(xi) for xi in x])
-    assert np.array_equal(sampled, scalar)
 
 
 def test_potential_rejects_bad_geometry():
@@ -61,7 +30,8 @@ def test_potential_rejects_bad_geometry():
     with pytest.raises(InvalidArgumentError):
         PotentialConfig(v_well=-5.0, v_barrier=200.0, d=5.0, b=10.0)
     # a zero-width barrier is a legal degenerate case
-    PotentialConfig(v_well=100.0, v_barrier=200.0, d=5.0, b=0.0)
+    assert PotentialConfig(v_well=100.0, v_barrier=200.0, d=5.0, b=0.0).outer_edge == 5.0
+    assert FINAL.outer_edge == 15.0
 
 
 def test_switch_weight_exponential_approach():
@@ -81,22 +51,12 @@ def test_settle_time_reaches_requested_residual():
     for residual in (1.0, 1e-3):
         t = sched.settle_time(residual)
         assert t == pytest.approx(0.3 * math.log(250.0 / residual), rel=1e-12)
-        lag = max(
-            abs(potential_at(sched, t, 2.0) - FINAL.value_at(2.0)),
-            abs(potential_at(sched, t, 10.0) - FINAL.value_at(10.0)),
+        # V(t) - V_final = (1 - w(t)) (V_init - V_final) in the well and the barrier
+        lag = (1.0 - sched.weight(t)) * max(
+            abs(INITIAL.v_well - FINAL.v_well), abs(INITIAL.v_barrier - FINAL.v_barrier)
         )
         assert lag == pytest.approx(residual, rel=1e-9)
     assert SwitchingSchedule(INITIAL, FINAL, 0.0).settle_time(1e-3) == 0.0
-
-
-def test_blended_potential_interpolates_depths():
-    sched = SwitchingSchedule(INITIAL, FINAL, t_switch=0.2)
-    t = 0.2 * math.log(2.0)  # weight exactly 1/2
-    assert potential_at(sched, t, 2.0) == pytest.approx(-225.0, rel=1e-12)
-    assert potential_at(sched, t, 10.0) == pytest.approx(300.0, rel=1e-12)
-    assert potential_at(sched, t, 40.0) == 0.0
-    x = np.array([2.0, 10.0, 40.0])
-    assert np.allclose(sample_potential(sched, t, x), [-225.0, 300.0, 0.0], rtol=1e-12)
 
 
 def test_unit_system_rejects_nonpositive_mass():

@@ -19,10 +19,19 @@ from trapswitch.scattering import (
     evaluate_scattering_state,
     phase_shift_curve,
     s_matrix,
-    solve_scattering,
 )
 
 from conftest import FINAL, K_RES
+
+
+def _potential(cfg, x):
+    """The trap's piecewise potential at one point x > 0, written out here
+    so that the ODE oracle shares no code with the package."""
+    if x <= cfg.d:
+        return -cfg.v_well
+    if x <= cfg.d + cfg.b:
+        return cfg.v_barrier
+    return 0.0
 
 
 def _s_from_ode(cfg, unit, k):
@@ -30,7 +39,7 @@ def _s_from_ode(cfg, unit, k):
     length = cfg.d + cfg.b
 
     def rhs(x, y):
-        v = cfg.value_at(x)
+        v = _potential(cfg, x)
         return [y[1], (2.0 * (v - 0.5 * unit.kappa * k * k) / unit.kappa) * y[0]]
 
     sol = solve_ivp(rhs, (1e-9, length), [1e-9, 1.0], rtol=1e-12, atol=1e-14,
@@ -98,7 +107,7 @@ def test_scattering_state_matches_ode_profile(unit):
     assert psi[0] == 0.0  # hard wall
 
     def rhs(t, y):
-        v = FINAL.value_at(t)
+        v = _potential(FINAL, t)
         return [y[1], (2.0 * (v - 0.5 * unit.kappa * k * k) / unit.kappa) * y[0]]
 
     sol = solve_ivp(rhs, (1e-9, 40.0), [0.0, 1.0], t_eval=np.clip(x, 1e-9, None),
@@ -119,15 +128,13 @@ def test_scattering_state_continuous_at_region_joins(unit, k):
 
 def test_scattering_state_free_form_outside(unit):
     k = 0.41
-    sol = solve_scattering(FINAL, unit, k)
+    s = complex(s_matrix(FINAL, unit, np.array([k]))[0])
     x = np.array([18.0, 31.7])
     psi = evaluate_scattering_state(FINAL, unit, k, x)
     pref = 1.0 / math.sqrt(2.0 * math.pi)
-    ref = pref * (np.exp(-1j * k * x) - sol.s * np.exp(1j * k * x))
+    ref = pref * (np.exp(-1j * k * x) - s * np.exp(1j * k * x))
     assert np.max(np.abs(psi - ref)) < 1e-12
-    assert abs(abs(sol.s) - 1.0) < 1e-12
-    # principal phase consistent with the S value
-    assert sol.delta == pytest.approx(0.5 * cmath.phase(sol.s), abs=1e-14)
+    assert abs(abs(s) - 1.0) < 1e-12
 
 
 def test_phase_curve_is_stitched_continuously(unit):

@@ -18,20 +18,18 @@ from trapswitch.poles import find_poles
 from trapswitch.propagate import DecayRecord
 from trapswitch.spectra import (
     EnergyDistribution,
-    distribution_median,
     energy_distribution,
     energy_grid,
     exponential_deviation,
     fit_exponential_decay,
     fit_lorentzian,
-    l1_difference,
     lorentzian_deviation,
     lorentzian_reference,
-    lorentzian_window_weight,
     lowest_resonance,
 )
 
 from conftest import E_RES, FINAL, GAMMA_RES, INITIAL, TAU_RES
+from distributions import distribution_median, l1_difference
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +61,9 @@ def test_lorentzian_reference_peak_and_weight(res):
     ref = lorentzian_reference(res, grid)
     assert ref.max() == pytest.approx(peak, rel=1e-3)
     lo, hi = res.e_r - 10.0 * res.gamma, res.e_r + 10.0 * res.gamma
-    w = lorentzian_window_weight(res, lo, hi)
+    # closed-form weight of the unit Lorentzian inside [lo, hi]
+    g2 = 0.5 * res.gamma
+    w = (math.atan((hi - res.e_r) / g2) - math.atan((lo - res.e_r) / g2)) / math.pi
     assert w == pytest.approx(2.0 / math.pi * math.atan(20.0), rel=1e-12)
     mask = (grid >= lo) & (grid <= hi)
     assert np.trapezoid(ref[mask], grid[mask]) == pytest.approx(w, rel=1e-3)
