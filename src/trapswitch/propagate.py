@@ -11,15 +11,22 @@ at t + dt/2; with no absorber it conserves the mass-matrix norm to
 roundoff and is exactly reversible.
 
 All matrices are symmetric tridiagonal (the absorber adds a symmetric
-negative-imaginary part), stored as (diagonal, off-diagonal) arrays and
-solved with scipy's banded LU.
+negative-imaginary part), stored as (diagonal, off-diagonal) arrays.  The
+switch changes the step matrix only in the trap rows, x <= d + b, so each
+step is solved by block elimination: the constant far block past the trap
+is LU-factored (LAPACK `zgttrf`, pivoted) once per run and time step, and
+each step refactors only the few hundred trap rows, whose last diagonal
+carries the far block's Schur complement.  The far block's response to its
+first row, g, decays geometrically; it is cut where it falls below 1e-17 of
+its first entry, because its tail changes nothing above roundoff and would
+otherwise fill the per-step update with slow subnormal arithmetic.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .errors import InvalidArgumentError, NumericalBlowupError, ResolutionError
 from .groundstate import WavefunctionGrid
@@ -32,6 +39,9 @@ ABSORBER_STRENGTH_DEFAULT = 800.0
 
 #: Fraction of the box covered by the absorbing layer.
 ABSORBER_FRACTION = 0.25
+
+#: Fewest rows of a tridiagonal block that the LAPACK wrappers accept.
+MIN_BLOCK = 3
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,11 @@ def validate_setup(setup: PropagationSetup, unit: UnitSystem) -> list[str]:
     if setup.box_length <= 0.0:
         problems.append(f"box_length must be positive, got {setup.box_length}")
         return problems
+    if setup.dx > 0.0 and setup.n_nodes() - 2 < MIN_BLOCK:
+        problems.append(
+            f"box_length={setup.box_length:.6g} holds {max(setup.n_nodes() - 2, 0)} "
+            f"interior nodes at dx={setup.dx:.6g}; need >= {MIN_BLOCK}"
+        )
     if setup.dx > 0.0 and setup.e_cut > 0.0:
         v_top = max(
             setup.schedule.initial.v_well,
@@ -290,15 +305,6 @@ def _tri_mul(diag, off, v):
     return out
 
 
-def _tri_solve(diag, off, rhs):
-    n = diag.size
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs)
-
-
 def _energy_expectation(ops: _Operators, weight: float, psi: np.ndarray) -> float:
     hd, ho = ops.hamiltonian(weight)
     num = np.vdot(psi, _tri_mul(hd, ho, psi)).real
@@ -306,13 +312,93 @@ def _energy_expectation(ops: _Operators, weight: float, psi: np.ndarray) -> floa
     return num / den
 
 
-def _cn_step(ops: _Operators, weight: float, dt: float, psi: np.ndarray) -> np.ndarray:
-    hd, ho = ops.hamiltonian(weight)
-    a_diag = hd - 1j * ops.w_diag
-    a_off = ho - 1j * ops.w_off
-    z = 0.5j * dt
-    rhs = _tri_mul(ops.m_diag - z * a_diag, ops.m_off - z * a_off, psi)
-    return _tri_solve(ops.m_diag + z * a_diag, ops.m_off + z * a_off, rhs)
+#: Relative size below which the tail of g = A22^-1 e1 is dropped.
+SCHUR_TAIL_CUT = 1e-17
+
+
+def _checked(info, routine):
+    if info != 0:
+        raise NumericalBlowupError(f"{routine} failed on a Crank-Nicolson block (info {info})")
+
+
+class _Stepper:
+    """Crank-Nicolson steps at one dt, by block elimination.
+
+    With z = i dt/2 and L(w) = M + z(H0 + w dV - iW), one step is
+    psi' = L^-1 (2M - L) psi = 2 L^-1 M psi - psi, so the right-hand side
+    M psi does not depend on the switch.  L(w) depends on w only in its
+    first m rows, the trap block that holds the support of dV.  The far
+    block A22 below them is constant and is factored once here.  Each step
+    solves A22, then the trap block with the Schur term c^2 g0 on its last
+    diagonal (c couples the blocks, g = A22^-1 e1), then corrects the far
+    part by -c x1[-1] g.  Both blocks keep partial pivoting.
+    """
+
+    def __init__(self, ops: _Operators, dt: float):
+        z = 0.5j * dt
+        n = ops.m_diag.size
+        # numpy multiplies complex by complex faster than real by complex
+        self.m_diag = ops.m_diag.astype(complex)
+        self.m_off = ops.m_off.astype(complex)
+        lhs_diag = ops.m_diag + z * (ops.h0_diag - 1j * ops.w_diag)
+        lhs_off = ops.m_off + z * (ops.h0_off - 1j * ops.w_off)
+        # the trap block holds every row dV touches (an off entry touches
+        # two) and at least MIN_BLOCK rows; a far block too small for the
+        # LAPACK wrappers joins it
+        rows = np.concatenate(
+            [np.flatnonzero(ops.dv_diag) + 1, np.flatnonzero(ops.dv_off) + 2, [MIN_BLOCK]]
+        )
+        m = int(rows.max())
+        if n - m < MIN_BLOCK:
+            m = n
+        self.m = m
+        self.lhs_diag = lhs_diag[:m].copy()  # not a view: the rest is freed
+        self.lhs_off = lhs_off[: m - 1].copy()
+        self.zdv_diag = z * ops.dv_diag[:m]
+        self.zdv_off = z * ops.dv_off[: m - 1]
+        self.far = None
+        if m < n:
+            *self.far, info = zgttrf(lhs_off[m:], lhs_diag[m:], lhs_off[m:])
+            _checked(info, "zgttrf")
+            self.c = lhs_off[m - 1]
+            e1 = np.zeros(n - m, dtype=complex)
+            e1[0] = 1.0
+            g = self._far_solve(e1)
+            self.schur = self.c * self.c * g[0]
+            # g decays geometrically into the far block.  Past the cut its
+            # entries move x2 by less than roundoff, and once they turn
+            # subnormal they make the per-step update several times slower.
+            keep = np.flatnonzero(np.abs(g) >= SCHUR_TAIL_CUT * abs(g[0]))
+            self.g = g[: keep[-1] + 1]
+
+    def _far_solve(self, rhs):
+        x, info = zgttrs(*self.far, rhs, overwrite_b=1)
+        _checked(info, "zgttrs")
+        return x
+
+    @staticmethod
+    def _trap_solve(off, diag, rhs):
+        *_, x, info = zgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
+        _checked(info, "zgtsv")
+        return x
+
+    def step(self, weight: float, psi: np.ndarray) -> np.ndarray:
+        m = self.m
+        rhs = _tri_mul(self.m_diag, self.m_off, psi)
+        d1 = self.lhs_diag + weight * self.zdv_diag
+        o1 = self.lhs_off + weight * self.zdv_off
+        if self.far is None:
+            x = self._trap_solve(o1, d1, rhs)
+        else:
+            d1[-1] -= self.schur
+            x2 = self._far_solve(rhs[m:])
+            rhs[m - 1] -= self.c * x2[0]
+            x1 = self._trap_solve(o1, d1, rhs[:m])
+            x2[: self.g.size] -= (self.c * x1[-1]) * self.g
+            x = np.concatenate((x1, x2))
+        x *= 2.0
+        x -= psi
+        return x
 
 
 def non_escape_probability(snapshot: WavefunctionGrid, d: float) -> float:
@@ -324,9 +410,10 @@ def non_escape_probability(snapshot: WavefunctionGrid, d: float) -> float:
             f"snapshot grid [{snapshot.x0}, {snapshot.x_max:.6g}] does not cover [0, {d}]"
         )
     dx = snapshot.dx
-    dens = np.abs(snapshot.values) ** 2
     j = int(math.floor((d - snapshot.x0) / dx + 1e-12))
-    j = min(j, dens.size - 1)
+    j = min(j, snapshot.values.size - 1)
+    # the integral reads nodes up to j + 1 only
+    dens = np.abs(snapshot.values[: j + 2]) ** 2
     full = float(np.trapezoid(dens[: j + 1], dx=dx))
     rest = d - (snapshot.x0 + j * dx)
     if rest > 1e-12 * dx and j + 1 < dens.size:
@@ -362,26 +449,25 @@ ACCURACY_PROBE_STEPS = 64
 ACCURACY_DRIFT_TOL = 1e-3
 
 
-def _accuracy_probe(ops, schedule, dt, psi0, n_steps):
-    """Compare the energy after a short window at dt and dt/2."""
-    window = min(n_steps, ACCURACY_PROBE_STEPS)
-    if window == 0:
-        return
-    a = psi0.copy()
-    for j in range(window):
-        a = _cn_step(ops, schedule.weight((j + 0.5) * dt), dt, a)
-    b = psi0.copy()
+def _half_step_energy(ops, schedule, dt, psi0, window):
+    """Energy at t = window * dt after 2 * window steps at dt/2.
+
+    The accuracy probe compares the run's own energy at that time with it.
+    """
     half = 0.5 * dt
+    stepper = _Stepper(ops, half)
+    psi = psi0
     for j in range(2 * window):
-        b = _cn_step(ops, schedule.weight((j + 0.5) * half), half, b)
-    t_w = window * dt
-    w_end = schedule.weight(t_w)
-    ea = _energy_expectation(ops, w_end, a)
-    eb = _energy_expectation(ops, w_end, b)
-    scale = max(abs(eb), 1.0)
-    if abs(ea - eb) > ACCURACY_DRIFT_TOL * scale:
+        psi = stepper.step(schedule.weight((j + 0.5) * half), psi)
+    return _energy_expectation(ops, schedule.weight(window * dt), psi)
+
+
+def _check_drift(ops, schedule, dt, psi, window, e_half):
+    e_run = _energy_expectation(ops, schedule.weight(window * dt), psi)
+    scale = max(abs(e_half), 1.0)
+    if abs(e_run - e_half) > ACCURACY_DRIFT_TOL * scale:
         raise ResolutionError(
-            f"energy drift {abs(ea - eb):.3e} vs scale {scale:.3e} over a "
+            f"energy drift {abs(e_run - e_half):.3e} vs scale {scale:.3e} over a "
             f"{window}-step window; halve dt (currently {dt:.3e})"
         )
 
@@ -414,8 +500,11 @@ def propagate(
     schedule = setup.schedule
     dt = setup.dt
 
-    if accuracy_check:
-        _accuracy_probe(ops, schedule, dt, psi, n_steps)
+    # accuracy probe: the run's first `window` steps against twice as many
+    # at dt/2; that stepper is freed before the run's own is built
+    window = min(n_steps, ACCURACY_PROBE_STEPS) if accuracy_check else 0
+    e_half = _half_step_energy(ops, schedule, dt, psi, window) if window else None
+    stepper = _Stepper(ops, dt)
 
     d_well = schedule.initial.d
     n = setup.n_nodes()
@@ -425,8 +514,14 @@ def propagate(
         buf[1:-1] = vec
         return WavefunctionGrid(0.0, setup.dx, buf)
 
+    # non_escape_probability reads no node past the first one beyond d
+    n_well = min(n, int(d_well / setup.dx) + 3)
+
     def observables(vec):
-        p = non_escape_probability(full_state(vec), d_well)
+        head = np.zeros(n_well, dtype=complex)
+        part = vec[: n_well - 1]
+        head[1 : part.size + 1] = part
+        p = non_escape_probability(WavefunctionGrid(0.0, setup.dx, head), d_well)
         nm = np.vdot(vec, _tri_mul(ops.m_diag, ops.m_off, vec)).real
         return p, nm
 
@@ -456,8 +551,10 @@ def propagate(
 
     for j in range(n_steps):
         w = schedule.weight((j + 0.5) * dt)
-        psi = _cn_step(ops, w, dt, psi)
+        psi = stepper.step(w, psi)
         step = j + 1
+        if step == window:
+            _check_drift(ops, schedule, dt, psi, window, e_half)
         maybe_record(step, psi)
         if step in snap_steps:
             snapshots.append(Snapshot(snap_steps[step], full_state(psi)))

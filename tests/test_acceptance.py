@@ -21,7 +21,6 @@ from trapswitch.propagate import (
     AbsorbingLayer,
     PropagationSetup,
     _tri_mul,
-    _tri_solve,
     assemble_operators,
     propagate,
 )
@@ -44,6 +43,7 @@ from trapswitch.spectra import (
 from trapswitch.groundstate import WavefunctionGrid
 
 import fd_oracle
+from cn_oracle import _tri_solve
 from conftest import FINAL, INITIAL
 from distributions import distribution_median, l1_difference
 

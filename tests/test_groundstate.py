@@ -9,11 +9,11 @@ from trapswitch.model import PotentialConfig, SwitchingSchedule
 from trapswitch.propagate import (
     PropagationSetup,
     _tri_mul,
-    _tri_solve,
     assemble_operators,
     non_escape_probability,
 )
 
+from cn_oracle import _tri_solve
 from conftest import E_BOUND, FINAL, INITIAL, P_WELL_BOUND
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import trapswitch.propagate as propagate_module
 from trapswitch.errors import InvalidArgumentError, ResolutionError
 from trapswitch.groundstate import ground_state
 from trapswitch.model import SwitchingSchedule
@@ -18,6 +19,9 @@ from trapswitch.propagate import (
     ABSORBER_STRENGTH_DEFAULT,
     AbsorbingLayer,
     PropagationSetup,
+    _embed_initial,
+    _Stepper,
+    assemble_operators,
     default_absorber,
     non_escape_probability,
     propagate,
@@ -25,6 +29,7 @@ from trapswitch.propagate import (
 )
 from trapswitch.spectra import DecayRunSpec, fit_exponential_decay, switch_and_record
 
+from cn_oracle import _cn_step
 from conftest import FINAL, INITIAL, TAU_RES
 
 
@@ -55,6 +60,10 @@ def test_validate_setup_flags_each_constraint(unit):
                              dt=2e-4, t_end=0.5, e_cut=40.0,
                              snapshot_times=(0.7,))
     assert any("snapshot" in p for p in validate_setup(stray, unit))
+
+    tiny = PropagationSetup(schedule=_sudden(), dx=0.05, box_length=0.1,
+                            dt=2e-4, t_end=0.0, e_cut=40.0)
+    assert any("1 interior nodes" in p for p in validate_setup(tiny, unit))
 
 
 def test_propagate_rejects_invalid_inputs(unit):
@@ -142,3 +151,81 @@ def test_non_escape_probability_half_open_interval(unit):
     p_well = non_escape_probability(phi, INITIAL.d)
     p_wide = non_escape_probability(phi, INITIAL.outer_edge)
     assert 0.0 < p_narrow < p_well < p_wide < 1.0
+
+
+#: Block elimination reorders the pivoted elimination of the banded LU; its
+#: roundoff drifts ~1.7e-14 max|psi| per step (condition number ~200).
+STEPPER_ORACLE_TOL = 2e-10
+
+
+def _stepper_drift(unit, setup, n_steps):
+    """Largest state difference, relative to max|psi|, stepper against oracle."""
+    ops = assemble_operators(setup, unit)
+    phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
+    a = b = _embed_initial(phi.normalized(), setup)[1:-1]
+    stepper = _Stepper(ops, setup.dt)
+    worst = 0.0
+    for j in range(n_steps):
+        w = setup.schedule.weight((j + 0.5) * setup.dt)
+        a = stepper.step(w, a)
+        b = _cn_step(ops, w, setup.dt, b)
+        worst = max(worst, float(np.max(np.abs(a - b)) / np.max(np.abs(b))))
+    return stepper, worst
+
+
+@pytest.mark.parametrize(
+    "t_switch", [0.0, 0.058 * TAU_RES, TAU_RES], ids=["T0", "T0.058tau", "T1tau"]
+)
+def test_stepper_matches_banded_lu_oracle_on_decay_box(unit, t_switch):
+    setup = DecayRunSpec().setup(SwitchingSchedule(INITIAL, FINAL, t_switch), unit)
+    stepper, drift = _stepper_drift(unit, setup, 2000)
+    # the trap rows end at the outer edge; the rest is the constant far block
+    assert stepper.m == round(FINAL.outer_edge / setup.dx)
+    assert drift < STEPPER_ORACLE_TOL
+
+
+@pytest.mark.parametrize(
+    "final, box, absorbed, far_rows",
+    [
+        (INITIAL, 150.0, True, 2996),  # dV = 0: the trap block is MIN_BLOCK rows
+        (FINAL, 60.0, False, 899),  # no absorber
+        (FINAL, 15.05, False, 0),  # no rows past the trap
+        (FINAL, 15.1, False, 0),  # one row past the trap joins it
+        (FINAL, 15.2, False, 3),  # smallest far block
+    ],
+    ids=["no-dV", "no-absorber", "no-far-rows", "one-far-row", "smallest-far-block"],
+)
+def test_stepper_matches_banded_lu_oracle_edge_cases(unit, final, box, absorbed, far_rows):
+    setup = PropagationSetup(
+        schedule=SwitchingSchedule(INITIAL, final, 0.01), dx=0.05, box_length=box,
+        dt=2e-4, t_end=0.1, absorber=default_absorber(box) if absorbed else None,
+    )
+    stepper, drift = _stepper_drift(unit, setup, 200)
+    assert setup.n_nodes() - 2 - stepper.m == far_rows
+    assert (stepper.far is None) == (far_rows == 0)
+    assert drift < STEPPER_ORACLE_TOL
+
+
+@pytest.mark.parametrize("accuracy_check, far_factorizations", [(True, 2), (False, 1)])
+def test_far_block_is_factored_once_per_time_step(unit, monkeypatch, accuracy_check,
+                                                  far_factorizations):
+    """Structural guard: each step refactors only the trap rows."""
+    setup = DecayRunSpec(t_end=0.02).setup(SwitchingSchedule(INITIAL, FINAL, 0.01), unit)
+    trap_rows = round(FINAL.outer_edge / setup.dx)
+    far_rows = setup.n_nodes() - 2 - trap_rows
+    sizes = []
+
+    def counting(routine):
+        def wrapped(*args, **kwargs):
+            sizes.append(args[1].size)  # the diagonal
+            return routine(*args, **kwargs)
+        return wrapped
+
+    for name in ("zgttrf", "zgtsv"):
+        monkeypatch.setattr(propagate_module, name, counting(getattr(propagate_module, name)))
+    phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
+    propagate(phi, setup, unit, accuracy_check=accuracy_check)
+    assert sizes.count(far_rows) == far_factorizations
+    assert all(size == far_rows or size <= trap_rows for size in sizes)
+    probe_steps = 2 * propagate_module.ACCURACY_PROBE_STEPS if accuracy_check else 0
+    assert sizes.count(trap_rows) == setup.n_steps() + probe_steps
