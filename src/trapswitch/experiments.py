@@ -159,7 +159,7 @@ def run_delay_spectrum(spec: ExperimentSpec):
     k_grid = np.sqrt(2.0 * e / spec.unit.kappa)
     with _stage("phase-curve"):
         phases = phase_shift_curve(spec.final, spec.unit, k_grid)
-        delays = np.array([delay_time(spec.final, spec.unit, float(k)) for k in k_grid])
+        delays = delay_time(spec.final, spec.unit, k_grid)
     table = Table("delay_spectrum")
     table.add("e", "hbar/s", e)
     table.add("phase", "rad", phases)

@@ -119,10 +119,8 @@ def newton_pole(config: PotentialConfig, unit: UnitSystem, k0: complex) -> compl
         f = complex(pole_function(config, unit, k))
         for _ in range(80):
             h = 1e-7 * (1.0 + abs(k))
-            fp = (
-                complex(pole_function(config, unit, k + h))
-                - complex(pole_function(config, unit, k - h))
-            ) / (2.0 * h)
+            f_plus, f_minus = pole_function(config, unit, np.array([k + h, k - h])).tolist()
+            fp = (f_plus - f_minus) / (2.0 * h)
             if fp == 0.0 or not cmath.isfinite(fp):
                 return None
             dk = -f / fp
@@ -145,9 +143,10 @@ def find_bound_states(
 ) -> list[Resonance]:
     """Bound-state poles k = i kappa0 on the positive imaginary axis.
 
-    Omega(i kappa)/i is real, so a sign scan on 4000 points plus bisection
-    is exhaustive at the scan resolution; kappa < sqrt(2 v_well / kappa_unit)
-    since a bound level cannot sit below the well floor.
+    Omega(i kappa)/i is real, so a sign scan on 4000 points (one array
+    call) plus bisection is exhaustive at the scan resolution;
+    kappa < sqrt(2 v_well / kappa_unit) since a bound level cannot sit below
+    the well floor.
     """
     kap_ceiling = math.sqrt(2.0 * config.v_well / unit.kappa) if config.v_well > 0 else 0.0
     if kap_ceiling == 0.0:
@@ -162,7 +161,7 @@ def find_bound_states(
         return (pole_function(config, unit, 1j * kap) / 1j).real
 
     grid = np.linspace(lo, hi, 4000)
-    vals = np.array([g(k) for k in grid])
+    vals = g(grid)
     roots = []
     sign = np.sign(vals)
     for i in np.nonzero(np.diff(sign) != 0)[0]:
@@ -213,19 +212,21 @@ def winding_number(
     config: PotentialConfig, unit: UnitSystem, rect: tuple[float, float, float, float]
 ) -> int:
     """Number of Omega roots strictly inside the rectangle (argument principle);
-    each edge starts as 64 segments, split where the phase jumps."""
+    each edge starts as 64 segments, split where the phase jumps.  The
+    4 x 65 edge points go to one Omega call."""
     re_min, re_max, im_min, im_max = rect
-    corners = [
+    corners = np.array([
         complex(re_min, im_min),
         complex(re_max, im_min),
         complex(re_max, im_max),
         complex(re_min, im_max),
-    ]
+    ])
+    a, b = corners[:, None], np.roll(corners, -1)[:, None]
+    zs = a + (b - a) * np.linspace(0.0, 1.0, 65)
+    fs = pole_function(config, unit, zs)
     total = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        zs = [a + (b - a) * t for t in np.linspace(0.0, 1.0, 65)]
-        fs = [complex(pole_function(config, unit, z)) for z in zs]
-        for za, zb, fa, fb in zip(zs, zs[1:], fs, fs[1:]):
+    for z_edge, f_edge in zip(zs.tolist(), fs.tolist()):
+        for za, zb, fa, fb in zip(z_edge, z_edge[1:], f_edge, f_edge[1:]):
             total += _arg_increment(config, unit, za, zb, fa, fb, 0)
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.05:
@@ -235,20 +236,18 @@ def winding_number(
 
 def _delay_peak_seeds(config, unit, re_min, re_max):
     """Resonance seeds k1 - i gamma/(2 kappa k1) from Wigner delay maxima on
-    300 points."""
+    300 points of [max(re_min, 1e-4), re_max], lowest k1 first.
+
+    The 300 delays come from one delay_time call on the whole array.
+    """
     ks = np.linspace(max(re_min, 1e-4), re_max, 300)
-    try:
-        dts = np.array([delay_time(config, unit, k) for k in ks])
-    except Exception:
-        return []
-    seeds = []
-    for i in range(1, ks.size - 1):
-        if dts[i] > dts[i - 1] and dts[i] >= dts[i + 1] and dts[i] > 0.0:
-            k1 = ks[i]
-            gamma = 4.0 / dts[i]
-            k2 = -gamma / (2.0 * unit.kappa * k1)
-            seeds.append(complex(k1, k2))
-    return seeds
+    dts = delay_time(config, unit, ks)
+    mid = dts[1:-1]
+    peak = 1 + np.flatnonzero((mid > dts[:-2]) & (mid >= dts[2:]) & (mid > 0.0))
+    k1 = ks[peak]
+    gamma = 4.0 / dts[peak]
+    k2 = -gamma / (2.0 * unit.kappa * k1)
+    return (k1 + 1j * k2).tolist()
 
 
 def _rect_contains(rect, z):

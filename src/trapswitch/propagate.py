@@ -522,7 +522,7 @@ def propagate(
         part = vec[: n_well - 1]
         head[1 : part.size + 1] = part
         p = non_escape_probability(WavefunctionGrid(0.0, setup.dx, head), d_well)
-        nm = np.vdot(vec, _tri_mul(ops.m_diag, ops.m_off, vec)).real
+        nm = np.vdot(vec, _tri_mul(stepper.m_diag, stepper.m_off, vec)).real
         return p, nm
 
     snap_steps: dict[int, float] = {}

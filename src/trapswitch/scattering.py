@@ -23,7 +23,6 @@ k at a channel threshold (q or q' = 0) through the sinc limits.  For real k
 both J and R are real and |S| = 1 identically.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -80,7 +79,8 @@ def pole_function_scale(config: PotentialConfig, unit: UnitSystem, k):
 
 
 def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
-    """S(k) for real k > 0 (arrays allowed); unitary by construction."""
+    """S(k) for real k > 0, a scalar or an array of any shape; unitary by
+    construction."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise InvalidArgumentError("s_matrix requires k > 0")
@@ -127,9 +127,14 @@ def evaluate_scattering_state(
     return out
 
 
-def _wrap_half_pi(diff: float) -> float:
-    """Reduce a phase-shift difference into (-pi/2, pi/2]."""
-    return -((-diff + 0.5 * math.pi) % math.pi - 0.5 * math.pi)
+def _wrap_half_pi(diff):
+    """Reduce phase-shift differences into (-pi/2, pi/2], elementwise."""
+    return -(np.remainder(-diff + 0.5 * math.pi, math.pi) - 0.5 * math.pi)
+
+
+def _raw_phase(config: PotentialConfig, unit: UnitSystem, k):
+    """Principal-branch delta(k) = arg S(k) / 2."""
+    return 0.5 * np.angle(s_matrix(config, unit, k))
 
 
 def phase_shift_curve(config: PotentialConfig, unit: UnitSystem, k_grid: np.ndarray) -> np.ndarray:
@@ -137,18 +142,16 @@ def phase_shift_curve(config: PotentialConfig, unit: UnitSystem, k_grid: np.ndar
 
     S = e^{2 i delta} defines delta modulo pi; the curve is anchored at the
     principal value of the first node and stitched with pi jumps removed.
-    Each interval is checked by midpoint refinement: the two half-steps must
-    agree with the direct step, otherwise the interval is subdivided, up to
-    26 halvings, after which a refinement error names the offending interval.
+    The raw phases on the grid come from one S-matrix call.  Each interval
+    is checked by midpoint refinement: the two half-steps must agree with the
+    direct step, otherwise the interval is subdivided, up to 26 halvings,
+    after which a refinement error names the offending interval.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size < 2:
         raise InvalidArgumentError("k_grid must be a 1-d array with >= 2 nodes")
     if np.any(k_grid <= 0.0) or np.any(np.diff(k_grid) <= 0.0):
         raise InvalidArgumentError("k_grid must be strictly increasing and positive")
-
-    def raw(k):
-        return 0.5 * cmath.phase(complex(s_matrix(config, unit, np.array([k]))[0]))
 
     def step(ka, da, kb, db, depth):
         """Continuous increment of delta from ka to kb (raw values da, db)."""
@@ -159,14 +162,14 @@ def phase_shift_curve(config: PotentialConfig, unit: UnitSystem, k_grid: np.ndar
                 interval=(ka, kb),
             )
         km = 0.5 * (ka + kb)
-        dm = raw(km)
+        dm = float(_raw_phase(config, unit, km))
         left = _wrap_half_pi(dm - da)
         right = _wrap_half_pi(db - dm)
         if abs((left + right) - direct) < 1e-9:
             return direct
         return step(ka, da, km, dm, depth + 1) + step(km, dm, kb, db, depth + 1)
 
-    raw_vals = [raw(k) for k in k_grid]
+    raw_vals = _raw_phase(config, unit, k_grid).tolist()
     delta = np.empty_like(k_grid)
     delta[0] = raw_vals[0]
     for i in range(k_grid.size - 1):
@@ -175,24 +178,22 @@ def phase_shift_curve(config: PotentialConfig, unit: UnitSystem, k_grid: np.ndar
     return delta
 
 
-def delay_time(config: PotentialConfig, unit: UnitSystem, k: float) -> float:
+def delay_time(config: PotentialConfig, unit: UnitSystem, k):
     """Wigner delay 2 hbar d delta/dE = (2/(kappa k)) d delta/dk at real k > 0.
 
-    Central difference with relative step 1e-5 in k plus one Richardson
-    extrapolation; the four phase evaluations are locally re-branched so the
-    mod-pi ambiguity of delta cannot enter the derivative.
+    k is a scalar or an array of any shape; a scalar gives a float, an array
+    an array of its shape, and all 4 k.size phase points go to one S-matrix
+    call.  Central difference with relative step 1e-5 in k plus one
+    Richardson extrapolation; the four phase evaluations are locally
+    re-branched so the mod-pi ambiguity of delta cannot enter the derivative.
     """
-    if not (k > 0.0):
+    k = np.asarray(k, dtype=float)
+    if not np.all(k > 0.0):
         raise InvalidArgumentError("delay_time requires k > 0")
     h = 1e-5 * k
-
-    def raw(kk):
-        return 0.5 * cmath.phase(complex(s_matrix(config, unit, np.array([kk]))[0]))
-
-    def slope(hh):
-        return _wrap_half_pi(raw(k + hh) - raw(k - hh)) / (2.0 * hh)
-
-    d1 = slope(h)
-    d2 = slope(0.5 * h)
+    steps = np.stack([h, 0.5 * h])
+    raw = _raw_phase(config, unit, np.stack([k + steps, k - steps]))
+    d1, d2 = _wrap_half_pi(raw[0] - raw[1]) / (2.0 * steps)
     dddk = (4.0 * d2 - d1) / 3.0
-    return 2.0 / (unit.kappa * k) * dddk
+    out = 2.0 / (unit.kappa * k) * dddk
+    return float(out) if out.ndim == 0 else out

@@ -2,6 +2,7 @@
 argument-principle completeness certificate on random traps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from trapswitch.poles import (
     find_poles,
     newton_pole,
     pole_function,
+    resonances,
     trace_iso_resonance,
     winding_number,
 )
+from trapswitch.scattering import pole_function_terms, s_matrix
 
 from conftest import (
     E_BOUND,
@@ -26,6 +29,24 @@ from conftest import (
     KAPPA_BOUND,
     K_RES,
 )
+from pointwise_oracle import bound_state_kappas_pointwise, winding_number_pointwise
+
+#: Region of the shipped `poles` experiment (configs/poles.yaml).
+SHIPPED_REGION = (0.0, 0.9, -0.4, 0.22)
+
+
+def _random_traps(n):
+    """The random traps of criterion 8h and of the completeness test below."""
+    rng = np.random.default_rng(42)
+    return [
+        PotentialConfig(
+            v_well=rng.uniform(30.0, 380.0),
+            v_barrier=rng.uniform(60.0, 450.0),
+            d=rng.uniform(3.0, 7.0),
+            b=rng.uniform(4.0, 12.0),
+        )
+        for _ in range(n)
+    ]
 
 
 def test_release_trap_resonance_frozen_location(unit):
@@ -76,8 +97,6 @@ def test_classified_pole_fields_are_consistent(unit):
 def test_newton_pole_residual_small(unit):
     k = newton_pole(FINAL, unit, complex(0.31, -0.001))
     # compare |Omega| with its additive terms, not with zero
-    from trapswitch.scattering import pole_function_terms
-
     t1, t2 = pole_function_terms(FINAL, unit, k)
     scale = max(abs(complex(t1)), abs(complex(t2)))
     assert abs(complex(pole_function(FINAL, unit, k))) < 1e-9 * scale
@@ -104,15 +123,8 @@ def test_find_poles_skips_virtual_state_on_axis(unit):
 
 
 def test_find_poles_counts_match_winding_on_random_traps(unit):
-    rng = np.random.default_rng(42)
     rect = (0.02, 0.8, -0.3, 0.0)
-    for _ in range(20):
-        cfg = PotentialConfig(
-            v_well=rng.uniform(30.0, 380.0),
-            v_barrier=rng.uniform(60.0, 450.0),
-            d=rng.uniform(3.0, 7.0),
-            b=rng.uniform(4.0, 12.0),
-        )
+    for cfg in _random_traps(20):
         poles = find_poles(cfg, unit, rect)
         assert len(poles) == winding_number(cfg, unit, rect)
         for p in poles:
@@ -140,3 +152,38 @@ def test_iso_resonance_trace_stays_on_target(unit):
         assert abs(e_r - target) <= 1e-3 * target
     # the width swings much harder than the compensating barrier depth
     assert curve.gamma.max() / curve.gamma.min() > 2.0
+
+
+@pytest.mark.parametrize("cfg", [INITIAL, replace(INITIAL, d=15.0)], ids=["initial", "two-level"])
+def test_bound_state_scan_matches_the_pointwise_oracle(unit, cfg):
+    kappas = [p.k_res.imag for p in find_bound_states(cfg, unit)]
+    assert kappas == bound_state_kappas_pointwise(cfg, unit)
+    assert len(kappas) == (1 if cfg is INITIAL else 2)
+
+
+def test_winding_number_matches_the_pointwise_oracle(unit):
+    rect = (0.02, 0.8, -0.3, 0.0)
+    traps = _random_traps(20)
+    counts = [winding_number(cfg, unit, rect) for cfg in traps]
+    assert counts == [winding_number_pointwise(cfg, unit, rect) for cfg in traps]
+    assert sum(counts) > 0
+
+
+@pytest.mark.parametrize("cfg", [INITIAL, FINAL], ids=["initial", "final"])
+def test_pole_search_evaluates_each_fixed_grid_in_one_call(monkeypatch, unit, cfg):
+    # one scalar call per grid point (a 300-point delay scan, 4 x 65 edge
+    # points, a 4000-point bound-state scan) would cost thousands of calls
+    calls = {"omega": 0, "s_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr("trapswitch.poles.pole_function_terms", counted("omega", pole_function_terms))
+    monkeypatch.setattr("trapswitch.scattering.s_matrix", counted("s_matrix", s_matrix))
+    assert resonances(find_poles(cfg, unit, SHIPPED_REGION))
+    assert calls["omega"] <= 150, calls
+    assert 1 <= calls["s_matrix"] <= 2, calls

@@ -21,7 +21,8 @@ from trapswitch.scattering import (
     s_matrix,
 )
 
-from conftest import FINAL, K_RES
+from conftest import E_RES, FINAL, GAMMA_RES, K_RES
+from pointwise_oracle import delay_time_pointwise
 
 
 def _potential(cfg, x):
@@ -165,3 +166,24 @@ def test_delay_time_peaks_at_resonance(unit):
     off = delay_time(FINAL, unit, 0.9 * kr)
     assert on > 10.0 * abs(off)
     assert on == pytest.approx(1.6185164051843632, rel=1e-6)
+
+
+def test_array_delay_time_matches_the_pointwise_oracle(unit):
+    # the shipped delay-spectrum grid: 800 energies within 10 widths of the pole
+    e = np.linspace(E_RES - 10.0 * GAMMA_RES, E_RES + 10.0 * GAMMA_RES, 800)
+    k = np.sqrt(2.0 * e / unit.kappa)
+    delays = delay_time(FINAL, unit, k)
+    oracle = np.array([delay_time_pointwise(FINAL, unit, float(kk)) for kk in k])
+    assert delays.shape == k.shape
+    assert np.max(np.abs(delays - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+def test_delay_time_keeps_the_shape_of_its_argument(unit):
+    k0 = K_RES.real
+    scalar = delay_time(FINAL, unit, k0)
+    assert isinstance(scalar, float)
+    grid = delay_time(FINAL, unit, np.full((2, 3), k0))
+    assert grid.shape == (2, 3)
+    assert np.all(np.abs(grid - scalar) <= 1e-10 * abs(scalar))
+    with pytest.raises(InvalidArgumentError):
+        delay_time(FINAL, unit, np.array([k0, 0.0]))
