@@ -252,7 +252,7 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
         res = lowest_resonance(spec.final, spec.unit)
     tau = res.tau
     fracs, run = _spectrum_plan(spec)
-    grid = energy_grid(res.e_r, res.gamma, run.e_cut, run.n_energy, e_min=run.e_min)
+    grid = energy_grid(res.e_r, res.gamma, run.e_cut, run.n_energy)
     table = Table("spectrum_vs_t")
     table.add("e", "hbar/s", grid)
     table.add("lorentzian_ref", "s/hbar", lorentzian_reference(res, grid))
@@ -267,7 +267,7 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
                 # unit weight is checked on a fixed grid up to 3000 hbar/s
                 state, _ = ground_state(spec.initial, spec.unit, dx=run.dx)
                 dist = energy_distribution(state, spec.final, spec.unit, grid)
-                wide = energy_grid(res.e_r, res.gamma, 3000.0, 2600, e_min=run.e_min)
+                wide = energy_grid(res.e_r, res.gamma, 3000.0, 2600)
                 total = energy_distribution(state, spec.final, spec.unit, wide).total
             else:
                 dist = switch_and_project(
@@ -305,7 +305,10 @@ def run_iso_curves(spec: ExperimentSpec):
         name = f"iso_curve_{idx}"
         with _stage(name):
             curve = trace_iso_resonance(target, spec.unit, spec.final.d, spec.final.b, **trace)
-        table = Table(name, meta={"e_r_target": f"{target:.12g}"})
+        meta = {"e_r_target": f"{target:.12g}"}
+        if curve.truncated:
+            meta["truncated_reason"] = curve.reason
+        table = Table(name, meta=meta)
         table.add("v_well", "hbar/s", curve.v_well)
         table.add("v_barrier", "hbar/s", curve.v_barrier)
         table.add("gamma", "hbar/s", curve.gamma)

@@ -255,6 +255,16 @@ def _rect_contains(rect, z):
     return re_min < z.real < re_max and im_min < z.imag < im_max
 
 
+def _new_root(z, rect, found) -> bool:
+    """Whether a Newton result is a root not yet found inside rect: it
+    converged, lies inside, and is not within 1e-8 (1 + |z|) of a found root."""
+    return (
+        z is not None
+        and _rect_contains(rect, z)
+        and all(abs(z - y) > 1e-8 * (1 + abs(z)) for y in found)
+    )
+
+
 def _subdivide_search(config, unit, rect, found, depth=0):
     """Recursive bisection, at most 40 levels deep, until every root is
     pinned by Newton."""
@@ -277,7 +287,7 @@ def _subdivide_search(config, unit, rect, found, depth=0):
     re_min, re_max, im_min, im_max = rect
     center = complex(0.5 * (re_min + re_max), 0.5 * (im_min + im_max))
     z = newton_pole(config, unit, center)
-    if z is not None and _rect_contains(rect, z) and all(abs(z - y) > 1e-8 * (1 + abs(z)) for y in found):
+    if _new_root(z, rect, found):
         found.append(z)
         _subdivide_search(config, unit, rect, found, depth)
         return
@@ -330,11 +340,7 @@ def find_poles(
                 if len(found) >= expected:
                     break
                 z = newton_pole(config, unit, seed)
-                if (
-                    z is not None
-                    and _rect_contains(rect, z)
-                    and all(abs(z - y) > 1e-8 * (1 + abs(z)) for y in found)
-                ):
+                if _new_root(z, rect, found):
                     found.append(z)
             if len(found) != expected:
                 _subdivide_search(config, unit, rect, found)
@@ -359,9 +365,9 @@ def find_poles(
 
 @dataclass(frozen=True)
 class IsoResonanceCurve:
-    """Barrier heights that hold Re(E_pole) fixed while the well depth varies."""
+    """Barrier heights that hold Re(E_pole) fixed while the well depth varies;
+    reason says why a truncated curve stopped."""
 
-    e_r_target: float
     v_well: np.ndarray
     v_barrier: np.ndarray
     gamma: np.ndarray
@@ -546,7 +552,6 @@ def trace_iso_resonance(
         emitted += 1
 
     return IsoResonanceCurve(
-        e_r_target=e_r_target,
         v_well=v_wells[:emitted].copy(),
         v_barrier=np.array(out_vb),
         gamma=np.array(out_gamma),

@@ -23,7 +23,7 @@ otherwise fill the per-step update with slow subnormal arithmetic.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
@@ -32,38 +32,17 @@ from .errors import InvalidArgumentError, NumericalBlowupError, ResolutionError
 from .groundstate import WavefunctionGrid
 from .model import SwitchingSchedule, UnitSystem
 
-#: Absorber strength (ħ s⁻¹) that passes the transparency property for the
-#: decay-profile geometry (150 µm box, 25% layer); found by scanning against
-#: a large-box reference run.
-ABSORBER_STRENGTH_DEFAULT = 800.0
+#: Strength (ħ s⁻¹) of the cubic absorbing ramp
+#: W(x) = ABSORBER_STRENGTH * ((x - x_on)/width)^3; it passes the
+#: transparency property for the decay-profile geometry (150 µm box, 25%
+#: layer), found by scanning against a large-box reference run.
+ABSORBER_STRENGTH = 800.0
 
 #: Fraction of the box covered by the absorbing layer.
 ABSORBER_FRACTION = 0.25
 
 #: Fewest rows of a tridiagonal block that the LAPACK wrappers accept.
 MIN_BLOCK = 3
-
-
-@dataclass(frozen=True)
-class AbsorbingLayer:
-    """Negative-imaginary cubic ramp W(x) = strength * ((x - x_on)/width)^3."""
-
-    width: float
-    strength: float
-
-    def __post_init__(self):
-        if self.width <= 0.0:
-            raise InvalidArgumentError(f"absorber width must be positive, got {self.width}")
-        if self.strength <= 0.0:
-            raise InvalidArgumentError(
-                f"absorber strength must be positive, got {self.strength}"
-            )
-
-
-def default_absorber(box_length: float) -> AbsorbingLayer:
-    return AbsorbingLayer(
-        width=ABSORBER_FRACTION * box_length, strength=ABSORBER_STRENGTH_DEFAULT
-    )
 
 
 @dataclass(frozen=True)
@@ -76,7 +55,7 @@ class PropagationSetup:
     dt: float
     t_end: float
     e_cut: float = 1000.0
-    absorber: AbsorbingLayer | None = None
+    absorber: bool = False
     snapshot_times: tuple[float, ...] = ()
 
     def k_cut(self, unit: UnitSystem) -> float:
@@ -119,7 +98,7 @@ def validate_setup(setup: PropagationSetup, unit: UnitSystem) -> list[str]:
             problems.append(
                 f"dx={setup.dx:.6g} does not resolve k_max={k_max:.6g}; need dx <= {dx_bound:.6g}"
             )
-    if setup.absorber is None and setup.t_end > 0.0 and setup.e_cut > 0.0:
+    if not setup.absorber and setup.t_end > 0.0 and setup.e_cut > 0.0:
         v_cut = unit.kappa * setup.k_cut(unit)
         l_min = setup.schedule.initial.outer_edge + v_cut * setup.t_end
         if setup.box_length < l_min:
@@ -127,8 +106,6 @@ def validate_setup(setup: PropagationSetup, unit: UnitSystem) -> list[str]:
                 f"box_length={setup.box_length:.6g} lets flux reach the wall; "
                 f"need >= {l_min:.6g} without an absorber"
             )
-    if setup.absorber is not None and setup.absorber.width >= setup.box_length:
-        problems.append("absorber wider than the box")
     for t in setup.snapshot_times:
         if not (0.0 <= t <= setup.t_end + 0.5 * setup.dt):
             problems.append(f"snapshot time {t} outside [0, t_end]")
@@ -222,12 +199,14 @@ def _potential_mass(x: np.ndarray, dx: float, edges: list[float], values: list[f
     return diag, off
 
 
-def _absorber_mass(x: np.ndarray, dx: float, box_length: float, layer: AbsorbingLayer):
-    """FEM mass integrals of the cubic absorber ramp, 3-point Gauss exact."""
+def _absorber_mass(x: np.ndarray, dx: float, box_length: float):
+    """FEM mass integrals of the cubic absorber ramp over the last
+    ABSORBER_FRACTION of the box, 3-point Gauss exact."""
     n = x.size
     diag = np.zeros(n)
     off = np.zeros(n - 1)
-    x_on = box_length - layer.width
+    width = ABSORBER_FRACTION * box_length
+    x_on = box_length - width
     gauss_u = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
     gauss_w = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
     j0 = max(0, int(math.floor(x_on / dx)))
@@ -235,10 +214,10 @@ def _absorber_mass(x: np.ndarray, dx: float, box_length: float, layer: Absorbing
         xa = x[j]
         for u, wgt in zip(gauss_u, gauss_w):
             xp = xa + u * dx
-            r = (xp - x_on) / layer.width
+            r = (xp - x_on) / width
             if r <= 0.0:
                 continue
-            wv = layer.strength * r**3
+            wv = ABSORBER_STRENGTH * r**3
             diag[j] += wgt * dx * wv * (1.0 - u) ** 2
             diag[j + 1] += wgt * dx * wv * u * u
             off[j] += wgt * dx * wv * u * (1.0 - u)
@@ -279,8 +258,8 @@ def assemble_operators(setup: PropagationSetup, unit: UnitSystem) -> _Operators:
     m_off = np.full(n - 1, dx / 6.0)
     vi_diag, vi_off = _config_mass(setup.schedule.initial, x, dx)
     vf_diag, vf_off = _config_mass(setup.schedule.final, x, dx)
-    if setup.absorber is not None:
-        w_diag, w_off = _absorber_mass(x, dx, setup.box_length, setup.absorber)
+    if setup.absorber:
+        w_diag, w_off = _absorber_mass(x, dx, setup.box_length)
     else:
         w_diag, w_off = np.zeros(n), np.zeros(n - 1)
     # drop the Dirichlet nodes at both ends
@@ -477,7 +456,6 @@ def propagate(
     setup: PropagationSetup,
     unit: UnitSystem,
     record_every: int = 1,
-    accuracy_check: bool = True,
 ) -> PropagationResult:
     """Run the switch and return the final state, decay record, and snapshots.
 
@@ -502,7 +480,7 @@ def propagate(
 
     # accuracy probe: the run's first `window` steps against twice as many
     # at dt/2; that stepper is freed before the run's own is built
-    window = min(n_steps, ACCURACY_PROBE_STEPS) if accuracy_check else 0
+    window = min(n_steps, ACCURACY_PROBE_STEPS)
     e_half = _half_step_energy(ops, schedule, dt, psi, window) if window else None
     stepper = _Stepper(ops, dt)
 

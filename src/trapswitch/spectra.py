@@ -11,7 +11,7 @@ whole-history closeness of the decay curve to a single exponential).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
 from .groundstate import WavefunctionGrid, ground_state
 from .model import PotentialConfig, SwitchingSchedule, UnitSystem
 from .poles import RESONANCE, Resonance, find_bound_states, find_poles, resonances
-from .propagate import DecayRecord, PropagationSetup, default_absorber, propagate
+from .propagate import DecayRecord, PropagationSetup, propagate
 from .scattering import evaluate_scattering_state
 
 # ---------------------------------------------------------------------------
@@ -35,12 +35,11 @@ from .scattering import evaluate_scattering_state
 
 @dataclass
 class EnergyDistribution:
-    """P(E) samples on an ascending grid, with its integral and bookkeeping."""
+    """P(E) samples on an ascending grid, with its integral."""
 
     energies: np.ndarray
     p: np.ndarray
     total: float
-    projection_time: float
 
     def __post_init__(self):
         self.energies = np.asarray(self.energies, dtype=float)
@@ -51,34 +50,32 @@ class EnergyDistribution:
             raise InvalidArgumentError("energy grid must be strictly ascending")
 
 
-def energy_grid(
-    e_r: float,
-    gamma: float,
-    e_cut: float,
-    n_points: int = 2000,
-    e_min: float = 0.5,
-) -> np.ndarray:
+#: Lowest energy (ħ/s) of every released-energy grid.
+E_MIN = 0.5
+
+
+def energy_grid(e_r: float, gamma: float, e_cut: float, n_points: int = 2000) -> np.ndarray:
     """Grid dense near the resonance (spacing gamma/50 within e_r +- 5 gamma),
-    linear elsewhere from e_min up to e_cut."""
-    if not (0.0 < e_min < e_cut):
-        raise InvalidArgumentError("need 0 < e_min < e_cut")
+    linear elsewhere from E_MIN up to e_cut."""
+    if e_cut <= E_MIN:
+        raise InvalidArgumentError(f"e_cut must exceed E_MIN = {E_MIN}")
     if gamma <= 0.0 or e_r <= 0.0:
         raise InvalidArgumentError("resonance parameters must be positive")
-    w_lo = max(e_min, e_r - 5.0 * gamma)
+    w_lo = max(E_MIN, e_r - 5.0 * gamma)
     w_hi = min(e_cut, e_r + 5.0 * gamma)
     if w_hi <= w_lo:
-        return np.linspace(e_min, e_cut, n_points)
+        return np.linspace(E_MIN, e_cut, n_points)
     spacing = gamma / 50
     n_dense = int(math.ceil((w_hi - w_lo) / spacing)) + 2
     dense = np.linspace(w_lo, w_hi, n_dense)
     n_rest = max(n_points - n_dense, 2)
-    len_lo = w_lo - e_min
+    len_lo = w_lo - E_MIN
     len_hi = e_cut - w_hi
     n_lo = int(round(n_rest * len_lo / (len_lo + len_hi))) if len_lo > 0 else 0
     n_hi = n_rest - n_lo
     parts = []
     if n_lo > 0 and len_lo > 0:
-        parts.append(np.linspace(e_min, w_lo, n_lo + 1)[:-1])
+        parts.append(np.linspace(E_MIN, w_lo, n_lo + 1)[:-1])
     parts.append(dense)
     if n_hi > 0 and len_hi > 0:
         parts.append(np.linspace(w_hi, e_cut, n_hi + 1)[1:])
@@ -91,7 +88,6 @@ def energy_distribution(
     final_config: PotentialConfig,
     unit: UnitSystem,
     e_grid: np.ndarray,
-    projection_time: float = 0.0,
     contain_rtol: float = 1e-8,
 ) -> EnergyDistribution:
     """Project a state onto the final trap's scattering states.
@@ -99,9 +95,10 @@ def energy_distribution(
     The final trap must hold no bound state, otherwise the scattering states
     are not complete and the density cannot integrate to one.  contain_rtol
     bounds the allowed amplitude at the right grid edge relative to the
-    peak; callers projecting propagated states in finite boxes may loosen it
-    knowingly (fast components beyond the analyzed energy window reflect off
-    the box wall but stay orthogonal to the analyzed states).
+    peak.  Callers projecting propagated states in finite boxes may loosen
+    it knowingly: fast components beyond the analyzed energy window reflect
+    off the box wall, and on a finite interval the reflected part is not
+    orthogonal to the analyzed states, so it leaks into P(E).
     """
     e_grid = np.asarray(e_grid, dtype=float)
     if np.any(e_grid <= 0.0) or np.any(np.diff(e_grid) <= 0.0):
@@ -133,7 +130,7 @@ def energy_distribution(
         overlap = np.trapezoid(np.conj(psi_k) * vals, dx=dx)
         p[i] = (abs(overlap) ** 2) / (unit.kappa * k)
     total = float(np.trapezoid(p, e_grid))
-    return EnergyDistribution(e_grid, p, total, projection_time)
+    return EnergyDistribution(e_grid, p, total)
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +157,12 @@ MIN_FIT_SAMPLES = 10
 
 @dataclass(frozen=True)
 class LorentzianFit:
-    """Damped-least-squares Lorentzian fit A (g/2)^2 / ((E-E_R)^2 + (g/2)^2).
-
-    normalized_reference holds the unit-area Lorentzian with the FITTED
-    parameters on the fitted samples; deviation integrates |data - that|
-    over the fit window.
-    """
+    """Damped-least-squares Lorentzian fit A (g/2)^2 / ((E-E_R)^2 + (g/2)^2)."""
 
     e_r: float
     gamma: float
     amplitude: float
     offset: float
-    normalized_reference: np.ndarray = field(repr=False)
-    deviation: float
-    window: tuple[float, float]
     n_iterations: int
 
 
@@ -205,24 +194,21 @@ def _lorentzian_jacobian(theta, e, with_offset):
 def fit_lorentzian(
     energies: np.ndarray,
     values: np.ndarray,
-    window: tuple[float, float] | None = None,
     with_offset: bool = False,
 ) -> LorentzianFit:
     """Levenberg-Marquardt fit of a Lorentzian peak (optionally plus a constant).
 
-    Needs MIN_FIT_SAMPLES samples in the window and stops once no parameter
-    moves by 1e-10 of itself.  Deterministic for identical inputs.  Raises a
-    window error when the fitted peak sits at the window edge or the window
-    spans fewer than four fitted widths, and a fit failure carrying the last
-    iterate when damping cannot converge within 200 iterations.
+    The fit window is the whole sample.  Needs MIN_FIT_SAMPLES samples and
+    stops once no parameter moves by 1e-10 of itself.  Deterministic for
+    identical inputs.  Raises a window error when the fitted peak sits at
+    the window edge or the window spans fewer than four fitted widths, and a
+    fit failure carrying the last iterate when damping cannot converge
+    within 200 iterations.
     """
     e = np.asarray(energies, dtype=float)
     y = np.asarray(values, dtype=float)
     if e.size != y.size:
         raise InvalidArgumentError("energies and values differ in length")
-    if window is not None:
-        mask = (e >= window[0]) & (e <= window[1])
-        e, y = e[mask], y[mask]
     if e.size < MIN_FIT_SAMPLES:
         raise InvalidArgumentError(
             f"need at least {MIN_FIT_SAMPLES} samples in the window, got {e.size}"
@@ -285,17 +271,8 @@ def fit_lorentzian(
         raise WindowError(
             f"window spans {span:.6g}, fewer than 4 fitted widths ({g_fit:.6g})"
         )
-    ref = (g_fit / (2.0 * math.pi)) / ((e - e_r_fit) ** 2 + (0.5 * g_fit) ** 2)
-    deviation = float(np.trapezoid(np.abs(y - ref), e))
     return LorentzianFit(
-        e_r=e_r_fit,
-        gamma=g_fit,
-        amplitude=amp,
-        offset=c_fit,
-        normalized_reference=ref,
-        deviation=deviation,
-        window=win,
-        n_iterations=n_done,
+        e_r=e_r_fit, gamma=g_fit, amplitude=amp, offset=c_fit, n_iterations=n_done
     )
 
 
@@ -339,6 +316,21 @@ def fit_exponential_decay(
 #: start; fit_exponential_decay needs 3, the rest is margin.
 FIT_SPAN_LIFETIMES = 3.3
 
+#: A spectrum run projects once the switch is within RESIDUAL_V (ħ/s) of
+#: the final trap, and not before MIN_PROJECTION_TIME (s); its box holds
+#: the e_cut front at that time plus BOX_PAD (µm).
+RESIDUAL_V = 1e-3
+MIN_PROJECTION_TIME = 0.05
+BOX_PAD = 20.0
+
+#: Edge-amplitude bound for projecting a propagated state.  Components
+#: faster than e_cut reflect off the far wall, and on a finite interval
+#: the reflected part is not orthogonal to the analyzed scattering states.
+#: 0.1 admits it knowingly (it causes the ~3e-4 ripple of the shape
+#: objective) and still catches a grossly undersized box; the ROADMAP item
+#: "Spectra without wall reflections" removes the reflection itself.
+PROPAGATED_CONTAIN_RTOL = 0.1
+
 
 @dataclass(frozen=True)
 class SpectrumRunSpec:
@@ -347,23 +339,14 @@ class SpectrumRunSpec:
     dx: float = 0.1
     dt: float = 2e-4
     e_cut: float = 400.0
-    e_min: float = 0.5
     n_energy: int = 2000
-    residual_v: float = 1e-3
-    min_projection_time: float = 0.05
-    box_pad: float = 20.0
-    # Propagated spectra are analyzed on a bounded energy window; faster
-    # components reflect off the far wall but are orthogonal to the analyzed
-    # states, so the edge-amplitude guard is relaxed to a level that still
-    # catches a grossly undersized box.
-    contain_rtol: float = 0.1
 
     def setup(self, schedule: SwitchingSchedule, unit: UnitSystem) -> PropagationSetup:
         """Propagate to the settle time in a box the e_cut front cannot cross
         before then."""
-        t_star = max(schedule.settle_time(self.residual_v), self.min_projection_time)
+        t_star = max(schedule.settle_time(RESIDUAL_V), MIN_PROJECTION_TIME)
         v_cut = unit.kappa * math.sqrt(2.0 * self.e_cut / unit.kappa)
-        box = schedule.final.outer_edge + v_cut * t_star + self.box_pad
+        box = schedule.final.outer_edge + v_cut * t_star + BOX_PAD
         return PropagationSetup(
             schedule=schedule,
             dx=self.dx,
@@ -380,27 +363,19 @@ def switch_and_project(
     final_config: PotentialConfig,
     t_switch: float,
     unit: UnitSystem,
-    spec: SpectrumRunSpec = SpectrumRunSpec(),
-    resonance: Resonance | None = None,
+    spec: SpectrumRunSpec,
+    resonance: Resonance,
 ) -> EnergyDistribution:
-    """Run the switch, then project the released packet at the settle time."""
-    if resonance is None:
-        resonance = lowest_resonance(final_config, unit, spec.e_cut)
+    """Run the switch, then project the released packet at the settle time
+    on a grid dense around the given resonance."""
     schedule = SwitchingSchedule(initial_config, final_config, t_switch)
     setup = spec.setup(schedule, unit)
     phi0, _ = ground_state(initial_config, unit, dx=spec.dx, x_max=setup.box_length)
     result = propagate(phi0, setup, unit, record_every=max(1, setup.n_steps() // 50))
-    grid = energy_grid(
-        resonance.e_r, resonance.gamma, spec.e_cut, spec.n_energy, e_min=spec.e_min
-    )
+    grid = energy_grid(resonance.e_r, resonance.gamma, spec.e_cut, spec.n_energy)
     (snap,) = result.snapshots
     return energy_distribution(
-        snap.state,
-        final_config,
-        unit,
-        grid,
-        projection_time=snap.time,
-        contain_rtol=spec.contain_rtol,
+        snap.state, final_config, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL
     )
 
 
@@ -424,7 +399,7 @@ class DecayRunSpec:
             dt=self.dt,
             t_end=self.t_end,
             e_cut=self.e_cut,
-            absorber=default_absorber(self.box_length),
+            absorber=True,
         )
 
 
@@ -441,14 +416,17 @@ def switch_and_record(
     return propagate(phi0, setup, unit, record_every=spec.record_every).record
 
 
-def lowest_resonance(
-    config: PotentialConfig, unit: UnitSystem, e_cut: float = 400.0
-) -> Resonance:
-    """Lowest positive-energy resonance below e_cut, via the certified search."""
-    k_hi = 1.05 * math.sqrt(2.0 * e_cut / unit.kappa)
+#: Energy (ħ/s) below which lowest_resonance searches.
+RESONANCE_E_CUT = 400.0
+
+
+def lowest_resonance(config: PotentialConfig, unit: UnitSystem) -> Resonance:
+    """Lowest positive-energy resonance below RESONANCE_E_CUT, via the
+    certified search."""
+    k_hi = 1.05 * math.sqrt(2.0 * RESONANCE_E_CUT / unit.kappa)
     res = resonances(find_poles(config, unit, (0.0, k_hi, -0.45 * k_hi, 0.0)))
     if not res:
-        raise InvalidArgumentError(f"no resonance below {e_cut} for {config}")
+        raise InvalidArgumentError(f"no resonance below {RESONANCE_E_CUT} for {config}")
     return res[0]
 
 
@@ -478,14 +456,13 @@ def lorentzian_deviation(dist: EnergyDistribution, resonance: Resonance) -> floa
     return float(np.trapezoid(np.abs(dist.p[mask] - ref), e))
 
 
-def exponential_deviation(
-    record: DecayRecord, tau: float, t_min_late: float = LATE_FIT_T_MIN
-) -> float:
+def exponential_deviation(record: DecayRecord, tau: float) -> float:
     """Largest |log p_w - log pure-exponential| over [0, 3 tau].
 
-    The pure exponential is the late-time fit extrapolated backwards.
+    The pure exponential is the late-time fit from LATE_FIT_T_MIN,
+    extrapolated backwards.
     """
-    _, _, (intercept, slope) = fit_exponential_decay(record, t_min_late)
+    _, _, (intercept, slope) = fit_exponential_decay(record, LATE_FIT_T_MIN)
     mask = (record.times <= 3.0 * tau) & (record.p_w > 0.0)
     t = record.times[mask]
     logp = np.log(record.p_w[mask])
@@ -533,15 +510,13 @@ def scan_plan(
     tau: float,
     t_range_fractions: tuple[float, float] = (0.01, 0.6),
     n_coarse: int = 15,
-    spectrum_spec: SpectrumRunSpec = SpectrumRunSpec(),
-    decay_spec: DecayRunSpec | None = None,
 ) -> tuple[SpectrumRunSpec | DecayRunSpec, np.ndarray]:
     """The run record and the coarse switching times of one scan; the range
     is in lifetimes, 0 < low < high <= 2 (checked when a spec is parsed)."""
     if objective == LORENTZIAN_OBJECTIVE:
-        run = spectrum_spec
+        run = SpectrumRunSpec()
     elif objective == EXPONENTIAL_OBJECTIVE:
-        run = decay_spec or DecayRunSpec(t_end=LATE_FIT_T_MIN + FIT_SPAN_LIFETIMES * tau)
+        run = DecayRunSpec(t_end=LATE_FIT_T_MIN + FIT_SPAN_LIFETIMES * tau)
     else:
         raise InvalidArgumentError(
             f"unknown objective {objective!r}; use "
@@ -562,11 +537,10 @@ def optimal_switch_time(
     """Scan the switching time for the best release, under a declared metric.
 
     A coarse log-spaced scan, `scan_plan(objective, tau, **plan)` (keywords
-    t_range_fractions, n_coarse, spectrum_spec, decay_spec), brackets the
-    minimum, golden-section refines it to +-refine_rtol.  Several coarse
-    local minima within 10% of each other flag the scan as multimodal; the
-    global grid minimum is then returned unrefined rather than silently
-    picking one basin.
+    t_range_fractions, n_coarse), brackets the minimum, golden-section
+    refines it to +-refine_rtol.  Several coarse local minima within 10% of
+    each other flag the scan as multimodal; the global grid minimum is then
+    returned unrefined rather than silently picking one basin.
     """
     resonance = lowest_resonance(final_config, unit)
     tau = resonance.tau

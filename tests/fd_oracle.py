@@ -11,9 +11,9 @@ final trap's scattering states is written out here rather than taken from
 `spectra`.
 
 Box length and projection time follow the rule of a `SpectrumRunSpec`
-(settle time to `residual_v`, at least `min_projection_time`, box covering
-the `e_cut` front plus `box_pad`), so at equal grid step the oracle sees the
-same finite box as the program.
+(settle time to `spectra.RESIDUAL_V`, at least `spectra.MIN_PROJECTION_TIME`,
+box covering the `e_cut` front plus `spectra.BOX_PAD`), so at equal grid
+step the oracle sees the same finite box as the program.
 
 Not a test module; `test_acceptance.py` imports it.
 """
@@ -29,6 +29,7 @@ from trapswitch.errors import NoBoundStateError
 from trapswitch.groundstate import bound_state_profile
 from trapswitch.model import PotentialConfig, SwitchingSchedule, UnitSystem
 from trapswitch.scattering import evaluate_scattering_state
+from trapswitch.spectra import BOX_PAD, MIN_PROJECTION_TIME, RESIDUAL_V
 
 
 def bound_decay_constant(config: PotentialConfig, unit: UnitSystem) -> float:
@@ -88,9 +89,9 @@ def release_distribution(
     h and dt are the oracle's own grid and time step.
     """
     schedule = SwitchingSchedule(initial, final, t_switch)
-    t_proj = max(schedule.settle_time(spec.residual_v), spec.min_projection_time)
+    t_proj = max(schedule.settle_time(RESIDUAL_V), MIN_PROJECTION_TIME)
     v_cut = math.sqrt(2.0 * spec.e_cut * unit.kappa)
-    box = math.ceil((final.outer_edge + v_cut * t_proj + spec.box_pad) / h) * h
+    box = math.ceil((final.outer_edge + v_cut * t_proj + BOX_PAD) / h) * h
     n = int(round(box / h)) + 1
     x = h * np.arange(n)
 

@@ -18,7 +18,6 @@ from trapswitch.groundstate import ground_state
 from trapswitch.model import PotentialConfig, SwitchingSchedule
 from trapswitch.poles import find_poles, newton_pole, trace_iso_resonance, winding_number
 from trapswitch.propagate import (
-    AbsorbingLayer,
     PropagationSetup,
     _tri_mul,
     assemble_operators,
@@ -88,11 +87,9 @@ def sudden_run(unit, resonance):
     )
     result = propagate(phi0, setup, unit, record_every=10)
     grid = energy_grid(resonance.e_r, resonance.gamma, 1000.0, 2000)
-    d0 = energy_distribution(phi0, FINAL, unit, grid, projection_time=0.0)
+    d0 = energy_distribution(phi0, FINAL, unit, grid)
     d1, d2 = (
-        energy_distribution(
-            s.state, FINAL, unit, grid, projection_time=s.time, contain_rtol=1.0
-        )
+        energy_distribution(s.state, FINAL, unit, grid, contain_rtol=1.0)
         for s in result.snapshots
     )
     return result, d0, d1, d2
@@ -333,7 +330,6 @@ def test_criterion_8d_absorber_transparency(unit):
         PropagationSetup(schedule=schedule, dx=dx, box_length=big, dt=dt, t_end=t_end),
         unit,
         record_every=10,
-        accuracy_check=False,
     ).record
     small = 150.0
     phi, _ = ground_state(INITIAL, unit, dx=dx, x_max=small)
@@ -345,11 +341,10 @@ def test_criterion_8d_absorber_transparency(unit):
             box_length=small,
             dt=dt,
             t_end=t_end,
-            absorber=AbsorbingLayer(width=37.5, strength=800.0),
+            absorber=True,
         ),
         unit,
         record_every=10,
-        accuracy_check=False,
     ).record
     diff = float(np.max(np.abs(truth.p_w - absorbed.p_w)))
     _verdict("8d absorber-transparency", diff < 1e-4, f"max |dp_w| = {diff:.1e} < 1e-4")

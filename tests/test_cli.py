@@ -204,14 +204,14 @@ def test_validate_agrees_with_the_runners_own_setups(
     # propagates.
     setups = []
 
-    def record_setup(initial, setup, unit, record_every=1, accuracy_check=True):
+    def record_setup(initial, setup, unit, record_every=1):
         setups.append(setup)
         t = np.linspace(0.0, setup.t_end, 200)
         record = DecayRecord(t, np.exp(-t / 0.1), np.ones_like(t))
         return PropagationResult(None, record, [Snapshot(s, None) for s in setup.snapshot_times])
 
     def flat_distribution(state, final_config, unit, e_grid, **kwargs):
-        return EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0, 0.0)
+        return EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0)
 
     monkeypatch.setattr(spectra, "propagate", record_setup)
     monkeypatch.setattr(spectra, "energy_distribution", flat_distribution)

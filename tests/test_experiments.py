@@ -7,15 +7,21 @@ emission contract they all share.
 
 import csv
 import os
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
 
-from trapswitch import experiments
+from trapswitch import experiments, poles
 from trapswitch.errors import IncompleteSearchError
 from trapswitch.experiments import _decay_plan, _stage, planned_setups, run_experiment
-from trapswitch.io import load_spec, parse_spec, spec_hash, spec_problems
-from trapswitch.spectra import FIT_SPAN_LIFETIMES, lowest_resonance
+from trapswitch.io import _NUMERICS_KEYS, load_spec, parse_spec, spec_hash, spec_problems
+from trapswitch.spectra import (
+    FIT_SPAN_LIFETIMES,
+    DecayRunSpec,
+    SpectrumRunSpec,
+    lowest_resonance,
+)
 
 from conftest import E_RES, GAMMA_RES
 
@@ -33,6 +39,12 @@ def _read_csv(path):
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     header = [h.split(" [")[0] for h in rows[0]]
     return header, rows[1:]
+
+
+def _read_meta(path):
+    with open(path) as fh:
+        pairs = [line[2:].rstrip("\n").split(": ", 1) for line in fh if line.startswith("# ")]
+    return dict(pairs)
 
 
 def test_poles_runner_reports_both_traps(tmp_path):
@@ -85,6 +97,34 @@ def test_iso_curves_runner_traces_and_reverifies(tmp_path):
     assert len(v_well) >= 3
     for e in e_r:
         assert e == pytest.approx(134.511248728, rel=1e-3)
+    # the curve's CSV says why it stopped exactly when the summary reports a
+    # truncation (here Gamma falls below the double-precision floor)
+    meta = _read_meta(os.path.join(path, "iso_curve_1.csv"))
+    _, rows = _read_csv(os.path.join(path, "summary.csv"))
+    truncated = {r[0]: r[1] for r in rows}["iso_curve_1_truncated"] == "1"
+    assert ("truncated_reason" in meta) == truncated
+
+
+def test_iso_curves_runner_writes_why_a_curve_stopped(tmp_path, monkeypatch):
+    # Newton finds poles at the first well depth only, so the first point
+    # is solved and continuation to the next depth loses the pole
+    v_first = 5.0
+    newton = poles.newton_pole
+
+    def first_depth_only(config, unit, k0):
+        return newton(config, unit, k0) if config.v_well == v_first else None
+
+    monkeypatch.setattr(poles, "newton_pole", first_depth_only)
+    spec = _spec(
+        tmp_path, "iso-curves",
+        {"e_r_targets": [134.511248728], "n_points": 3, "v_well_range": [v_first, 350.0]},
+    )
+    path, _ = run_experiment(spec)
+    meta = _read_meta(os.path.join(path, "iso_curve_1.csv"))
+    assert meta["truncated_reason"] == "pole tracking lost between v_well=5 and 177.5"
+    _, rows = _read_csv(os.path.join(path, "summary.csv"))
+    scalars = {r[0]: r[1] for r in rows}
+    assert (scalars["iso_curve_1_points"], scalars["iso_curve_1_truncated"]) == ("1", "1")
 
 
 def test_summary_and_bundle_contract(tmp_path):
@@ -161,6 +201,13 @@ READS = {
     "t-scan": {},
 }
 ALL_KEYS = set().union(*READS.values()) | {"absorber_width", "absorber_strength"}
+
+
+def test_run_records_hold_only_spec_keys():
+    # a record field that no spec can set is a constant, not a setting
+    assert {f.name for f in fields(SpectrumRunSpec)} == set(_NUMERICS_KEYS["spectrum-vs-T"])
+    assert {f.name for f in fields(DecayRunSpec)} == set(_NUMERICS_KEYS["decay-curves"])
+
 
 #: experiment -> (callee in experiments, what of its call the numerics shape)
 CONSUMERS = {

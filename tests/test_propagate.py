@@ -16,13 +16,10 @@ from trapswitch.errors import InvalidArgumentError, ResolutionError
 from trapswitch.groundstate import ground_state
 from trapswitch.model import SwitchingSchedule
 from trapswitch.propagate import (
-    ABSORBER_STRENGTH_DEFAULT,
-    AbsorbingLayer,
     PropagationSetup,
     _embed_initial,
     _Stepper,
     assemble_operators,
-    default_absorber,
     non_escape_probability,
     propagate,
     validate_setup,
@@ -53,7 +50,7 @@ def test_validate_setup_flags_each_constraint(unit):
     # the same box is fine once an absorber handles the outgoing flux
     absorbed = PropagationSetup(schedule=_sudden(), dx=0.05, box_length=100.0,
                                 dt=2e-4, t_end=0.5, e_cut=40.0,
-                                absorber=default_absorber(100.0))
+                                absorber=True)
     assert validate_setup(absorbed, unit) == []
 
     stray = PropagationSetup(schedule=_sudden(), dx=0.05, box_length=300.0,
@@ -135,16 +132,6 @@ def test_decay_rate_insensitive_to_grid_step(unit):
     assert abs(tau_a - TAU_RES) / TAU_RES < 0.01
 
 
-def test_absorbing_layer_validation():
-    with pytest.raises(InvalidArgumentError):
-        AbsorbingLayer(width=-1.0, strength=100.0)
-    with pytest.raises(InvalidArgumentError):
-        AbsorbingLayer(width=10.0, strength=-5.0)
-    layer = default_absorber(150.0)
-    assert layer.width == pytest.approx(37.5)
-    assert layer.strength == ABSORBER_STRENGTH_DEFAULT
-
-
 def test_non_escape_probability_half_open_interval(unit):
     phi, _ = ground_state(INITIAL, unit, dx=0.05)
     p_narrow = non_escape_probability(phi, 2.5)
@@ -198,7 +185,7 @@ def test_stepper_matches_banded_lu_oracle_on_decay_box(unit, t_switch):
 def test_stepper_matches_banded_lu_oracle_edge_cases(unit, final, box, absorbed, far_rows):
     setup = PropagationSetup(
         schedule=SwitchingSchedule(INITIAL, final, 0.01), dx=0.05, box_length=box,
-        dt=2e-4, t_end=0.1, absorber=default_absorber(box) if absorbed else None,
+        dt=2e-4, t_end=0.1, absorber=absorbed,
     )
     stepper, drift = _stepper_drift(unit, setup, 200)
     assert setup.n_nodes() - 2 - stepper.m == far_rows
@@ -206,10 +193,9 @@ def test_stepper_matches_banded_lu_oracle_edge_cases(unit, final, box, absorbed,
     assert drift < STEPPER_ORACLE_TOL
 
 
-@pytest.mark.parametrize("accuracy_check, far_factorizations", [(True, 2), (False, 1)])
-def test_far_block_is_factored_once_per_time_step(unit, monkeypatch, accuracy_check,
-                                                  far_factorizations):
-    """Structural guard: each step refactors only the trap rows."""
+def test_far_block_is_factored_once_per_time_step(unit, monkeypatch):
+    """Structural guard: each step refactors only the trap rows; the far
+    block is factored once for the run's dt and once for the probe's dt/2."""
     setup = DecayRunSpec(t_end=0.02).setup(SwitchingSchedule(INITIAL, FINAL, 0.01), unit)
     trap_rows = round(FINAL.outer_edge / setup.dx)
     far_rows = setup.n_nodes() - 2 - trap_rows
@@ -224,8 +210,8 @@ def test_far_block_is_factored_once_per_time_step(unit, monkeypatch, accuracy_ch
     for name in ("zgttrf", "zgtsv"):
         monkeypatch.setattr(propagate_module, name, counting(getattr(propagate_module, name)))
     phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
-    propagate(phi, setup, unit, accuracy_check=accuracy_check)
-    assert sizes.count(far_rows) == far_factorizations
+    propagate(phi, setup, unit)
+    assert sizes.count(far_rows) == 2
     assert all(size == far_rows or size <= trap_rows for size in sizes)
-    probe_steps = 2 * propagate_module.ACCURACY_PROBE_STEPS if accuracy_check else 0
+    probe_steps = 2 * propagate_module.ACCURACY_PROBE_STEPS
     assert sizes.count(trap_rows) == setup.n_steps() + probe_steps
