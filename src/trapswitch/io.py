@@ -12,7 +12,8 @@ identical specs produce byte-identical outputs.
 import hashlib
 import os
 import shutil
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -20,7 +21,7 @@ import yaml
 from . import __version__
 from .errors import SpecValidationError
 from .model import PotentialConfig, UnitSystem, make_unit_system
-from .spectra import MIN_FIT_SAMPLES, OBJECTIVES
+from .spectra import MIN_FIT_SAMPLES, OBJECTIVES, DecayRunSpec, SpectrumRunSpec
 
 EXPERIMENT_NAMES = (
     "iso-curves",
@@ -45,9 +46,11 @@ def frac_label(frac: float) -> str:
 
 
 def _number_fault(value, kind=float, low=0.0, closed=False):
-    """Why value is not a `kind` above low (at or above, if closed), or None."""
+    """Why value is not a finite `kind` above low (at or above, if closed), or None."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         return f"expected {'an integer' if kind is int else 'a number'}, got {value!r}"
+    if not abs(value) <= sys.float_info.max:  # inf, nan, or an int past every float
+        return f"must be finite, got {value}"
     if not (value >= low if closed else value > low):
         return f"must be {'>=' if closed else '>'} {low:g}, got {value}"
     return None
@@ -116,19 +119,13 @@ _OPTION_KEYS = {
     },
     "ground-state": {"x_max": _number_fault},
 }
-#: experiment -> {numerics key its runner reads: type}; every value is > 0
+#: experiment -> {numerics key its runner reads: type}; every value is > 0.
+#: The propagating runners accept exactly the fields of their run record.
 _NUMERICS_KEYS = {
     "iso-curves": {},
     "delay-spectrum": {},
-    "decay-curves": {
-        "dx": float,
-        "dt": float,
-        "t_end": float,
-        "box_length": float,
-        "e_cut": float,
-        "record_every": int,
-    },
-    "spectrum-vs-T": {"dx": float, "dt": float, "e_cut": float, "n_energy": int},
+    "decay-curves": {f.name: f.type for f in fields(DecayRunSpec)},
+    "spectrum-vs-T": {f.name: f.type for f in fields(SpectrumRunSpec)},
     "t-scan": {},
     "poles": {},
     "ground-state": {"dx": float},

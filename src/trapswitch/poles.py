@@ -27,7 +27,7 @@ from .errors import (
     RefinementError,
 )
 from .model import PotentialConfig, UnitSystem
-from .scattering import delay_time, pole_function_scale, pole_function_terms
+from .scattering import delay_time, pole_function_terms
 
 BOUND = "bound"
 RESONANCE = "resonance"
@@ -48,16 +48,8 @@ RESIDUAL_FLOOR_RTOL = 1e-12
 
 def pole_function(config: PotentialConfig, unit: UnitSystem, k):
     """Omega(k); zeros are the S-matrix poles."""
-    t1, t2 = pole_function_terms(config, unit, k)
+    t1, t2, _ = pole_function_terms(config, unit, k)
     return t1 + t2
-
-
-def _residual_ok(config, unit, k) -> bool:
-    t1, t2 = pole_function_terms(config, unit, k)
-    scale = max(abs(complex(t1)), abs(complex(t2)))
-    floor = float(np.real(pole_function_scale(config, unit, k)))
-    tol = RESIDUAL_RTOL * scale + RESIDUAL_FLOOR_RTOL * floor
-    return abs(complex(t1) + complex(t2)) <= tol + 1e-300
 
 
 @dataclass(frozen=True)
@@ -111,15 +103,24 @@ def resonances(poles: list[Resonance]) -> list[Resonance]:
 def newton_pole(config: PotentialConfig, unit: UnitSystem, k0: complex) -> complex | None:
     """Newton iteration on Omega from seed k0; None if it fails to settle in 80 steps.
 
+    Each iterate costs one Omega call on k and k +- h, which gives the
+    residual, its acceptance test and the central-difference derivative.
     Steps are clamped to half the current scale so a near-zero derivative
     cannot fling the iterate into overflow territory.
     """
     k = complex(k0)
+    settled = False
     with np.errstate(over="ignore", invalid="ignore"):
-        f = complex(pole_function(config, unit, k))
-        for _ in range(80):
+        for step in range(81):
             h = 1e-7 * (1.0 + abs(k))
-            f_plus, f_minus = pole_function(config, unit, np.array([k + h, k - h])).tolist()
+            t1, t2, mass = pole_function_terms(config, unit, np.array([k, k + h, k - h]))
+            f, f_plus, f_minus = (t1 + t2).tolist()
+            tol = RESIDUAL_RTOL * max(abs(t1[0]), abs(t2[0])) + RESIDUAL_FLOOR_RTOL * mass[0]
+            residual_ok = abs(f) <= tol + 1e-300
+            if residual_ok and settled:
+                return k
+            if step == 80:
+                return k if residual_ok else None
             fp = (f_plus - f_minus) / (2.0 * h)
             if fp == 0.0 or not cmath.isfinite(fp):
                 return None
@@ -130,10 +131,7 @@ def newton_pole(config: PotentialConfig, unit: UnitSystem, k0: complex) -> compl
             k = k + dk
             if not cmath.isfinite(k):
                 return None
-            f = complex(pole_function(config, unit, k))
-            if abs(dk) < 1e-13 * (1.0 + abs(k)) and _residual_ok(config, unit, k):
-                return k
-    return k if _residual_ok(config, unit, k) else None
+            settled = abs(dk) < 1e-13 * (1.0 + abs(k))
 
 
 def find_bound_states(

@@ -8,7 +8,8 @@ eigenpairs honest at the kinks, where a plain finite-difference Laplacian
 loses two orders of accuracy.  Time stepping is the unconditionally stable
 implicit midpoint (Crank-Nicolson) rule with the switching profile sampled
 at t + dt/2; with no absorber it conserves the mass-matrix norm to
-roundoff and is exactly reversible.
+roundoff and is exactly reversible.  A run keeps only its state at t_end
+and a sampled record of the in-well probability and the norm.
 
 All matrices are symmetric tridiagonal (the absorber adds a symmetric
 negative-imaginary part), stored as (diagonal, off-diagonal) arrays.  The
@@ -56,7 +57,6 @@ class PropagationSetup:
     t_end: float
     e_cut: float = 1000.0
     absorber: bool = False
-    snapshot_times: tuple[float, ...] = ()
 
     def k_cut(self, unit: UnitSystem) -> float:
         return math.sqrt(2.0 * self.e_cut / unit.kappa)
@@ -106,9 +106,6 @@ def validate_setup(setup: PropagationSetup, unit: UnitSystem) -> list[str]:
                 f"box_length={setup.box_length:.6g} lets flux reach the wall; "
                 f"need >= {l_min:.6g} without an absorber"
             )
-    for t in setup.snapshot_times:
-        if not (0.0 <= t <= setup.t_end + 0.5 * setup.dt):
-            problems.append(f"snapshot time {t} outside [0, t_end]")
     return problems
 
 
@@ -130,17 +127,10 @@ class DecayRecord:
             raise InvalidArgumentError("record times must be strictly ascending")
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    time: float
-    state: WavefunctionGrid
-
-
 @dataclass
 class PropagationResult:
     final: WavefunctionGrid
     record: DecayRecord
-    snapshots: list[Snapshot]
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +447,10 @@ def propagate(
     unit: UnitSystem,
     record_every: int = 1,
 ) -> PropagationResult:
-    """Run the switch and return the final state, decay record, and snapshots.
+    """Run the switch to t_end and return the final state and decay record.
 
     The record samples t = 0 and then every record_every-th step; the norm
-    column is the conserved mass-matrix norm.  Snapshot requests are
-    quantized to the nearest step and stamped with the exact step time.
+    column is the conserved mass-matrix norm.
     """
     problems = validate_setup(setup, unit)
     if problems:
@@ -487,11 +476,6 @@ def propagate(
     d_well = schedule.initial.d
     n = setup.n_nodes()
 
-    def full_state(vec):
-        buf = np.zeros(n, dtype=complex)
-        buf[1:-1] = vec
-        return WavefunctionGrid(0.0, setup.dx, buf)
-
     # non_escape_probability reads no node past the first one beyond d
     n_well = min(n, int(d_well / setup.dx) + 3)
 
@@ -503,14 +487,7 @@ def propagate(
         nm = np.vdot(vec, _tri_mul(stepper.m_diag, stepper.m_off, vec)).real
         return p, nm
 
-    snap_steps: dict[int, float] = {}
-    for t_req in setup.snapshot_times:
-        j = int(round(t_req / dt))
-        j = min(max(j, 0), n_steps)
-        snap_steps.setdefault(j, j * dt)
-
     times, p_ws, norms = [], [], []
-    snapshots: list[Snapshot] = []
 
     def maybe_record(j, vec):
         if j % record_every == 0 or j == n_steps:
@@ -524,8 +501,6 @@ def propagate(
             norms.append(nm)
 
     maybe_record(0, psi)
-    if 0 in snap_steps:
-        snapshots.append(Snapshot(0.0, full_state(psi)))
 
     for j in range(n_steps):
         w = schedule.weight((j + 0.5) * dt)
@@ -534,8 +509,8 @@ def propagate(
         if step == window:
             _check_drift(ops, schedule, dt, psi, window, e_half)
         maybe_record(step, psi)
-        if step in snap_steps:
-            snapshots.append(Snapshot(snap_steps[step], full_state(psi)))
 
     record = DecayRecord(np.array(times), np.array(p_ws), np.array(norms))
-    return PropagationResult(full_state(psi), record, snapshots)
+    final = np.zeros(n, dtype=complex)
+    final[1:-1] = psi
+    return PropagationResult(WavefunctionGrid(0.0, setup.dx, final), record)

@@ -57,25 +57,18 @@ def _interior_blocks(config: PotentialConfig, unit: UnitSystem, k):
 
 
 def pole_function_terms(config: PotentialConfig, unit: UnitSystem, k):
-    """The two additive terms (k J, i R) whose sum vanishes at an S-matrix pole."""
-    k = np.asarray(k, dtype=complex)
-    _, p2, cw, sw, cb, sb = _interior_blocks(config, unit, k)
-    J = sw * cb + cw * sb
-    R = cw * cb - p2 * sw * sb
-    return k * J, 1j * R
-
-
-def pole_function_scale(config: PotentialConfig, unit: UnitSystem, k):
-    """Cancellation mass of the pole function: sum of |.| of its four products.
+    """The two additive terms (k J, i R) whose sum vanishes at an S-matrix
+    pole, and their cancellation mass, the sum of |.| of the four products.
 
     Near narrow resonances both k J and R vanish together, so the terms
-    themselves understate the rounding floor; this bound does not.
+    themselves understate the rounding floor of their sum; the mass does not.
     """
     k = np.asarray(k, dtype=complex)
     _, p2, cw, sw, cb, sb = _interior_blocks(config, unit, k)
-    return np.abs(k) * (np.abs(sw * cb) + np.abs(cw * sb)) + np.abs(cw * cb) + np.abs(
-        p2 * sw * sb
-    )
+    j_well, j_barrier = sw * cb, cw * sb  # J = j_well + j_barrier
+    r_cos, r_sin = cw * cb, p2 * sw * sb  # R = r_cos - r_sin
+    mass = np.abs(k) * (np.abs(j_well) + np.abs(j_barrier)) + np.abs(r_cos) + np.abs(r_sin)
+    return k * (j_well + j_barrier), 1j * (r_cos - r_sin), mass
 
 
 def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
@@ -84,7 +77,7 @@ def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise InvalidArgumentError("s_matrix requires k > 0")
-    t1, t2 = pole_function_terms(config, unit, k)
+    t1, t2, _ = pole_function_terms(config, unit, k)
     length = config.d + config.b
     return -np.exp(-2j * k * length) * (t1 - t2) / (t1 + t2)
 
@@ -106,7 +99,7 @@ def evaluate_scattering_state(
     length = d + b
 
     q2, p2, cw, sw, cb, sb = _interior_blocks(config, unit, k)
-    t1, t2 = pole_function_terms(config, unit, k)
+    t1, t2, _ = pole_function_terms(config, unit, k)
     amp_q = 2.0 * k * np.exp(-1j * k * length) / (t1 + t2)  # A*q
     s = -np.exp(-2j * k * length) * (t1 - t2) / (t1 + t2)
     pref = 1.0 / _TWO_PI_SQRT
@@ -123,7 +116,8 @@ def evaluate_scattering_state(
     out[mid] = psi_d * np.cos(p * u) + dpsi_d * u * cardinal_sine(p * u)
 
     outer = x > length
-    out[outer] = pref * (np.exp(-1j * k * x[outer]) - s * np.exp(1j * k * x[outer]))
+    wave = np.exp(1j * k * x[outer])
+    out[outer] = pref * (wave.conj() - s * wave)
     return out
 
 

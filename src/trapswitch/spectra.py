@@ -354,7 +354,6 @@ class SpectrumRunSpec:
             dt=self.dt,
             t_end=t_star,
             e_cut=self.e_cut,
-            snapshot_times=(t_star,),
         )
 
 
@@ -373,9 +372,8 @@ def switch_and_project(
     phi0, _ = ground_state(initial_config, unit, dx=spec.dx, x_max=setup.box_length)
     result = propagate(phi0, setup, unit, record_every=max(1, setup.n_steps() // 50))
     grid = energy_grid(resonance.e_r, resonance.gamma, spec.e_cut, spec.n_energy)
-    (snap,) = result.snapshots
     return energy_distribution(
-        snap.state, final_config, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL
+        result.final, final_config, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL
     )
 
 

@@ -9,7 +9,7 @@ import yaml
 from trapswitch import experiments, spectra
 from trapswitch.cli import main
 from trapswitch.model import make_unit_system
-from trapswitch.propagate import DecayRecord, PropagationResult, Snapshot, validate_setup
+from trapswitch.propagate import DecayRecord, PropagationResult, validate_setup
 from trapswitch.spectra import EnergyDistribution
 
 GOOD_SPEC = """\
@@ -147,16 +147,26 @@ def test_run_spec_file_matches_direct_subcommand(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "override",
-    ["numerics.n_energy=abc", "numerics.n_energy=1.5", "numerics.record_every=0"],
+    [
+        "numerics.n_energy=abc",
+        "numerics.n_energy=1.5",
+        "numerics.record_every=0",
+        "numerics.dt=.inf",
+        "numerics.box_length=.inf",
+        "numerics.e_cut=-.inf",
+        "numerics.dx=.nan",
+    ],
 )
 def test_bad_numerics_are_schema_problems(tmp_path, capsys, override):
-    experiment = "decay-curves" if "record_every" in override else "spectrum-vs-T"
+    key, value = override.split("=")
+    decay_only = key in ("numerics.record_every", "numerics.box_length")
+    experiment = "decay-curves" if decay_only else "spectrum-vs-T"
     spec = _write(tmp_path, f"experiment:\n  name: {experiment}\n")
     assert main(["validate", spec, "--set", override]) == 1
     assert main(["run", spec, "--set", override]) == 2
     captured = capsys.readouterr()
-    key = override.split("=")[0]
-    assert f"{key}: " in captured.out and f"{key}: " in captured.err
+    fault = f"{key}: must be finite" if value in (".inf", "-.inf", ".nan") else f"{key}: "
+    assert fault in captured.out and fault in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 
@@ -176,6 +186,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
         ("decay_curves.yaml", "experiment.t_switch_fractions=abc"),
         ("ground_state.yaml", "experiment.x_max=abc"),
         ("ground_state.yaml", "experiment.x_max=3"),
+        ("ground_state.yaml", "experiment.x_max=.inf"),
     ],
 )
 def test_bad_options_are_schema_problems(tmp_path, capsys, config, override):
@@ -208,7 +219,7 @@ def test_validate_agrees_with_the_runners_own_setups(
         setups.append(setup)
         t = np.linspace(0.0, setup.t_end, 200)
         record = DecayRecord(t, np.exp(-t / 0.1), np.ones_like(t))
-        return PropagationResult(None, record, [Snapshot(s, None) for s in setup.snapshot_times])
+        return PropagationResult(None, record)
 
     def flat_distribution(state, final_config, unit, e_grid, **kwargs):
         return EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0)

@@ -1,5 +1,6 @@
 """Spec parsing, overrides, hashing, and the CSV/report emission layer."""
 
+import math
 import os
 import re
 
@@ -76,6 +77,9 @@ def test_experiment_name_is_required_and_checked():
         ("numerics", "dx", -0.05, "numerics.dx: must be > 0"),
         ("numerics", "dt", 0.0, "numerics.dt: must be > 0"),
         ("physics", "d", "wide", "physics.d: expected a number"),
+        ("numerics", "t_end", math.inf, "numerics.t_end: must be finite"),
+        ("numerics", "dt", -math.inf, "numerics.dt: must be finite"),
+        ("physics", "d", math.nan, "physics.d: must be finite"),
     ],
 )
 def test_bad_values_are_flagged(section, key, value, fragment):

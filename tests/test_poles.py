@@ -97,9 +97,26 @@ def test_classified_pole_fields_are_consistent(unit):
 def test_newton_pole_residual_small(unit):
     k = newton_pole(FINAL, unit, complex(0.31, -0.001))
     # compare |Omega| with its additive terms, not with zero
-    t1, t2 = pole_function_terms(FINAL, unit, k)
+    t1, t2, _ = pole_function_terms(FINAL, unit, k)
     scale = max(abs(complex(t1)), abs(complex(t2)))
     assert abs(complex(pole_function(FINAL, unit, k))) < 1e-9 * scale
+
+
+def test_newton_pole_makes_one_three_point_omega_call_per_iterate(monkeypatch, unit):
+    # the residual, its acceptance test and the derivative at an iterate
+    # all come from one call on k and k +- h
+    calls = []
+
+    def recorded(config, unit, k):
+        calls.append(np.asarray(k))
+        return pole_function_terms(config, unit, k)
+
+    monkeypatch.setattr("trapswitch.poles.pole_function_terms", recorded)
+    k = newton_pole(FINAL, unit, 0.31 - 0.001j)
+    assert abs(k - K_RES) <= 1e-13 * (1.0 + abs(k))
+    assert [c.shape for c in calls] == [(3,)] * len(calls)
+    iterates = [complex(c[0]) for c in calls]
+    assert len(set(iterates)) == len(iterates) and iterates[-1] == k
 
 
 def test_find_poles_release_trap_region(unit):

@@ -53,11 +53,6 @@ def test_validate_setup_flags_each_constraint(unit):
                                 absorber=True)
     assert validate_setup(absorbed, unit) == []
 
-    stray = PropagationSetup(schedule=_sudden(), dx=0.05, box_length=300.0,
-                             dt=2e-4, t_end=0.5, e_cut=40.0,
-                             snapshot_times=(0.7,))
-    assert any("snapshot" in p for p in validate_setup(stray, unit))
-
     tiny = PropagationSetup(schedule=_sudden(), dx=0.05, box_length=0.1,
                             dt=2e-4, t_end=0.0, e_cut=40.0)
     assert any("1 interior nodes" in p for p in validate_setup(tiny, unit))
@@ -84,19 +79,16 @@ def test_accuracy_probe_rejects_coarse_step(unit):
         propagate(phi, setup, unit)
 
 
-def test_mass_norm_conserved_and_snapshots_quantized(unit):
+def test_mass_norm_conserved_and_recorded(unit):
     phi, _ = ground_state(INITIAL, unit, dx=0.05, x_max=300.0)
     setup = PropagationSetup(schedule=_sudden(), dx=0.05, box_length=300.0,
-                             dt=2e-4, t_end=0.1, e_cut=100.0,
-                             snapshot_times=(0.05001, 0.1))
+                             dt=2e-4, t_end=0.1, e_cut=100.0)
     out = propagate(phi, setup, unit, record_every=25)
     # the recorded norm is the conserved mass-matrix form; it starts an
     # O(dx^2) distance from the plain Riemann sum and must then stay put
     assert np.max(np.abs(out.record.norm - out.record.norm[0])) < 1e-10
     assert abs(out.record.norm[0] - 1.0) < 1e-3
-    assert [s.time for s in out.snapshots] == pytest.approx([0.05, 0.1])
-    for s in out.snapshots:
-        assert s.state.values[0] == 0.0 and s.state.values[-1] == 0.0
+    assert out.final.values[0] == 0.0 and out.final.values[-1] == 0.0
     assert out.record.times[0] == 0.0
     assert out.record.times[-1] == pytest.approx(0.1)
     assert out.record.times.size == setup.n_steps() // 25 + 1
