@@ -27,7 +27,7 @@ from .errors import (
     RefinementError,
 )
 from .model import PotentialConfig, UnitSystem
-from .scattering import delay_time, pole_function_terms
+from .scattering import delay_time, pole_function_derivatives, pole_function_terms
 
 BOUND = "bound"
 RESONANCE = "resonance"
@@ -100,11 +100,21 @@ def resonances(poles: list[Resonance]) -> list[Resonance]:
     return sorted((p for p in poles if p.kind == RESONANCE and p.e_r > 0.0), key=lambda p: p.e_r)
 
 
+def _residual(config: PotentialConfig, unit: UnitSystem, k: complex) -> tuple[complex, bool]:
+    """Omega at the one point k, and whether it passes the Newton residual
+    test: RESIDUAL_RTOL of the larger term plus RESIDUAL_FLOOR_RTOL of the
+    cancellation mass."""
+    t1, t2, mass = pole_function_terms(config, unit, k)
+    f = complex(t1 + t2)
+    tol = RESIDUAL_RTOL * max(abs(t1), abs(t2)) + RESIDUAL_FLOOR_RTOL * mass
+    return f, bool(abs(f) <= tol + 1e-300)
+
+
 def newton_pole(config: PotentialConfig, unit: UnitSystem, k0: complex) -> complex | None:
     """Newton iteration on Omega from seed k0; None if it fails to settle in 80 steps.
 
-    Each iterate costs one Omega call on k and k +- h, which gives the
-    residual, its acceptance test and the central-difference derivative.
+    Each iterate costs one Omega call, which gives the residual and its
+    acceptance test, and one closed-form Omega' call, both on the one point k.
     Steps are clamped to half the current scale so a near-zero derivative
     cannot fling the iterate into overflow territory.
     """
@@ -112,16 +122,12 @@ def newton_pole(config: PotentialConfig, unit: UnitSystem, k0: complex) -> compl
     settled = False
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(81):
-            h = 1e-7 * (1.0 + abs(k))
-            t1, t2, mass = pole_function_terms(config, unit, np.array([k, k + h, k - h]))
-            f, f_plus, f_minus = (t1 + t2).tolist()
-            tol = RESIDUAL_RTOL * max(abs(t1[0]), abs(t2[0])) + RESIDUAL_FLOOR_RTOL * mass[0]
-            residual_ok = abs(f) <= tol + 1e-300
+            f, residual_ok = _residual(config, unit, k)
             if residual_ok and settled:
                 return k
             if step == 80:
                 return k if residual_ok else None
-            fp = (f_plus - f_minus) / (2.0 * h)
+            fp = complex(pole_function_derivatives(config, unit, k)[0])
             if fp == 0.0 or not cmath.isfinite(fp):
                 return None
             dk = -f / fp
@@ -375,10 +381,8 @@ class IsoResonanceCurve:
     reason: str | None
 
 
-#: First-point search range of the barrier height, and the relative
-#: tolerance on Re(E_pole) of every point of an iso-resonance curve.
+#: First-point search range of the barrier height.
 ISO_BARRIER_BRACKET = (0.5, 4000.0)
-ISO_RTOL = 1e-4
 
 
 def trace_iso_resonance(
@@ -391,170 +395,121 @@ def trace_iso_resonance(
 ) -> IsoResonanceCurve:
     """Continuation of one resonance along well depth at fixed Re(E_pole).
 
-    The first point comes from a bracketed 1-d solve in v_barrier on the
-    lowest resonance; every later point reuses the previous pole as a Newton
-    seed and adjusts v_barrier by secant steps.  If continuation fails the
-    curve is truncated and the reason recorded; nothing is extrapolated.
+    Along the curve Re k^2 = a = 2 e_r_target / kappa is held exactly, and
+    each point solves the real 2 x 2 system Re Omega = Im Omega = 0 for
+    (s = Im k^2, v_barrier) by Newton, with dk/ds = i/(2k) and the
+    closed-form Omega'.  The first point starts from the pole of a top-down
+    barrier scan and is certified by one find_poles call as the lowest
+    resonance.  Later points are predicted by a secant through the last two
+    solved points and corrected; a corrector counts only if it converges in
+    12 steps, each scaled step |(ds/a, dv/v)| at most half the one before,
+    which keeps the iteration on the tracked family.  On failure the
+    well-depth step is halved toward the last solved depth, and from a
+    solved sub-depth (not emitted) the target is tried again; below a 1e-6
+    relative step the curve is truncated and the reason recorded.  Nothing
+    is extrapolated.
     """
     if e_r_target <= 0.0:
         raise InvalidArgumentError("e_r_target must be positive")
     if n_points < 2:
         raise InvalidArgumentError("n_points must be >= 2")
     v_wells = np.linspace(v_well_range[0], v_well_range[1], n_points)
-    k_scale = math.sqrt(2.0 * e_r_target / unit.kappa)
+    a = 2.0 * e_r_target / unit.kappa
+    k_scale = math.sqrt(a)
     # any pole with e_r > 0 has |Im k| < Re k, so this depth misses nothing
     region = (0.25 * k_scale, 3.5 * k_scale, -3.5 * k_scale, 0.0)
 
-    def lowest_e_r(v_well, v_barrier):
-        cfg = PotentialConfig(v_well=v_well, v_barrier=v_barrier, d=d, b=b)
-        found = resonances(find_poles(cfg, unit, region))
-        return (found[0].e_r, found[0]) if found else (None, None)
+    def config(v_well, v_barrier):
+        return PotentialConfig(v_well=v_well, v_barrier=v_barrier, d=d, b=b)
 
-    # first point: geometric scan for a sign change, then bisection.  The
-    # scan walks the barrier DOWN from the top so the bracket lands on the
-    # narrowest family that reaches the target, not on a broad whole-cavity
-    # mode that happens to cross it at a near-zero barrier.
-    vb_lo, vb_hi = ISO_BARRIER_BRACKET
-    scan = np.geomspace(vb_hi, max(vb_lo, 1e-3), 40)
-    prev_v, prev_f = None, None
-    bracket = None
-    for vb in scan:
-        er, _ = lowest_e_r(v_wells[0], vb)
-        if er is None:
-            prev_v, prev_f = None, None
-            continue
-        f = er - e_r_target
-        if prev_f is not None and (f > 0) != (prev_f > 0):
-            bracket = (prev_v, vb)
+    def lowest(v_well, v_barrier):
+        found = resonances(find_poles(config(v_well, v_barrier), unit, region))
+        return found[0] if found else None
+
+    def correct(v_well, s, v_barrier):
+        """Newton in (s, v_barrier); the converged (s, v_barrier, k) or None."""
+        last = math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(13):
+                k = cmath.sqrt(complex(a, s))
+                cfg = config(v_well, v_barrier)
+                f, residual_ok = _residual(cfg, unit, k)
+                if residual_ok and last < 1e-13:
+                    return s, v_barrier, k
+                if step == 12:
+                    return None
+                d_k, d_v = (complex(x) for x in pole_function_derivatives(cfg, unit, k))
+                d_s = d_k * 1j / (2.0 * k)  # dk/ds = i/(2k)
+                det = (d_s.conjugate() * d_v).imag
+                if det == 0.0:
+                    return None
+                ds = -(f.conjugate() * d_v).imag / det
+                dv = -(d_s.conjugate() * f).imag / det
+                size = math.hypot(ds / a, dv / v_barrier)
+                if not (size <= 0.5 * last and 0.0 < v_barrier + dv < math.inf):
+                    return None
+                s, v_barrier, last = s + ds, v_barrier + dv, size
+
+    # first point: the scan walks the barrier DOWN from the top so the
+    # bracket lands on the narrowest family that reaches the target, not on
+    # a broad whole-cavity mode that happens to cross it at a near-zero
+    # barrier; Newton starts from the bracket end nearer the target
+    prev = start = None
+    for vb in np.geomspace(ISO_BARRIER_BRACKET[1], ISO_BARRIER_BRACKET[0], 40).tolist():
+        pole = lowest(v_wells[0], vb)
+        if pole and prev and (pole.e_r > e_r_target) != (prev[1].e_r > e_r_target):
+            start = min(prev, (vb, pole), key=lambda c: abs(c[1].e_r - e_r_target))
             break
-        prev_v, prev_f = vb, f
-    if bracket is None:
+        prev = (vb, pole) if pole else None
+    if start is None:
         raise InvalidArgumentError(
             f"no barrier height in {ISO_BARRIER_BRACKET} puts the lowest resonance at {e_r_target}"
         )
-    a, bb = bracket
-    fa = lowest_e_r(v_wells[0], a)[0] - e_r_target
-    best = None
-    for _ in range(80):
-        m = 0.5 * (a + bb)
-        fm_er, pole_m = lowest_e_r(v_wells[0], m)
-        if fm_er is None:
-            raise InvalidArgumentError(
-                f"lowest resonance vanished inside the first-point bracket at v_barrier={m:.6g}"
-            )
-        fm = fm_er - e_r_target
-        if best is None or abs(fm) < abs(best[0]):
-            best = (fm, m, fm_er, pole_m)
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            bb = m
-        # 3x inside the verification tolerance is enough; each probe is a
-        # full certified pole search, so do not polish further
-        if abs(fm) <= 0.3 * ISO_RTOL * e_r_target or abs(bb - a) < 1e-12 * (1 + bb):
-            break
-    _, vb0, er0, pole0 = best
+    vb0, pole0 = start
+    first = correct(v_wells[0], (pole0.k_res**2).imag, vb0)
+    certified = lowest(v_wells[0], first[1]) if first is not None else None
+    if certified is None or abs(certified.k_res - first[2]) > 1e-8 * (1.0 + abs(first[2])):
+        raise InvalidArgumentError(
+            f"Newton from the scan bracket at v_barrier={vb0:.6g} does not reach "
+            f"the lowest resonance at {e_r_target}"
+        )
 
-    out_vb = [vb0]
-    out_gamma = [pole0.gamma]
-    out_k = [pole0.k_res]
-    out_er = [er0]
-    truncated, reason = False, None
-    emitted = 1
-
-    def track(v_well, v_barrier, seed):
-        cfg = PotentialConfig(v_well=v_well, v_barrier=v_barrier, d=d, b=b)
-        z = newton_pole(cfg, unit, seed)
-        # very narrow poles can land a hair above the axis by roundoff
-        if z is None or z.imag > 1e-9 or z.real <= 0.0:
-            return None
-        if abs(z - seed) > 0.5 * abs(seed) + 0.05:
-            return None  # jumped to a different pole family
-        if z.imag > 0.0:
-            z = complex(z.real, 0.0)
-        return _classify(unit, z)
-
-    def solve_point(vw, vb_start, k_seed):
-        """Secant in v_barrier holding the tracked pole at e_r_target."""
-        vb_a, pole_a = vb_start, track(vw, vb_start, k_seed)
-        if pole_a is None:
-            return None
-        f_a = pole_a.e_r - e_r_target
-        if abs(f_a) <= ISO_RTOL * e_r_target:
-            return vb_a, pole_a
-        vb_b = vb_a * 1.02 + 0.5
-        pole_b = track(vw, vb_b, pole_a.k_res)
-        for _ in range(60):
-            if pole_b is None:
-                return None
-            f_b = pole_b.e_r - e_r_target
-            if abs(f_b) <= ISO_RTOL * e_r_target:
-                return vb_b, pole_b
-            if f_b == f_a:
-                return None
-            vb_next = vb_b - f_b * (vb_b - vb_a) / (f_b - f_a)
-            if not math.isfinite(vb_next) or vb_next <= 0.0:
-                return None
-            vb_a, f_a = vb_b, f_b
-            vb_b, pole_b = vb_next, track(vw, vb_next, pole_b.k_res)
-        return None
-
-    # continuation with adaptive sub-stepping in well depth: when a full
-    # step loses the pole, solve intermediate depths first (not emitted)
-    cur_vw, cur_vb, cur_k = v_wells[0], vb0, pole0.k_res
-    for i in range(1, n_points):
-        target_vw = v_wells[i]
-        fail = None
-        for _ in range(200):
-            ok = solve_point(target_vw, cur_vb, cur_k)
-            if ok is not None:
-                break
-            # halve toward the current depth until tracking reconnects
-            step_vw = cur_vw + 0.5 * (target_vw - cur_vw)
-            depth_ok = None
-            for _ in range(24):
-                depth_ok = solve_point(step_vw, cur_vb, cur_k)
-                if depth_ok is not None:
-                    break
+    points = [_classify(unit, first[2])]
+    out_vb = [first[1]]
+    solved = [(v_wells[0], first[0], first[1])]  # (v_well, s, v_barrier)
+    reason = None
+    for target_vw in v_wells[1:]:
+        step_vw = target_vw
+        while True:
+            # secant predictor, or the last point alone at the start
+            (cur_vw, *cur), (old_vw, *old) = solved[-1], solved[max(len(solved) - 2, 0)]
+            t = (step_vw - cur_vw) / (cur_vw - old_vw) if len(solved) > 1 else 0.0
+            sol = correct(step_vw, *(c + t * (c - o) for c, o in zip(cur, old)))
+            if sol is None:
                 step_vw = cur_vw + 0.5 * (step_vw - cur_vw)
                 if abs(step_vw - cur_vw) < 1e-6 * (1.0 + abs(cur_vw)):
+                    reason = f"pole tracking lost between v_well={cur_vw:.6g} and {target_vw:.6g}"
                     break
-            if depth_ok is None:
-                fail = f"pole tracking lost between v_well={cur_vw:.6g} and {target_vw:.6g}"
+                continue
+            pole = _classify(unit, sol[2])
+            if pole.gamma < 1e-10:
+                reason = f"resonance width below the double-precision floor at v_well={step_vw:.6g}"
                 break
-            vb_s, pole_s = depth_ok
-            if pole_s.gamma < 1e-10:
-                fail = (
-                    f"resonance width below the double-precision floor near "
-                    f"v_well={step_vw:.6g}"
-                )
+            solved.append((step_vw, sol[0], sol[1]))
+            if step_vw == target_vw:
                 break
-            cur_vw, cur_vb, cur_k = step_vw, vb_s, pole_s.k_res
-        else:
-            fail = f"sub-step budget exhausted before v_well={target_vw:.6g}"
-        if fail is not None:
-            truncated, reason = True, fail
+            step_vw = target_vw
+        if reason is not None:
             break
-        vb_i, pole_i = ok
-        if pole_i.gamma < 1e-10:
-            truncated, reason = (
-                True,
-                f"resonance width below the double-precision floor at v_well={target_vw:.6g}",
-            )
-            break
-        out_vb.append(vb_i)
-        out_gamma.append(pole_i.gamma)
-        out_k.append(pole_i.k_res)
-        out_er.append(pole_i.e_r)
-        cur_vw, cur_vb, cur_k = target_vw, vb_i, pole_i.k_res
-        emitted += 1
+        points.append(pole)
+        out_vb.append(solved[-1][2])
 
     return IsoResonanceCurve(
-        v_well=v_wells[:emitted].copy(),
+        v_well=v_wells[: len(points)].copy(),
         v_barrier=np.array(out_vb),
-        gamma=np.array(out_gamma),
-        k_res=np.array(out_k),
-        e_r=np.array(out_er),
-        truncated=truncated,
+        gamma=np.array([p.gamma for p in points]),
+        k_res=np.array([p.k_res for p in points]),
+        e_r=np.array([p.e_r for p in points]),
+        truncated=reason is not None,
         reason=reason,
     )

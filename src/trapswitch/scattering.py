@@ -38,12 +38,29 @@ def cardinal_sine(z):
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-4
     zs = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, np.sin(zs) / zs)
-    return out
+    return np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, np.sin(zs) / zs)
+
+
+#: Taylor coefficients of u(z) = (sinc z - cos z)/z^2 in z^2, highest first:
+#: (-1)^m 2 (m + 1)/(2m + 3)!, m < 8, which leave < 1e-18 for |z| < 0.5.
+_U_SERIES = [(-1) ** m * 2 * (m + 1) / math.factorial(2 * m + 3) for m in range(7, -1, -1)]
+
+
+def _sinc_minus_cos_over_z2(z):
+    """u(z) for complex arrays; the direct form loses ~3/|z|^2 ulps to
+    cancellation, so the series is used for |z| < 0.5."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 0.5
+    zs = np.where(small, 1.0, z)
+    z2, series = z * z, 0.0
+    for c in _U_SERIES:  # Horner in z^2
+        series = series * z2 + c
+    return np.where(small, series, (np.sin(zs) / zs - np.cos(zs)) / (zs * zs))
 
 
 def _interior_blocks(config: PotentialConfig, unit: UnitSystem, k):
-    """Return (q2, p2, cw, sw, cb, sb) with sw = sin(qd)/q, sb = sin(q'b)/q'."""
+    """Return (q, p, p2, cw, sw, cb, sb) with p = q', p2 = q'^2 and
+    sw = sin(qd)/q, sb = sin(q'b)/q'."""
     k = np.asarray(k, dtype=complex)
     q2 = k * k + 2.0 * config.v_well / unit.kappa
     p2 = k * k - 2.0 * config.v_barrier / unit.kappa
@@ -53,7 +70,15 @@ def _interior_blocks(config: PotentialConfig, unit: UnitSystem, k):
     sw = config.d * cardinal_sine(q * config.d)
     cb = np.cos(p * config.b)
     sb = config.b * cardinal_sine(p * config.b)
-    return q2, p2, cw, sw, cb, sb
+    return q, p, p2, cw, sw, cb, sb
+
+
+def _pole_terms(k, p2, cw, sw, cb, sb):
+    """(k J, i R, cancellation mass) from the interior blocks at k."""
+    j_well, j_barrier = sw * cb, cw * sb  # J = j_well + j_barrier
+    r_cos, r_sin = cw * cb, p2 * sw * sb  # R = r_cos - r_sin
+    mass = np.abs(k) * (np.abs(j_well) + np.abs(j_barrier)) + np.abs(r_cos) + np.abs(r_sin)
+    return k * (j_well + j_barrier), 1j * (r_cos - r_sin), mass
 
 
 def pole_function_terms(config: PotentialConfig, unit: UnitSystem, k):
@@ -64,11 +89,28 @@ def pole_function_terms(config: PotentialConfig, unit: UnitSystem, k):
     themselves understate the rounding floor of their sum; the mass does not.
     """
     k = np.asarray(k, dtype=complex)
-    _, p2, cw, sw, cb, sb = _interior_blocks(config, unit, k)
-    j_well, j_barrier = sw * cb, cw * sb  # J = j_well + j_barrier
-    r_cos, r_sin = cw * cb, p2 * sw * sb  # R = r_cos - r_sin
-    mass = np.abs(k) * (np.abs(j_well) + np.abs(j_barrier)) + np.abs(r_cos) + np.abs(r_sin)
-    return k * (j_well + j_barrier), 1j * (r_cos - r_sin), mass
+    return _pole_terms(k, *_interior_blocks(config, unit, k)[2:])
+
+
+def pole_function_derivatives(config: PotentialConfig, unit: UnitSystem, k):
+    """dOmega/dk and dOmega/dv_barrier at complex k, from one block build.
+
+    J and R are bilinear in the well blocks (cw, sw) and in the barrier
+    blocks (cb, sb), which depend on k only through q^2 and q'^2, with
+    d(sin(qd)/q)/dq^2 = -(d^3/2) u(qd) and d(cos qd)/dq^2 = -(d/2) sin(qd)/q
+    (likewise q', b).  So dOmega/dq^2 is Omega on the differentiated well
+    blocks, and dOmega/dq'^2 is Omega on the differentiated barrier blocks
+    less i sw sb, from the explicit q'^2 in R.  Both are entire in k.
+    """
+    k = np.asarray(k, dtype=complex)
+    q, p, p2, cw, sw, cb, sb = _interior_blocks(config, unit, k)
+    d, b = config.d, config.b
+    cw_q, sw_q = -0.5 * d * sw, -0.5 * d**3 * _sinc_minus_cos_over_z2(q * d)
+    cb_p, sb_p = -0.5 * b * sb, -0.5 * b**3 * _sinc_minus_cos_over_z2(p * b)
+    omega_q = sum(_pole_terms(k, p2, cw_q, sw_q, cb, sb)[:2])
+    omega_p = sum(_pole_terms(k, p2, cw, sw, cb_p, sb_p)[:2]) - 1j * sw * sb
+    # dq^2/dk = dq'^2/dk = 2k and dq'^2/dv_barrier = -2/kappa
+    return sw * cb + cw * sb + 2.0 * k * (omega_q + omega_p), -2.0 / unit.kappa * omega_p
 
 
 def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
@@ -98,13 +140,12 @@ def evaluate_scattering_state(
     d, b = config.d, config.b
     length = d + b
 
-    q2, p2, cw, sw, cb, sb = _interior_blocks(config, unit, k)
-    t1, t2, _ = pole_function_terms(config, unit, k)
+    q, p, p2, cw, sw, cb, sb = _interior_blocks(config, unit, k)
+    t1, t2, _ = _pole_terms(k, p2, cw, sw, cb, sb)
     amp_q = 2.0 * k * np.exp(-1j * k * length) / (t1 + t2)  # A*q
     s = -np.exp(-2j * k * length) * (t1 - t2) / (t1 + t2)
     pref = 1.0 / _TWO_PI_SQRT
 
-    q = np.sqrt(np.asarray(q2, dtype=complex))
     inner = (x > 0.0) & (x <= d)
     out[inner] = pref * amp_q * x[inner] * cardinal_sine(q * x[inner])
 
@@ -112,7 +153,6 @@ def evaluate_scattering_state(
     dpsi_d = pref * amp_q * cw         # derivative at x = d
     mid = (x > d) & (x <= length)
     u = x[mid] - d
-    p = np.sqrt(np.asarray(p2, dtype=complex))
     out[mid] = psi_d * np.cos(p * u) + dpsi_d * u * cardinal_sine(p * u)
 
     outer = x > length

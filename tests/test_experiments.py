@@ -7,7 +7,6 @@ emission contract they all share.
 
 import csv
 import os
-from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -15,11 +14,9 @@ import pytest
 from trapswitch import experiments, poles
 from trapswitch.errors import IncompleteSearchError
 from trapswitch.experiments import _decay_plan, _stage, planned_setups, run_experiment
-from trapswitch.io import _NUMERICS_KEYS, load_spec, parse_spec, spec_hash, spec_problems
+from trapswitch.io import load_spec, parse_spec, spec_hash, spec_problems
 from trapswitch.spectra import (
     FIT_SPAN_LIFETIMES,
-    DecayRunSpec,
-    SpectrumRunSpec,
     lowest_resonance,
 )
 
@@ -106,15 +103,16 @@ def test_iso_curves_runner_traces_and_reverifies(tmp_path):
 
 
 def test_iso_curves_runner_writes_why_a_curve_stopped(tmp_path, monkeypatch):
-    # Newton finds poles at the first well depth only, so the first point
-    # is solved and continuation to the next depth loses the pole
+    # Omega' vanishes past the first well depth, so the first point is
+    # solved and certified, and no corrector step exists at any later depth
     v_first = 5.0
-    newton = poles.newton_pole
+    derivatives = poles.pole_function_derivatives
 
-    def first_depth_only(config, unit, k0):
-        return newton(config, unit, k0) if config.v_well == v_first else None
+    def first_depth_only(config, unit, k):
+        d_k, d_barrier = derivatives(config, unit, k)
+        return (d_k, d_barrier) if config.v_well == v_first else (0.0 * d_k, 0.0 * d_barrier)
 
-    monkeypatch.setattr(poles, "newton_pole", first_depth_only)
+    monkeypatch.setattr(poles, "pole_function_derivatives", first_depth_only)
     spec = _spec(
         tmp_path, "iso-curves",
         {"e_r_targets": [134.511248728], "n_points": 3, "v_well_range": [v_first, 350.0]},
@@ -201,12 +199,6 @@ READS = {
     "t-scan": {},
 }
 ALL_KEYS = set().union(*READS.values()) | {"absorber_width", "absorber_strength"}
-
-
-def test_run_records_hold_only_spec_keys():
-    # a record field that no spec can set is a constant, not a setting
-    assert {f.name for f in fields(SpectrumRunSpec)} == set(_NUMERICS_KEYS["spectrum-vs-T"])
-    assert {f.name for f in fields(DecayRunSpec)} == set(_NUMERICS_KEYS["decay-curves"])
 
 
 #: experiment -> (callee in experiments, what of its call the numerics shape)

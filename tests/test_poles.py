@@ -18,7 +18,7 @@ from trapswitch.poles import (
     trace_iso_resonance,
     winding_number,
 )
-from trapswitch.scattering import pole_function_terms, s_matrix
+from trapswitch.scattering import pole_function_derivatives, pole_function_terms, s_matrix
 
 from conftest import (
     E_BOUND,
@@ -102,20 +102,31 @@ def test_newton_pole_residual_small(unit):
     assert abs(complex(pole_function(FINAL, unit, k))) < 1e-9 * scale
 
 
-def test_newton_pole_makes_one_three_point_omega_call_per_iterate(monkeypatch, unit):
-    # the residual, its acceptance test and the derivative at an iterate
-    # all come from one call on k and k +- h
+def test_newton_pole_makes_one_omega_and_one_derivative_call_per_iterate(monkeypatch, unit):
+    # the residual and its acceptance test come from one Omega call, the
+    # step from one closed-form Omega' call, both on the iterate alone
     calls = []
 
-    def recorded(config, unit, k):
-        calls.append(np.asarray(k))
-        return pole_function_terms(config, unit, k)
+    def recorded(name, fn):
+        def wrapper(config, unit, k):
+            calls.append((name, np.asarray(k)))
+            return fn(config, unit, k)
 
-    monkeypatch.setattr("trapswitch.poles.pole_function_terms", recorded)
+        return wrapper
+
+    monkeypatch.setattr("trapswitch.poles.pole_function_terms", recorded("omega", pole_function_terms))
+    monkeypatch.setattr(
+        "trapswitch.poles.pole_function_derivatives",
+        recorded("derivative", pole_function_derivatives),
+    )
     k = newton_pole(FINAL, unit, 0.31 - 0.001j)
     assert abs(k - K_RES) <= 1e-13 * (1.0 + abs(k))
-    assert [c.shape for c in calls] == [(3,)] * len(calls)
-    iterates = [complex(c[0]) for c in calls]
+    assert all(c.size == 1 for _, c in calls)
+    n_steps = len(calls) // 2
+    assert [name for name, _ in calls] == ["omega", "derivative"] * n_steps + ["omega"]
+    points = [complex(c) for _, c in calls]
+    assert points[0:-1:2] == points[1::2]  # Omega' at the iterate just evaluated
+    iterates = points[::2]
     assert len(set(iterates)) == len(iterates) and iterates[-1] == k
 
 
@@ -169,6 +180,71 @@ def test_iso_resonance_trace_stays_on_target(unit):
         assert abs(e_r - target) <= 1e-3 * target
     # the width swings much harder than the compensating barrier depth
     assert curve.gamma.max() / curve.gamma.min() > 2.0
+
+
+#: The shipped iso-curves targets (configs/iso_curves.yaml).
+SHIPPED_ISO_TARGETS = (53.391, 7.422)
+
+
+@pytest.fixture(scope="module")
+def shipped_iso_curves(unit):
+    """The two shipped curves, each with the find_poles calls it made."""
+    out = {}
+    for target in SHIPPED_ISO_TARGETS:
+        calls = []
+
+        def counted(config, unit, region):
+            calls.append(config)
+            return find_poles(config, unit, region)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("trapswitch.poles.find_poles", counted)
+            curve = trace_iso_resonance(target, unit, FINAL.d, FINAL.b)
+        out[target] = (curve, calls)
+    return out
+
+
+def _iso_region(unit, target):
+    # the region trace_iso_resonance searches for a target
+    k_scale = math.sqrt(2.0 * target / unit.kappa)
+    return (0.25 * k_scale, 3.5 * k_scale, -3.5 * k_scale, 0.0)
+
+
+@pytest.mark.parametrize("target", SHIPPED_ISO_TARGETS)
+def test_shipped_iso_curves_hold_re_e_to_roundoff(shipped_iso_curves, target):
+    curve, _ = shipped_iso_curves[target]
+    assert curve.v_well.size == 40 and not curve.truncated
+    assert np.max(np.abs(curve.e_r - target)) <= 1e-10 * target
+
+
+@pytest.mark.parametrize("target", SHIPPED_ISO_TARGETS)
+def test_every_shipped_iso_point_is_the_lowest_resonance(shipped_iso_curves, unit, target):
+    curve, _ = shipped_iso_curves[target]
+    region = _iso_region(unit, target)
+    for vw, vb, k in zip(curve.v_well, curve.v_barrier, curve.k_res):
+        cfg = PotentialConfig(v_well=float(vw), v_barrier=float(vb), d=FINAL.d, b=FINAL.b)
+        lowest = resonances(find_poles(cfg, unit, region))[0]
+        assert abs(lowest.k_res - k) <= 1e-8 * (1.0 + abs(k)), (vw, vb)
+
+
+@pytest.mark.parametrize("target", SHIPPED_ISO_TARGETS)
+def test_iso_curve_searches_poles_only_for_its_first_point(shipped_iso_curves, target):
+    # the top-down barrier scan, then one certificate of the solved point;
+    # continuation itself makes no certified search
+    curve, calls = shipped_iso_curves[target]
+    scan = np.geomspace(4000.0, 0.5, 40)
+    probes = [c.v_barrier for c in calls[:-1]]
+    assert probes == scan[: len(probes)].tolist()
+    assert all(c.v_well == curve.v_well[0] for c in calls)
+    assert calls[-1].v_barrier == curve.v_barrier[0]
+
+
+def test_iso_continuation_keeps_the_narrow_family_over_a_long_step(unit):
+    # from v_well = 5 to 177.5 in one step an uncontracted Newton lands on a
+    # broad mode near v_barrier = 19, which is the lowest resonance there
+    curve = trace_iso_resonance(134.511248728, unit, FINAL.d, FINAL.b, n_points=3)
+    assert curve.v_well[1] == 177.5
+    assert curve.v_barrier[1] == pytest.approx(472.8, rel=1e-3)
 
 
 @pytest.mark.parametrize("cfg", [INITIAL, replace(INITIAL, d=15.0)], ids=["initial", "two-level"])

@@ -8,6 +8,7 @@ finite differences of the stitched phase curve.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -18,10 +19,11 @@ from trapswitch.scattering import (
     delay_time,
     evaluate_scattering_state,
     phase_shift_curve,
+    pole_function_derivatives,
     s_matrix,
 )
 
-from conftest import E_RES, FINAL, GAMMA_RES, K_RES
+from conftest import E_RES, FINAL, GAMMA_RES, K_RES, KAPPA
 from pointwise_oracle import delay_time_pointwise
 
 
@@ -187,3 +189,38 @@ def test_delay_time_keeps_the_shape_of_its_argument(unit):
     assert np.all(np.abs(grid - scalar) <= 1e-10 * abs(scalar))
     with pytest.raises(InvalidArgumentError):
         delay_time(FINAL, unit, np.array([k0, 0.0]))
+
+
+def _omega_mp(cfg, kappa, k, v_barrier):
+    """Omega = k J + i R at 40 digits, written with mpmath's sinc."""
+    d, b = mpmath.mpf(cfg.d), mpmath.mpf(cfg.b)
+    q = mpmath.sqrt(k * k + 2 * mpmath.mpf(cfg.v_well) / kappa)
+    p = mpmath.sqrt(k * k - 2 * v_barrier / kappa)
+    j = d * mpmath.sinc(q * d) * mpmath.cos(p * b) + b * mpmath.cos(q * d) * mpmath.sinc(p * b)
+    r = mpmath.cos(q * d) * mpmath.cos(p * b) - p * p * d * b * mpmath.sinc(q * d) * mpmath.sinc(p * b)
+    return k * j + 1j * r
+
+
+_BROAD = PotentialConfig(v_well=5.0, v_barrier=20.0, d=5.0, b=10.0)
+
+
+@pytest.mark.parametrize(
+    "cfg, k",
+    [
+        (FINAL, K_RES),
+        (FINAL, complex(K_RES.real, -1e-9)),  # width near the tracer's floor
+        (FINAL, complex(math.sqrt(2.0 * FINAL.v_barrier / KAPPA), 0.0)),  # p^2 ~ 0
+        (FINAL, complex(math.sqrt(2.0 * FINAL.v_barrier / KAPPA + 0.04**2), 0.0)),  # p b = 0.4
+        (_BROAD, 0.20844194102476793 - 0.0670774836468963j),  # broad lowest pole, v_well = 5
+    ],
+    ids=["release-pole", "near-floor", "barrier-top", "series-edge", "shallow-broad"],
+)
+def test_pole_function_derivatives_match_mpmath(unit, cfg, k):
+    with mpmath.workdps(40):
+        kappa = mpmath.mpf(unit.kappa)
+        km, vb = mpmath.mpc(k.real, k.imag), mpmath.mpf(cfg.v_barrier)
+        ref_k = complex(mpmath.diff(lambda z: _omega_mp(cfg, kappa, z, vb), km))
+        ref_v = complex(mpmath.diff(lambda v: _omega_mp(cfg, kappa, km, v), vb))
+    d_k, d_barrier = pole_function_derivatives(cfg, unit, k)
+    assert abs(complex(d_k) - ref_k) <= 1e-12 * abs(ref_k)
+    assert abs(complex(d_barrier) - ref_v) <= 1e-12 * abs(ref_v)
