@@ -124,41 +124,48 @@ def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
     return -np.exp(-2j * k * length) * (t1 - t2) / (t1 + t2)
 
 
-def evaluate_scattering_state(
-    config: PotentialConfig, unit: UnitSystem, k: float, x: np.ndarray
-) -> np.ndarray:
+def evaluate_scattering_state(config: PotentialConfig, unit: UnitSystem, k, x) -> np.ndarray:
     """psi_k on an array of coordinates, delta-normalized in k.
 
-    Evaluated region-wise from the wall outward via value/derivative
-    continuation, which stays finite at channel thresholds and does not
-    reference any square-root branch.
+    k is a scalar or a 1-d array of wave numbers, each finite and positive;
+    the result has shape k.shape + x.shape, one row per k.  Evaluated
+    region-wise from the wall outward via value/derivative continuation,
+    which stays finite at channel thresholds and does not reference any
+    square-root branch.
     """
-    if not (k > 0.0):
-        raise InvalidArgumentError("k must be positive")
+    k = np.asarray(k, dtype=float)
+    if k.ndim > 1:
+        raise InvalidArgumentError(f"k must be a scalar or a 1-d array, got shape {k.shape}")
+    bad = ~(np.isfinite(k) & (k > 0.0))
+    if np.any(bad):
+        first = float(k[bad].flat[0])
+        raise InvalidArgumentError(f"k must be finite and positive, got k = {first}")
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
+    xs = x.ravel()
+    kc = k.reshape(-1, 1)  # one row per k, one column per node
+    out = np.zeros((kc.shape[0], xs.size), dtype=complex)
     d, b = config.d, config.b
     length = d + b
 
-    q, p, p2, cw, sw, cb, sb = _interior_blocks(config, unit, k)
-    t1, t2, _ = _pole_terms(k, p2, cw, sw, cb, sb)
-    amp_q = 2.0 * k * np.exp(-1j * k * length) / (t1 + t2)  # A*q
-    s = -np.exp(-2j * k * length) * (t1 - t2) / (t1 + t2)
+    q, p, p2, cw, sw, cb, sb = _interior_blocks(config, unit, kc)
+    t1, t2, _ = _pole_terms(kc, p2, cw, sw, cb, sb)
+    amp_q = 2.0 * kc * np.exp(-1j * kc * length) / (t1 + t2)  # A*q
+    s = -np.exp(-2j * kc * length) * (t1 - t2) / (t1 + t2)
     pref = 1.0 / _TWO_PI_SQRT
 
-    inner = (x > 0.0) & (x <= d)
-    out[inner] = pref * amp_q * x[inner] * cardinal_sine(q * x[inner])
+    inner = (xs > 0.0) & (xs <= d)
+    out[:, inner] = pref * amp_q * xs[inner] * cardinal_sine(q * xs[inner])
 
     psi_d = pref * amp_q * sw          # value at x = d
     dpsi_d = pref * amp_q * cw         # derivative at x = d
-    mid = (x > d) & (x <= length)
-    u = x[mid] - d
-    out[mid] = psi_d * np.cos(p * u) + dpsi_d * u * cardinal_sine(p * u)
+    mid = (xs > d) & (xs <= length)
+    u = xs[mid] - d
+    out[:, mid] = psi_d * np.cos(p * u) + dpsi_d * u * cardinal_sine(p * u)
 
-    outer = x > length
-    wave = np.exp(1j * k * x[outer])
-    out[outer] = pref * (wave.conj() - s * wave)
-    return out
+    outer = xs > length
+    wave = np.exp(1j * kc * xs[outer])
+    out[:, outer] = pref * (wave.conj() - s * wave)
+    return out.reshape(k.shape + x.shape)
 
 
 def _wrap_half_pi(diff):
@@ -216,18 +223,15 @@ def delay_time(config: PotentialConfig, unit: UnitSystem, k):
     """Wigner delay 2 hbar d delta/dE = (2/(kappa k)) d delta/dk at real k > 0.
 
     k is a scalar or an array of any shape; a scalar gives a float, an array
-    an array of its shape, and all 4 k.size phase points go to one S-matrix
-    call.  Central difference with relative step 1e-5 in k plus one
-    Richardson extrapolation; the four phase evaluations are locally
-    re-branched so the mod-pi ambiguity of delta cannot enter the derivative.
+    an array of its shape.  At real k, S = -e^{-2ikL} conj(Omega)/Omega, so
+    d delta/dk = -L - Im(Omega'/Omega) exactly, from one Omega call and one
+    Omega' call on the whole array; no phase is differenced or unwrapped.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k > 0.0):
         raise InvalidArgumentError("delay_time requires k > 0")
-    h = 1e-5 * k
-    steps = np.stack([h, 0.5 * h])
-    raw = _raw_phase(config, unit, np.stack([k + steps, k - steps]))
-    d1, d2 = _wrap_half_pi(raw[0] - raw[1]) / (2.0 * steps)
-    dddk = (4.0 * d2 - d1) / 3.0
+    t1, t2, _ = pole_function_terms(config, unit, k)
+    d_k, _ = pole_function_derivatives(config, unit, k)
+    dddk = -(config.d + config.b) - np.imag(d_k / (t1 + t2))
     out = 2.0 / (unit.kappa * k) * dddk
     return float(out) if out.ndim == 0 else out

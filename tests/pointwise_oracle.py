@@ -1,10 +1,11 @@
-"""The analytic layer's fixed-grid scans as `trapswitch` took them before
-vectorisation: one scalar call per point.
+"""Scans and sums as `trapswitch` took them before vectorisation: one
+scalar call per point.
 
-Kept only as a test oracle: `test_scattering.py` checks the array
-`delay_time` against `delay_time_pointwise`, and `test_poles.py` checks the
-bound-state scan and the winding number against the other two.  Not a test
-module.
+Kept only as a test oracle: `test_scattering.py` checks `delay_time_pointwise`
+(the old Richardson difference) against the exact delay, `test_poles.py`
+checks the bound-state scan and the winding number against theirs, and
+`test_spectra.py` checks the blocked projection against
+`energy_distribution_pointwise`.  Not a test module.
 """
 
 import cmath
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from trapswitch.poles import _arg_increment, pole_function
-from trapswitch.scattering import s_matrix
+from trapswitch.scattering import evaluate_scattering_state, s_matrix
 
 
 def _wrap_half_pi(diff: float) -> float:
@@ -81,3 +82,15 @@ def winding_number_pointwise(config, unit, rect) -> int:
         for za, zb, fa, fb in zip(zs, zs[1:], fs, fs[1:]):
             total += _arg_increment(config, unit, za, zb, fa, fb, 0)
     return int(round(total / (2.0 * math.pi)))
+
+
+def energy_distribution_pointwise(state, final_config, unit, e_grid) -> np.ndarray:
+    """P(E) from one scattering state on the whole grid per energy and a
+    trapezoid overlap; no completeness or containment check."""
+    p = np.empty(len(e_grid))
+    for i, e in enumerate(e_grid):
+        k = math.sqrt(2.0 * e / unit.kappa)
+        psi_k = evaluate_scattering_state(final_config, unit, k, state.x)
+        overlap = np.trapezoid(np.conj(psi_k) * state.values, dx=state.dx)
+        p[i] = (abs(overlap) ** 2) / (unit.kappa * k)
+    return p

@@ -18,7 +18,7 @@ from trapswitch.poles import (
     trace_iso_resonance,
     winding_number,
 )
-from trapswitch.scattering import pole_function_derivatives, pole_function_terms, s_matrix
+from trapswitch.scattering import pole_function_derivatives, pole_function_terms
 
 from conftest import (
     E_BOUND,
@@ -265,8 +265,9 @@ def test_winding_number_matches_the_pointwise_oracle(unit):
 @pytest.mark.parametrize("cfg", [INITIAL, FINAL], ids=["initial", "final"])
 def test_pole_search_evaluates_each_fixed_grid_in_one_call(monkeypatch, unit, cfg):
     # one scalar call per grid point (a 300-point delay scan, 4 x 65 edge
-    # points, a 4000-point bound-state scan) would cost thousands of calls
-    calls = {"omega": 0, "s_matrix": 0}
+    # points, a 4000-point bound-state scan) would cost thousands of calls;
+    # the delay scan is one Omega' array call in `scattering`
+    calls = {"omega": 0, "omega_prime": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -276,7 +277,10 @@ def test_pole_search_evaluates_each_fixed_grid_in_one_call(monkeypatch, unit, cf
         return wrapper
 
     monkeypatch.setattr("trapswitch.poles.pole_function_terms", counted("omega", pole_function_terms))
-    monkeypatch.setattr("trapswitch.scattering.s_matrix", counted("s_matrix", s_matrix))
+    monkeypatch.setattr(
+        "trapswitch.scattering.pole_function_derivatives",
+        counted("omega_prime", pole_function_derivatives),
+    )
     assert resonances(find_poles(cfg, unit, SHIPPED_REGION))
     assert calls["omega"] <= 150, calls
-    assert 1 <= calls["s_matrix"] <= 2, calls
+    assert 1 <= calls["omega_prime"] <= 2, calls

@@ -1,8 +1,9 @@
 """Scattering-side checks against independent references.
 
 The transfer-matrix result is compared with direct numerical integration of
-the stationary equation, with the closed form for a bare well, and with
-finite differences of the stitched phase curve.
+the stationary equation, with the closed form for a bare well, with finite
+differences of the stitched phase curve, and with 40-digit mpmath
+evaluations of the pole function and of the Wigner delay.
 """
 
 import cmath
@@ -129,6 +130,27 @@ def test_scattering_state_continuous_at_region_joins(unit, k):
         assert abs(hi - lo) < 1e-6 * (1.0 + abs(lo))
 
 
+def test_array_k_scattering_state_matches_the_scalar_calls(unit):
+    # nodes in all three regions, on both sides of each join
+    x = np.linspace(0.0, 60.0, 1201)
+    k = np.array([0.03, 0.2, K_RES.real, math.sqrt(2.0 * FINAL.v_barrier / KAPPA), 0.9, 1.7])
+    rows = evaluate_scattering_state(FINAL, unit, k, x)
+    assert rows.shape == k.shape + x.shape
+    for kk, row in zip(k, rows):
+        scalar = evaluate_scattering_state(FINAL, unit, float(kk), x)
+        assert scalar.shape == x.shape
+        assert np.max(np.abs(row - scalar)) <= 1e-15 * np.max(np.abs(scalar))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf])
+def test_scattering_state_rejects_a_bad_k_in_the_array(unit, bad):
+    x = np.linspace(0.0, 30.0, 11)
+    with pytest.raises(InvalidArgumentError, match="k = "):
+        evaluate_scattering_state(FINAL, unit, np.array([0.3, bad, 0.5]), x)
+    with pytest.raises(InvalidArgumentError, match="k = "):
+        evaluate_scattering_state(FINAL, unit, bad, x)
+
+
 def test_scattering_state_free_form_outside(unit):
     k = 0.41
     s = complex(s_matrix(FINAL, unit, np.array([k]))[0])
@@ -170,8 +192,41 @@ def test_delay_time_peaks_at_resonance(unit):
     assert on == pytest.approx(1.6185164051843632, rel=1e-6)
 
 
+def _delay_mp(cfg, kappa, k):
+    """2 hbar d delta/dE at 40 digits, from S = -e^{-2ikL} (kJ - iR)/(kJ + iR)
+    differentiated numerically: d delta/dk = Im(S'/S)/2."""
+    length = mpmath.mpf(cfg.d) + mpmath.mpf(cfg.b)
+    vb = mpmath.mpf(cfg.v_barrier)
+
+    def s_of(z):
+        omega = _omega_mp(cfg, kappa, z, vb)
+        return -mpmath.exp(-2j * z * length) * mpmath.conj(omega) / omega
+
+    km = mpmath.mpf(k)
+    return 2 / (kappa * km) * mpmath.im(mpmath.diff(s_of, km) / s_of(km)) / 2
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        0.05,
+        0.9 * K_RES.real,
+        K_RES.real,
+        math.sqrt(2.0 * (E_RES + 3.0 * GAMMA_RES) / KAPPA),
+        math.sqrt(2.0 * FINAL.v_barrier / KAPPA),  # barrier top
+        0.77,
+        1.3,
+    ],
+)
+def test_delay_time_matches_mpmath(unit, k):
+    with mpmath.workdps(40):
+        ref = float(_delay_mp(FINAL, mpmath.mpf(unit.kappa), k))
+    assert abs(delay_time(FINAL, unit, k) - ref) <= 1e-12 * abs(ref)
+
+
 def test_array_delay_time_matches_the_pointwise_oracle(unit):
-    # the shipped delay-spectrum grid: 800 energies within 10 widths of the pole
+    # the shipped delay-spectrum grid: 800 energies within 10 widths of the
+    # pole; the oracle's Richardson difference is good to ~1e-12 of the peak
     e = np.linspace(E_RES - 10.0 * GAMMA_RES, E_RES + 10.0 * GAMMA_RES, 800)
     k = np.sqrt(2.0 * e / unit.kappa)
     delays = delay_time(FINAL, unit, k)

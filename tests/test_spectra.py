@@ -1,6 +1,7 @@
 """Energy-domain analysis: grids, reference profiles, fits, deviations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from trapswitch.errors import (
     WindowError,
 )
 from trapswitch.groundstate import WavefunctionGrid, ground_state
+from trapswitch.model import SwitchingSchedule
 from trapswitch.poles import find_poles
-from trapswitch.propagate import DecayRecord
+from trapswitch.propagate import DecayRecord, propagate
 from trapswitch.spectra import (
+    PROPAGATED_CONTAIN_RTOL,
     EnergyDistribution,
+    SpectrumRunSpec,
     energy_distribution,
     energy_grid,
     exponential_deviation,
@@ -30,6 +34,7 @@ from trapswitch.spectra import (
 
 from conftest import E_RES, FINAL, GAMMA_RES, INITIAL, TAU_RES
 from distributions import distribution_median, l1_difference
+from pointwise_oracle import energy_distribution_pointwise
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +176,58 @@ def test_sudden_projection_unit_total(unit, res):
     assert abs(dist.total - 1.0) < 1e-3
     assert dist.p[np.argmax(dist.p)] == dist.p.max()
     assert abs(wide[np.argmax(dist.p)] - res.e_r) < 0.5 * res.gamma
+
+
+def _assert_matches_pointwise(state, unit, grid, contain_rtol=1e-8):
+    dist = energy_distribution(state, FINAL, unit, grid, contain_rtol=contain_rtol)
+    ref = energy_distribution_pointwise(state, FINAL, unit, grid)
+    assert np.max(np.abs(dist.p - ref)) <= 1e-12 * np.max(ref)
+    assert dist.total == pytest.approx(float(np.trapezoid(ref, grid)), rel=1e-12)
+
+
+@pytest.mark.parametrize("e_cut, n_energy", [(400.0, 2000), (3000.0, 2600)],
+                         ids=["shipped-grid", "unit-weight-grid"])
+def test_sudden_projection_matches_the_pointwise_oracle(unit, res, e_cut, n_energy):
+    # the sudden column of spectrum-vs-T at the shipped dx, on its P(E) grid
+    # and on the wide grid whose total checks unit weight
+    phi, _ = ground_state(INITIAL, unit, dx=0.15)
+    _assert_matches_pointwise(phi, unit, energy_grid(res.e_r, res.gamma, e_cut, n_energy))
+
+
+def test_propagated_projection_matches_the_pointwise_oracle(unit, res):
+    spec = SpectrumRunSpec(dx=0.3, dt=1e-3)
+    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * res.tau), unit)
+    phi0, _ = ground_state(INITIAL, unit, dx=spec.dx, x_max=setup.box_length)
+    state = propagate(phi0, setup, unit, record_every=setup.n_steps()).final
+    grid = energy_grid(res.e_r, res.gamma, spec.e_cut, 500)
+    _assert_matches_pointwise(state, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL)
+
+
+# dx = 1/8 puts a node on d + b = 15 exactly: nodes 0 .. 120 lie inside it
+@pytest.mark.parametrize("n_outer", [0, 1, 2, 97, 1009], ids=lambda n: f"outer-{n}")
+def test_synthetic_projection_matches_the_pointwise_oracle(unit, res, n_outer):
+    rng = np.random.default_rng(20261019 + n_outer)
+    n = 121 + n_outer
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    values[0] = 0.0
+    state = WavefunctionGrid(0.0, 0.125, values)
+    assert int(np.sum(state.x > FINAL.outer_edge)) == n_outer
+    grid = energy_grid(res.e_r, res.gamma, 1000.0, 300)
+    _assert_matches_pointwise(state, unit, grid, contain_rtol=1.0)
+
+
+def test_projection_memory_stays_flat(unit, res):
+    # criterion 7's size: ~50k nodes onto 2000 energies.  The 10 MB bound
+    # was fixed before the blocked form was written; projecting all 2000
+    # energies in one block peaks near 33 MB, chunks of 128 near 5 MB.
+    x = 0.15 * np.arange(50_000)
+    values = np.exp(-0.5 * ((x - 3000.0) / 400.0) ** 2) * np.exp(1j * 0.3 * x)
+    state = WavefunctionGrid(0.0, 0.15, values).normalized()
+    grid = energy_grid(res.e_r, res.gamma, 400.0, 2000)
+    tracemalloc.start()
+    try:
+        energy_distribution(state, FINAL, unit, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
