@@ -100,11 +100,10 @@ def resonances(poles: list[Resonance]) -> list[Resonance]:
     return sorted((p for p in poles if p.kind == RESONANCE and p.e_r > 0.0), key=lambda p: p.e_r)
 
 
-def _residual(config: PotentialConfig, unit: UnitSystem, k: complex) -> tuple[complex, bool]:
-    """Omega at the one point k, and whether it passes the Newton residual
-    test: RESIDUAL_RTOL of the larger term plus RESIDUAL_FLOOR_RTOL of the
-    cancellation mass."""
-    t1, t2, mass = pole_function_terms(config, unit, k)
+def _residual(t1, t2, mass) -> tuple[complex, bool]:
+    """Omega at one point from its terms and cancellation mass, and whether
+    it passes the Newton residual test: RESIDUAL_RTOL of the larger term
+    plus RESIDUAL_FLOOR_RTOL of the cancellation mass."""
     f = complex(t1 + t2)
     tol = RESIDUAL_RTOL * max(abs(t1), abs(t2)) + RESIDUAL_FLOOR_RTOL * mass
     return f, bool(abs(f) <= tol + 1e-300)
@@ -113,8 +112,8 @@ def _residual(config: PotentialConfig, unit: UnitSystem, k: complex) -> tuple[co
 def newton_pole(config: PotentialConfig, unit: UnitSystem, k0: complex) -> complex | None:
     """Newton iteration on Omega from seed k0; None if it fails to settle in 80 steps.
 
-    Each iterate costs one Omega call, which gives the residual and its
-    acceptance test, and one closed-form Omega' call, both on the one point k.
+    Each iterate costs one closed-form call on the one point k, which gives
+    the residual, its acceptance test and Omega' from one block build.
     Steps are clamped to half the current scale so a near-zero derivative
     cannot fling the iterate into overflow territory.
     """
@@ -122,12 +121,13 @@ def newton_pole(config: PotentialConfig, unit: UnitSystem, k0: complex) -> compl
     settled = False
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(81):
-            f, residual_ok = _residual(config, unit, k)
+            t1, t2, mass, d_k, _ = pole_function_derivatives(config, unit, k)
+            f, residual_ok = _residual(t1, t2, mass)
             if residual_ok and settled:
                 return k
             if step == 80:
                 return k if residual_ok else None
-            fp = complex(pole_function_derivatives(config, unit, k)[0])
+            fp = complex(d_k)
             if fp == 0.0 or not cmath.isfinite(fp):
                 return None
             dk = -f / fp
@@ -432,13 +432,15 @@ def trace_iso_resonance(
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(13):
                 k = cmath.sqrt(complex(a, s))
-                cfg = config(v_well, v_barrier)
-                f, residual_ok = _residual(cfg, unit, k)
+                t1, t2, mass, *derivatives = pole_function_derivatives(
+                    config(v_well, v_barrier), unit, k
+                )
+                f, residual_ok = _residual(t1, t2, mass)
                 if residual_ok and last < 1e-13:
                     return s, v_barrier, k
                 if step == 12:
                     return None
-                d_k, d_v = (complex(x) for x in pole_function_derivatives(cfg, unit, k))
+                d_k, d_v = (complex(x) for x in derivatives)
                 d_s = d_k * 1j / (2.0 * k)  # dk/ds = i/(2k)
                 det = (d_s.conjugate() * d_v).imag
                 if det == 0.0:

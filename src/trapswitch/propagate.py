@@ -13,14 +13,20 @@ and a sampled record of the in-well probability and the norm.
 
 All matrices are symmetric tridiagonal (the absorber adds a symmetric
 negative-imaginary part), stored as (diagonal, off-diagonal) arrays.  The
-switch changes the step matrix only in the trap rows, x <= d + b, so each
-step is solved by block elimination: the constant far block past the trap
-is LU-factored (LAPACK `zgttrf`, pivoted) once per run and time step, and
-each step refactors only the few hundred trap rows, whose last diagonal
-carries the far block's Schur complement.  The far block's response to its
-first row, g, decays geometrically; it is cut where it falls below 1e-17 of
-its first entry, because its tail changes nothing above roundoff and would
-otherwise fill the per-step update with slow subnormal arithmetic.
+switch changes the step matrix only in the trap rows, x <= d + b, so while
+it changes each step is solved by block elimination: the constant far block
+past the trap is LU-factored (LAPACK `zgttrf`, pivoted) once per run and
+time step, and each step refactors only the few hundred trap rows, whose
+last diagonal carries the far block's Schur complement.  The far block's
+response to its first row, g, decays geometrically; it is cut where it falls
+below 1e-17 of its first entry, because its tail changes nothing above
+roundoff and would otherwise fill the per-step update with slow subnormal
+arithmetic.  Once the switching weight is exactly 1 (all steps of a sudden
+switch, and every step after w(t) = -expm1(-t/T) rounds to 1) the step
+matrix is constant: it is factored whole on the first such step, and each
+later one is a single `zgttrs` over all rows.  The recorded norm comes from
+the step's own right-hand side 2M psi, and the in-well probability from one
+dot of |psi|^2 with the trapezoid weights of `non_escape_probability`.
 """
 
 import math
@@ -291,26 +297,30 @@ def _checked(info, routine):
 
 
 class _Stepper:
-    """Crank-Nicolson steps at one dt, by block elimination.
+    """Crank-Nicolson steps at one dt.
 
     With z = i dt/2 and L(w) = M + z(H0 + w dV - iW), one step is
-    psi' = L^-1 (2M - L) psi = 2 L^-1 M psi - psi, so the right-hand side
-    M psi does not depend on the switch.  L(w) depends on w only in its
-    first m rows, the trap block that holds the support of dV.  The far
-    block A22 below them is constant and is factored once here.  Each step
-    solves A22, then the trap block with the Schur term c^2 g0 on its last
-    diagonal (c couples the blocks, g = A22^-1 e1), then corrects the far
-    part by -c x1[-1] g.  Both blocks keep partial pivoting.
+    psi' = L^-1 (2M - L) psi = L^-1 (2M psi) - psi, so the right-hand side
+    2M psi (`rhs`) does not depend on the switch; `step` solves into it.
+    At w == 1.0 exactly L is constant: it is factored whole (`zgttrf`) on
+    the first such step, and each such step is one `zgttrs` over all rows.
+    Otherwise L(w) depends on w only in its first m rows, the trap block
+    that holds the support of dV.  The far block A22 below them is constant
+    and is factored once here.  Such a step solves A22, then the trap block
+    with the Schur term c^2 g0 on its last diagonal (c couples the blocks,
+    g = A22^-1 e1), then corrects the far part by -c x1[-1] g.  Every
+    factorization keeps partial pivoting.
     """
 
     def __init__(self, ops: _Operators, dt: float):
         z = 0.5j * dt
         n = ops.m_diag.size
-        # numpy multiplies complex by complex faster than real by complex
-        self.m_diag = ops.m_diag.astype(complex)
-        self.m_off = ops.m_off.astype(complex)
-        lhs_diag = ops.m_diag + z * (ops.h0_diag - 1j * ops.w_diag)
-        lhs_off = ops.m_off + z * (ops.h0_off - 1j * ops.w_off)
+        self.ops, self.z = ops, z
+        # doubling is exact, so 2M psi carries the roundoff of M psi; numpy
+        # multiplies complex by complex faster than real by complex
+        self.m2_diag = 2.0 * ops.m_diag.astype(complex)
+        self.m2_off = 2.0 * ops.m_off.astype(complex)
+        lhs_diag, lhs_off = self._lhs(0.0)  # adding 0.0 z dV leaves L(0) exact
         # the trap block holds every row dV touches (an off entry touches
         # two) and at least MIN_BLOCK rows; a far block too small for the
         # LAPACK wrappers joins it
@@ -325,14 +335,14 @@ class _Stepper:
         self.lhs_off = lhs_off[: m - 1].copy()
         self.zdv_diag = z * ops.dv_diag[:m]
         self.zdv_off = z * ops.dv_off[: m - 1]
+        self.whole = None  # the factors of L(1), made on the first step at w == 1.0
         self.far = None
         if m < n:
-            *self.far, info = zgttrf(lhs_off[m:], lhs_diag[m:], lhs_off[m:])
-            _checked(info, "zgttrf")
+            self.far = self._factor(lhs_off[m:], lhs_diag[m:])
             self.c = lhs_off[m - 1]
             e1 = np.zeros(n - m, dtype=complex)
             e1[0] = 1.0
-            g = self._far_solve(e1)
+            g = self._solve(self.far, e1)
             self.schur = self.c * self.c * g[0]
             # g decays geometrically into the far block.  Past the cut its
             # entries move x2 by less than roundoff, and once they turn
@@ -340,8 +350,23 @@ class _Stepper:
             keep = np.flatnonzero(np.abs(g) >= SCHUR_TAIL_CUT * abs(g[0]))
             self.g = g[: keep[-1] + 1]
 
-    def _far_solve(self, rhs):
-        x, info = zgttrs(*self.far, rhs, overwrite_b=1)
+    def _lhs(self, weight):
+        """Diagonal and off-diagonal of L(weight) over all interior rows,
+        rounded as the block path forms its trap rows."""
+        ops, z = self.ops, self.z
+        diag = ops.m_diag + z * (ops.h0_diag - 1j * ops.w_diag) + weight * (z * ops.dv_diag)
+        off = ops.m_off + z * (ops.h0_off - 1j * ops.w_off) + weight * (z * ops.dv_off)
+        return diag, off
+
+    @staticmethod
+    def _factor(off, diag):
+        *factors, info = zgttrf(off, diag, off)
+        _checked(info, "zgttrf")
+        return factors
+
+    @staticmethod
+    def _solve(factors, rhs):
+        x, info = zgttrs(*factors, rhs, overwrite_b=1)
         _checked(info, "zgttrs")
         return x
 
@@ -351,23 +376,51 @@ class _Stepper:
         _checked(info, "zgtsv")
         return x
 
-    def step(self, weight: float, psi: np.ndarray) -> np.ndarray:
+    def rhs(self, psi: np.ndarray) -> np.ndarray:
+        """2M psi, the right-hand side of the step from psi."""
+        return _tri_mul(self.m2_diag, self.m2_off, psi)
+
+    def step(self, weight: float, psi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """psi' from psi and rhs = self.rhs(psi); psi' is written over rhs."""
+        x = self._settled_solve(rhs) if weight == 1.0 else self._block_solve(weight, rhs)
+        return np.subtract(x, psi, out=x)
+
+    def _settled_solve(self, rhs):
+        if self.whole is None:
+            diag, off = self._lhs(1.0)
+            self.whole = self._factor(off, diag)
+        return self._solve(self.whole, rhs)
+
+    def _block_solve(self, weight, rhs):
         m = self.m
-        rhs = _tri_mul(self.m_diag, self.m_off, psi)
         d1 = self.lhs_diag + weight * self.zdv_diag
         o1 = self.lhs_off + weight * self.zdv_off
         if self.far is None:
-            x = self._trap_solve(o1, d1, rhs)
-        else:
-            d1[-1] -= self.schur
-            x2 = self._far_solve(rhs[m:])
-            rhs[m - 1] -= self.c * x2[0]
-            x1 = self._trap_solve(o1, d1, rhs[:m])
-            x2[: self.g.size] -= (self.c * x1[-1]) * self.g
-            x = np.concatenate((x1, x2))
-        x *= 2.0
-        x -= psi
-        return x
+            return self._trap_solve(o1, d1, rhs)
+        d1[-1] -= self.schur
+        x2 = self._solve(self.far, rhs[m:])
+        rhs[m - 1] -= self.c * x2[0]
+        x1 = self._trap_solve(o1, d1, rhs[:m])
+        x2[: self.g.size] -= (self.c * x1[-1]) * self.g
+        return rhs
+
+
+def _well_weights(span: float, dx: float, n: int) -> np.ndarray:
+    """Trapezoid weights that integrate a density sampled on n nodes, dx
+    apart, from the first node over a length span; the last sub-interval
+    is cut at span and its density interpolated linearly.  Nodes past the
+    returned vector carry no weight."""
+    j = min(int(math.floor(span / dx + 1e-12)), n - 1)
+    wts = np.zeros(min(j + 2, n))
+    if j > 0:
+        wts[: j + 1] = dx
+        wts[0] = wts[j] = 0.5 * dx
+    rest = span - j * dx
+    if rest > 1e-12 * dx and j + 1 < n:
+        frac = rest / dx
+        wts[j] += 0.5 * rest * (2.0 - frac)
+        wts[j + 1] += 0.5 * rest * frac
+    return wts
 
 
 def non_escape_probability(snapshot: WavefunctionGrid, d: float) -> float:
@@ -378,18 +431,8 @@ def non_escape_probability(snapshot: WavefunctionGrid, d: float) -> float:
         raise InvalidArgumentError(
             f"snapshot grid [{snapshot.x0}, {snapshot.x_max:.6g}] does not cover [0, {d}]"
         )
-    dx = snapshot.dx
-    j = int(math.floor((d - snapshot.x0) / dx + 1e-12))
-    j = min(j, snapshot.values.size - 1)
-    # the integral reads nodes up to j + 1 only
-    dens = np.abs(snapshot.values[: j + 2]) ** 2
-    full = float(np.trapezoid(dens[: j + 1], dx=dx))
-    rest = d - (snapshot.x0 + j * dx)
-    if rest > 1e-12 * dx and j + 1 < dens.size:
-        frac = rest / dx
-        d_at = dens[j] + (dens[j + 1] - dens[j]) * frac
-        full += 0.5 * (dens[j] + d_at) * rest
-    return full
+    wts = _well_weights(d - snapshot.x0, snapshot.dx, snapshot.values.size)
+    return float(np.dot(wts, np.abs(snapshot.values[: wts.size]) ** 2))
 
 
 def _embed_initial(initial: WavefunctionGrid, setup: PropagationSetup) -> np.ndarray:
@@ -427,7 +470,7 @@ def _half_step_energy(ops, schedule, dt, psi0, window):
     stepper = _Stepper(ops, half)
     psi = psi0
     for j in range(2 * window):
-        psi = stepper.step(schedule.weight((j + 0.5) * half), psi)
+        psi = stepper.step(schedule.weight((j + 0.5) * half), psi, stepper.rhs(psi))
     return _energy_expectation(ops, schedule.weight(window * dt), psi)
 
 
@@ -473,42 +516,30 @@ def propagate(
     e_half = _half_step_energy(ops, schedule, dt, psi, window) if window else None
     stepper = _Stepper(ops, dt)
 
-    d_well = schedule.initial.d
     n = setup.n_nodes()
-
-    # non_escape_probability reads no node past the first one beyond d
-    n_well = min(n, int(d_well / setup.dx) + 3)
-
-    def observables(vec):
-        head = np.zeros(n_well, dtype=complex)
-        part = vec[: n_well - 1]
-        head[1 : part.size + 1] = part
-        p = non_escape_probability(WavefunctionGrid(0.0, setup.dx, head), d_well)
-        nm = np.vdot(vec, _tri_mul(stepper.m_diag, stepper.m_off, vec)).real
-        return p, nm
-
+    # the well's trapezoid weights on the interior nodes; the wall node is 0
+    well = _well_weights(schedule.initial.d, setup.dx, n)[1 : n - 1]
     times, p_ws, norms = [], [], []
 
-    def maybe_record(j, vec):
-        if j % record_every == 0 or j == n_steps:
-            p, nm = observables(vec)
-            if not (math.isfinite(p) and math.isfinite(nm)):
-                raise NumericalBlowupError(
-                    f"non-finite observables at step {j}", step=j
-                )
-            times.append(j * dt)
-            p_ws.append(p)
-            norms.append(nm)
+    def sample(j, vec, rhs):
+        p = float(np.dot(well, np.abs(vec[: well.size]) ** 2))
+        nm = 0.5 * np.vdot(vec, rhs).real
+        if not (math.isfinite(p) and math.isfinite(nm)):
+            raise NumericalBlowupError(f"non-finite observables at step {j}", step=j)
+        times.append(j * dt)
+        p_ws.append(p)
+        norms.append(nm)
 
-    maybe_record(0, psi)
-
+    rhs = stepper.rhs(psi)
+    sample(0, psi, rhs)
     for j in range(n_steps):
-        w = schedule.weight((j + 0.5) * dt)
-        psi = stepper.step(w, psi)
+        psi = stepper.step(schedule.weight((j + 0.5) * dt), psi, rhs)
+        rhs = stepper.rhs(psi)
         step = j + 1
         if step == window:
             _check_drift(ops, schedule, dt, psi, window, e_half)
-        maybe_record(step, psi)
+        if step % record_every == 0 or step == n_steps:
+            sample(step, psi, rhs)
 
     record = DecayRecord(np.array(times), np.array(p_ws), np.array(norms))
     final = np.zeros(n, dtype=complex)

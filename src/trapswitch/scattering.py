@@ -93,7 +93,9 @@ def pole_function_terms(config: PotentialConfig, unit: UnitSystem, k):
 
 
 def pole_function_derivatives(config: PotentialConfig, unit: UnitSystem, k):
-    """dOmega/dk and dOmega/dv_barrier at complex k, from one block build.
+    """Omega's terms and derivatives at complex k, from one block build:
+    (k J, i R, cancellation mass) as `pole_function_terms` gives them, then
+    dOmega/dk and dOmega/dv_barrier.
 
     J and R are bilinear in the well blocks (cw, sw) and in the barrier
     blocks (cb, sb), which depend on k only through q^2 and q'^2, with
@@ -110,7 +112,8 @@ def pole_function_derivatives(config: PotentialConfig, unit: UnitSystem, k):
     omega_q = sum(_pole_terms(k, p2, cw_q, sw_q, cb, sb)[:2])
     omega_p = sum(_pole_terms(k, p2, cw, sw, cb_p, sb_p)[:2]) - 1j * sw * sb
     # dq^2/dk = dq'^2/dk = 2k and dq'^2/dv_barrier = -2/kappa
-    return sw * cb + cw * sb + 2.0 * k * (omega_q + omega_p), -2.0 / unit.kappa * omega_p
+    d_k = sw * cb + cw * sb + 2.0 * k * (omega_q + omega_p)
+    return (*_pole_terms(k, p2, cw, sw, cb, sb), d_k, -2.0 / unit.kappa * omega_p)
 
 
 def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
@@ -224,14 +227,13 @@ def delay_time(config: PotentialConfig, unit: UnitSystem, k):
 
     k is a scalar or an array of any shape; a scalar gives a float, an array
     an array of its shape.  At real k, S = -e^{-2ikL} conj(Omega)/Omega, so
-    d delta/dk = -L - Im(Omega'/Omega) exactly, from one Omega call and one
-    Omega' call on the whole array; no phase is differenced or unwrapped.
+    d delta/dk = -L - Im(Omega'/Omega) exactly, from one block build of Omega
+    and Omega' on the whole array; no phase is differenced or unwrapped.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k > 0.0):
         raise InvalidArgumentError("delay_time requires k > 0")
-    t1, t2, _ = pole_function_terms(config, unit, k)
-    d_k, _ = pole_function_derivatives(config, unit, k)
+    t1, t2, _, d_k, _ = pole_function_derivatives(config, unit, k)
     dddk = -(config.d + config.b) - np.imag(d_k / (t1 + t2))
     out = 2.0 / (unit.kappa * k) * dddk
     return float(out) if out.ndim == 0 else out

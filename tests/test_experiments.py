@@ -109,8 +109,10 @@ def test_iso_curves_runner_writes_why_a_curve_stopped(tmp_path, monkeypatch):
     derivatives = poles.pole_function_derivatives
 
     def first_depth_only(config, unit, k):
-        d_k, d_barrier = derivatives(config, unit, k)
-        return (d_k, d_barrier) if config.v_well == v_first else (0.0 * d_k, 0.0 * d_barrier)
+        *terms, d_k, d_barrier = derivatives(config, unit, k)
+        if config.v_well != v_first:
+            d_k, d_barrier = 0.0 * d_k, 0.0 * d_barrier
+        return (*terms, d_k, d_barrier)
 
     monkeypatch.setattr(poles, "pole_function_derivatives", first_depth_only)
     spec = _spec(

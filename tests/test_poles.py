@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trapswitch import scattering
 from trapswitch.errors import InvalidArgumentError
 from trapswitch.model import PotentialConfig
 from trapswitch.poles import (
@@ -102,31 +103,22 @@ def test_newton_pole_residual_small(unit):
     assert abs(complex(pole_function(FINAL, unit, k))) < 1e-9 * scale
 
 
-def test_newton_pole_makes_one_omega_and_one_derivative_call_per_iterate(monkeypatch, unit):
-    # the residual and its acceptance test come from one Omega call, the
-    # step from one closed-form Omega' call, both on the iterate alone
-    calls = []
+def test_newton_pole_builds_the_interior_blocks_once_per_iterate(monkeypatch, unit):
+    # the residual, its acceptance test and the step all come from one
+    # closed-form call on the iterate alone, which builds the blocks once
+    points = []
 
-    def recorded(name, fn):
-        def wrapper(config, unit, k):
-            calls.append((name, np.asarray(k)))
-            return fn(config, unit, k)
+    def recorded(config, unit, k):
+        points.append(np.asarray(k))
+        return blocks(config, unit, k)
 
-        return wrapper
-
-    monkeypatch.setattr("trapswitch.poles.pole_function_terms", recorded("omega", pole_function_terms))
-    monkeypatch.setattr(
-        "trapswitch.poles.pole_function_derivatives",
-        recorded("derivative", pole_function_derivatives),
-    )
+    blocks = scattering._interior_blocks
+    monkeypatch.setattr(scattering, "_interior_blocks", recorded)
     k = newton_pole(FINAL, unit, 0.31 - 0.001j)
     assert abs(k - K_RES) <= 1e-13 * (1.0 + abs(k))
-    assert all(c.size == 1 for _, c in calls)
-    n_steps = len(calls) // 2
-    assert [name for name, _ in calls] == ["omega", "derivative"] * n_steps + ["omega"]
-    points = [complex(c) for _, c in calls]
-    assert points[0:-1:2] == points[1::2]  # Omega' at the iterate just evaluated
-    iterates = points[::2]
+    assert all(c.size == 1 for c in points)
+    iterates = [complex(c) for c in points]
+    assert len(iterates) > 2
     assert len(set(iterates)) == len(iterates) and iterates[-1] == k
 
 

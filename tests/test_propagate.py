@@ -19,6 +19,7 @@ from trapswitch.propagate import (
     PropagationSetup,
     _embed_initial,
     _Stepper,
+    _tri_mul,
     assemble_operators,
     non_escape_probability,
     propagate,
@@ -146,20 +147,25 @@ def _stepper_drift(unit, setup, n_steps):
     worst = 0.0
     for j in range(n_steps):
         w = setup.schedule.weight((j + 0.5) * setup.dt)
-        a = stepper.step(w, a)
+        a = stepper.step(w, a, stepper.rhs(a))
         b = _cn_step(ops, w, setup.dt, b)
         worst = max(worst, float(np.max(np.abs(a - b)) / np.max(np.abs(b))))
     return stepper, worst
 
 
 @pytest.mark.parametrize(
-    "t_switch", [0.0, 0.058 * TAU_RES, TAU_RES], ids=["T0", "T0.058tau", "T1tau"]
+    "t_switch",
+    [0.0, 0.002, 0.058 * TAU_RES, TAU_RES],
+    ids=["T0", "T0.002s", "T0.058tau", "T1tau"],
 )
 def test_stepper_matches_banded_lu_oracle_on_decay_box(unit, t_switch):
     setup = DecayRunSpec().setup(SwitchingSchedule(INITIAL, FINAL, t_switch), unit)
     stepper, drift = _stepper_drift(unit, setup, 2000)
     # the trap rows end at the outer edge; the rest is the constant far block
     assert stepper.m == round(FINAL.outer_edge / setup.dx)
+    # w(t) rounds to exactly 1 near step 370 at T = 0.002 s, so that run
+    # crosses from block elimination to the whole factored matrix
+    assert (stepper.whole is not None) == (t_switch < 0.01)
     assert drift < STEPPER_ORACLE_TOL
 
 
@@ -186,24 +192,61 @@ def test_stepper_matches_banded_lu_oracle_edge_cases(unit, final, box, absorbed,
 
 
 def test_far_block_is_factored_once_per_time_step(unit, monkeypatch):
-    """Structural guard: each step refactors only the trap rows; the far
-    block is factored once for the run's dt and once for the probe's dt/2."""
-    setup = DecayRunSpec(t_end=0.02).setup(SwitchingSchedule(INITIAL, FINAL, 0.01), unit)
-    trap_rows = round(FINAL.outer_edge / setup.dx)
-    far_rows = setup.n_nodes() - 2 - trap_rows
-    sizes = []
+    """Structural guard: while the switch changes, each step refactors only
+    the trap rows, and the far block is factored once for the run's dt and
+    once for the probe's dt/2.  Once w == 1.0 (from the first step of a
+    sudden switch) the whole matrix is factored once per dt instead, and no
+    step refactors anything."""
+    calls = []
 
-    def counting(routine):
+    def counting(name, routine):
         def wrapped(*args, **kwargs):
-            sizes.append(args[1].size)  # the diagonal
+            calls.append((name, args[1].size))  # the diagonal
             return routine(*args, **kwargs)
         return wrapped
 
     for name in ("zgttrf", "zgtsv"):
-        monkeypatch.setattr(propagate_module, name, counting(getattr(propagate_module, name)))
-    phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
-    propagate(phi, setup, unit)
-    assert sizes.count(far_rows) == 2
-    assert all(size == far_rows or size <= trap_rows for size in sizes)
+        monkeypatch.setattr(propagate_module, name, counting(name, getattr(propagate_module, name)))
+
+    def run(t_switch):
+        setup = DecayRunSpec(t_end=0.02).setup(SwitchingSchedule(INITIAL, FINAL, t_switch), unit)
+        phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
+        calls.clear()
+        propagate(phi, setup, unit)
+        factored = [size for name, size in calls if name == "zgttrf"]
+        return setup, factored, [size for name, size in calls if name == "zgtsv"]
+
+    setup, factored, trap_solved = run(0.01)
+    trap_rows = round(FINAL.outer_edge / setup.dx)
+    rows = setup.n_nodes() - 2
+    far_rows = rows - trap_rows
+    assert factored == [far_rows, far_rows]
     probe_steps = 2 * propagate_module.ACCURACY_PROBE_STEPS
-    assert sizes.count(trap_rows) == setup.n_steps() + probe_steps
+    assert trap_solved == [trap_rows] * (setup.n_steps() + probe_steps)
+
+    # the probe's stepper, then the run's: each factors its far block when
+    # built and the whole matrix on its first step
+    _, factored, trap_solved = run(0.0)
+    assert factored == [far_rows, rows, far_rows, rows]
+    assert trap_solved == []
+
+
+@pytest.mark.parametrize("absorbed", [True, False], ids=["absorbed-sudden", "unabsorbed-ramp"])
+def test_recorded_observables_match_the_final_state(unit, absorbed):
+    """The record takes p_w from fixed trapezoid weights and the norm from
+    the step's right-hand side 2M psi; both must equal the direct forms on
+    the state they sample."""
+    if absorbed:
+        setup = DecayRunSpec(t_end=0.05).setup(_sudden(), unit)
+    else:
+        setup = PropagationSetup(schedule=SwitchingSchedule(INITIAL, FINAL, 0.01), dx=0.05,
+                                 box_length=100.0, dt=2e-4, t_end=0.05, e_cut=40.0)
+    phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
+    out = propagate(phi, setup, unit, record_every=7)
+    assert out.record.times[-1] == pytest.approx(setup.t_end)
+    p_w = non_escape_probability(out.final, INITIAL.d)
+    assert abs(out.record.p_w[-1] - p_w) <= 1e-14 * p_w
+    ops = assemble_operators(setup, unit)
+    psi = out.final.values[1:-1]
+    norm = np.vdot(psi, _tri_mul(ops.m_diag, ops.m_off, psi)).real
+    assert abs(out.record.norm[-1] - norm) <= 1e-14 * norm

@@ -21,6 +21,7 @@ from trapswitch.scattering import (
     evaluate_scattering_state,
     phase_shift_curve,
     pole_function_derivatives,
+    pole_function_terms,
     s_matrix,
 )
 
@@ -276,6 +277,16 @@ def test_pole_function_derivatives_match_mpmath(unit, cfg, k):
         km, vb = mpmath.mpc(k.real, k.imag), mpmath.mpf(cfg.v_barrier)
         ref_k = complex(mpmath.diff(lambda z: _omega_mp(cfg, kappa, z, vb), km))
         ref_v = complex(mpmath.diff(lambda v: _omega_mp(cfg, kappa, km, v), vb))
-    d_k, d_barrier = pole_function_derivatives(cfg, unit, k)
+    *_, d_k, d_barrier = pole_function_derivatives(cfg, unit, k)
     assert abs(complex(d_k) - ref_k) <= 1e-12 * abs(ref_k)
     assert abs(complex(d_barrier) - ref_v) <= 1e-12 * abs(ref_v)
+
+
+def test_pole_function_derivatives_carry_the_exact_pole_function_terms(unit):
+    # Newton and the delay take Omega's terms from the derivative call's
+    # block build; they must be the very numbers pole_function_terms gives
+    k = np.array([K_RES, 0.05 + 0.0j, 0.4 - 0.2j, 1.3 + 0.1j])
+    for cfg in (FINAL, _BROAD):
+        terms = pole_function_terms(cfg, unit, k)
+        for got, want in zip(pole_function_derivatives(cfg, unit, k)[:3], terms):
+            assert np.array_equal(got, want)
