@@ -27,6 +27,7 @@ from .spectra import (
     FIT_SPAN_LIFETIMES,
     LORENTZIAN_OBJECTIVE,
     OBJECTIVES,
+    PROPAGATED_CONTAIN_RTOL,
     SpectrumRunSpec,
     energy_distribution,
     energy_grid,
@@ -35,8 +36,11 @@ from .spectra import (
     lorentzian_deviation,
     lorentzian_reference,
     lowest_resonance,
+    map_runs,
     optimal_switch_time,
     scan_plan,
+    # not called here: perfbench/tracer.py wraps these two names in this
+    # module and stops on a missing one
     switch_and_project,
     switch_and_record,
 )
@@ -205,18 +209,28 @@ def _decay_plan(spec: ExperimentSpec, tau: float):
     return fracs, t_mins, replace(DecayRunSpec(t_end=t_end), **spec.numerics)
 
 
+def _setups(
+    spec: ExperimentSpec, run: DecayRunSpec | SpectrumRunSpec, t_switches
+) -> list[PropagationSetup]:
+    """The setups of one run record at the given switching times."""
+    return [
+        run.setup(SwitchingSchedule(spec.initial, spec.final, t), spec.unit) for t in t_switches
+    ]
+
+
 def run_decay_curves(spec: ExperimentSpec):
     with _stage("resonance"):
         res = lowest_resonance(spec.final, spec.unit)
     tau = res.tau
     fracs, t_mins, run = _decay_plan(spec, tau)
+    runs = map_runs(run.release, _setups(spec, run, [f * tau for f in fracs]), spec.unit)
     table = Table("decay_curves")
     checks = []
     scalars = {"tau_pole": tau, "t_end": run.t_end}
-    for frac, t_min in zip(fracs, t_mins):
+    for frac, t_min, pending in zip(fracs, t_mins, runs):
         label = frac_label(frac)
         with _stage(f"decay-{label}"):
-            record = switch_and_record(spec.initial, spec.final, frac * tau, spec.unit, run)
+            record = pending()
             tau_fit, quality, _ = fit_exponential_decay(record, t_min)
         if not table.columns:
             table.add("t", "s", record.times)
@@ -253,6 +267,11 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
     tau = res.tau
     fracs, run = _spectrum_plan(spec)
     grid = energy_grid(res.e_r, res.gamma, run.e_cut, run.n_energy)
+    # the sudden point projects the prepared state without propagating
+    ramps = [f for f in fracs if f != 0.0]
+    released = dict(
+        zip(ramps, map_runs(run.release, _setups(spec, run, [f * tau for f in ramps]), spec.unit))
+    )
     table = Table("spectrum_vs_t")
     table.add("e", "hbar/s", grid)
     table.add("lorentzian_ref", "s/hbar", lorentzian_reference(res, grid))
@@ -270,8 +289,9 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
                 wide = energy_grid(res.e_r, res.gamma, 3000.0, 2600)
                 total = energy_distribution(state, spec.final, spec.unit, wide).total
             else:
-                dist = switch_and_project(
-                    spec.initial, spec.final, frac * tau, spec.unit, run, res
+                dist = energy_distribution(
+                    released[frac](), spec.final, spec.unit, grid,
+                    contain_rtol=PROPAGATED_CONTAIN_RTOL,
                 )
                 total = dist.total
         table.add(f"p_{label}", "s/hbar", dist.p)
@@ -419,20 +439,18 @@ def planned_setups(spec: ExperimentSpec) -> list[PropagationSetup]:
         tau = lowest_resonance(spec.final, spec.unit).tau
     if spec.name == "decay-curves":
         fracs, _, run = _decay_plan(spec, tau)
-        plan = [(run, f * tau) for f in fracs]
-    elif spec.name == "spectrum-vs-T":
+        return _setups(spec, run, [f * tau for f in fracs])
+    if spec.name == "spectrum-vs-T":
         fracs, run = _spectrum_plan(spec)
         # the sudden point projects the prepared state without propagating
-        plan = [(run, f * tau) for f in fracs if f != 0.0]
-    else:
-        scan = dict(spec.options)  # t_range_fractions, n_coarse, refine_rtol
-        objectives = scan.pop("objectives", OBJECTIVES)
-        scan.pop("refine_rtol", None)
-        plan = []
-        for objective in objectives:
-            run, ts = scan_plan(objective, tau, **scan)
-            plan += [(run, t) for t in ts]
-    return [r.setup(SwitchingSchedule(spec.initial, spec.final, t), spec.unit) for r, t in plan]
+        return _setups(spec, run, [f * tau for f in fracs if f != 0.0])
+    scan = dict(spec.options)  # t_range_fractions, n_coarse, refine_rtol
+    objectives = scan.pop("objectives", OBJECTIVES)
+    scan.pop("refine_rtol", None)
+    setups = []
+    for objective in objectives:
+        setups += _setups(spec, *scan_plan(objective, tau, **scan))
+    return setups
 
 
 RUNNERS = {

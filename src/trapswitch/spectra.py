@@ -13,7 +13,9 @@ scan over T locates the best one under two explicit metrics
 whole-history closeness of the decay curve to a single exponential).
 """
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,6 +375,41 @@ BOX_PAD = 20.0
 PROPAGATED_CONTAIN_RTOL = 0.1
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def map_runs(job, setups, *args) -> list:
+    """One zero-argument callable per setup, in the order given, that returns
+    job(setup, *args) or raises its error.
+
+    The runs are independent.  With more than one usable CPU they go to a
+    pool of forked processes, one per CPU and at most one per setup, largest
+    grid work (n_nodes * n_steps) first, and all have finished on return, so
+    what the caller does next (a fit, a projection) has the CPUs to itself.
+    With one, each run happens in this process when its callable is called.
+    job, its arguments and its result must pickle, job by its import path.
+
+    Workers are forked, not spawned: a spawned one imports numpy and scipy
+    afresh, ~0.7 s on a 2-core host, more than the pool saves on short runs.
+    The pool forks them all from this thread before it starts threads of
+    its own.
+    """
+    workers = min(len(setups), _usable_cpus())
+    if workers <= 1:
+        return [functools.partial(job, setup, *args) for setup in setups]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    largest_first = sorted(
+        range(len(setups)), key=lambda i: -setups[i].n_nodes() * setups[i].n_steps()
+    )
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(job, setups[i], *args) for i in largest_first}
+    return [futures[i].result for i in range(len(setups))]
+
+
 @dataclass(frozen=True)
 class SpectrumRunSpec:
     """Numerics for one spectrum-profile run (no absorber, contained box)."""
@@ -397,6 +434,12 @@ class SpectrumRunSpec:
             e_cut=self.e_cut,
         )
 
+    def release(self, setup: PropagationSetup, unit: UnitSystem) -> WavefunctionGrid:
+        """The released packet at the setup's t_end, from the prepared state;
+        the run is sampled 50 times on the way."""
+        phi0, _ = ground_state(setup.schedule.initial, unit, dx=setup.dx, x_max=setup.box_length)
+        return propagate(phi0, setup, unit, record_every=max(1, setup.n_steps() // 50)).final
+
 
 def switch_and_project(
     initial_config: PotentialConfig,
@@ -408,13 +451,10 @@ def switch_and_project(
 ) -> EnergyDistribution:
     """Run the switch, then project the released packet at the settle time
     on a grid dense around the given resonance."""
-    schedule = SwitchingSchedule(initial_config, final_config, t_switch)
-    setup = spec.setup(schedule, unit)
-    phi0, _ = ground_state(initial_config, unit, dx=spec.dx, x_max=setup.box_length)
-    result = propagate(phi0, setup, unit, record_every=max(1, setup.n_steps() // 50))
+    setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
     grid = energy_grid(resonance.e_r, resonance.gamma, spec.e_cut, spec.n_energy)
     return energy_distribution(
-        result.final, final_config, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL
+        spec.release(setup, unit), final_config, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL
     )
 
 
@@ -441,6 +481,11 @@ class DecayRunSpec:
             absorber=True,
         )
 
+    def release(self, setup: PropagationSetup, unit: UnitSystem) -> DecayRecord:
+        """The decay record of the run from the prepared state."""
+        phi0, _ = ground_state(setup.schedule.initial, unit, dx=setup.dx, x_max=setup.box_length)
+        return propagate(phi0, setup, unit, record_every=self.record_every).record
+
 
 def switch_and_record(
     initial_config: PotentialConfig,
@@ -451,8 +496,7 @@ def switch_and_record(
 ) -> DecayRecord:
     """Run the switch in the absorbing box and return the decay record."""
     setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
-    phi0, _ = ground_state(initial_config, unit, dx=spec.dx, x_max=setup.box_length)
-    return propagate(phi0, setup, unit, record_every=spec.record_every).record
+    return spec.release(setup, unit)
 
 
 #: Energy (ħ/s) below which lowest_resonance searches.
@@ -586,14 +630,27 @@ def optimal_switch_time(
     run, ts = scan_plan(objective, tau, **plan)
     n_coarse = len(ts)
 
-    def evaluate(t_switch: float) -> float:
-        if objective == LORENTZIAN_OBJECTIVE:
-            dist = switch_and_project(initial_config, final_config, t_switch, unit, run, resonance)
-            return lorentzian_deviation(dist, resonance)
-        record = switch_and_record(initial_config, final_config, t_switch, unit, run)
-        return exponential_deviation(record, tau)
+    if objective == LORENTZIAN_OBJECTIVE:
+        grid = energy_grid(resonance.e_r, resonance.gamma, run.e_cut, run.n_energy)
 
-    vs = np.array([evaluate(t) for t in ts])
+        def score(state):
+            dist = energy_distribution(
+                state, final_config, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL
+            )
+            return lorentzian_deviation(dist, resonance)
+    else:
+        def score(record):
+            return exponential_deviation(record, tau)
+
+    def setup(t_switch):
+        return run.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
+
+    def evaluate(t_switch: float) -> float:
+        return score(run.release(setup(t_switch), unit))
+
+    # the coarse points run at once; each refinement point depends on the last
+    coarse = map_runs(run.release, [setup(t) for t in ts], unit)
+    vs = np.array([score(pending()) for pending in coarse])
 
     minima = []
     for i in range(n_coarse):

@@ -124,6 +124,44 @@ def test_rerun_is_byte_identical(tmp_path, experiment):
     assert _emitted(out) == first
 
 
+#: TINY's propagating experiments, with enough switching times to fill two
+#: workers.  Spectrum boxes and run times grow with T, so in spectrum-vs-T
+#: and t-scan the largest run is the last in spec order.
+POOLED = {
+    "decay-curves": {"t_switch_fractions": [0.02, 0.05, 0.1]},
+    "spectrum-vs-T": {"t_switch_fractions": [0.0, 0.02, 0.05]},
+    "t-scan": {},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(POOLED))
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, experiment):
+    options, numerics = TINY[experiment]
+    out = str(tmp_path / "run")
+    document = {
+        "experiment": {"name": experiment, **options, **POOLED[experiment]},
+        "numerics": numerics,
+        "outputs": {"directory": out},
+    }
+    spec = _write(tmp_path, yaml.safe_dump(document))
+    pooled = []
+    map_runs = spectra.map_runs
+
+    def counted(job, setups, *args):
+        pooled.append(len(setups))
+        return map_runs(job, setups, *args)
+
+    monkeypatch.setattr(spectra, "map_runs", counted)
+    monkeypatch.setattr(experiments, "map_runs", counted)
+    emitted = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
+        assert main(["run", spec]) in (0, 1)
+        emitted.append(_emitted(out))
+    assert min(pooled) >= 2
+    assert emitted[0] == emitted[1]
+
+
 def test_set_override_lands_in_emitted_spec(tmp_path, capsys):
     out = str(tmp_path / "gs")
     code = main(["groundstate", "--out", out, "--set", "experiment.x_max=90"])
@@ -224,6 +262,8 @@ def test_validate_agrees_with_the_runners_own_setups(
     def flat_distribution(state, final_config, unit, e_grid, **kwargs):
         return EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0)
 
+    # the runs stay in this process, so what they record is seen here
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(spectra, "propagate", record_setup)
     monkeypatch.setattr(spectra, "energy_distribution", flat_distribution)
     monkeypatch.setattr(experiments, "energy_distribution", flat_distribution)

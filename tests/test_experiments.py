@@ -7,16 +7,27 @@ emission contract they all share.
 
 import csv
 import os
+import pickle
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from trapswitch import experiments, poles
-from trapswitch.errors import IncompleteSearchError
+from trapswitch import experiments, poles, spectra
+from trapswitch.errors import (
+    AmbiguousBoundStateError,
+    FitFailureError,
+    IncompleteSearchError,
+    NumericalBlowupError,
+    RefinementError,
+    SpecValidationError,
+)
 from trapswitch.experiments import _decay_plan, _stage, planned_setups, run_experiment
 from trapswitch.io import load_spec, parse_spec, spec_hash, spec_problems
+from trapswitch.propagate import DecayRecord, PropagationResult
 from trapswitch.spectra import (
     FIT_SPAN_LIFETIMES,
+    EnergyDistribution,
     lowest_resonance,
 )
 
@@ -169,6 +180,43 @@ def test_stage_keeps_the_error_object_and_its_fields():
     assert (err.value.found, err.value.expected) == (2, 3)
 
 
+def test_an_error_in_a_worker_keeps_its_type_stage_and_fields(tmp_path, monkeypatch):
+    # decay runs go to two forked workers, which inherit this stand-in
+    def blow_up(initial, setup, unit, record_every=1):
+        raise NumericalBlowupError(f"non-finite observables in process {os.getpid()}", step=7)
+
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(spectra, "propagate", blow_up)
+    spec = _spec(tmp_path, "decay-curves", {"t_switch_fractions": [0.02, 0.1]})
+    with pytest.raises(NumericalBlowupError) as err:
+        run_experiment(spec)
+    message = str(err.value)
+    assert message.startswith("stage decay-T0.02tau: non-finite observables in process ")
+    assert int(message.rsplit(" ", 1)[1]) != os.getpid()
+    assert err.value.step == 7
+    assert not os.path.exists(str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RefinementError("depth limit", interval=(0.1, 0.2)),
+        IncompleteSearchError("winding count 3, found 2", found=2, expected=3),
+        AmbiguousBoundStateError("two bound states", energies=(-25.0, -3.0)),
+        NumericalBlowupError("non-finite observables at step 7", step=7),
+        FitFailureError("no convergence", last_iterate=(1.0, 134.5, 2.4)),
+        SpecValidationError("1 problem", problems=("numerics.dx: must be > 0",)),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_errors_with_fields_survive_pickling(error):
+    # what a worker raises reaches the caller through pickle
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert vars(back) == vars(error) != {}
+
+
 def test_decay_default_window_spans_the_fit_margin_for_long_lifetimes(tmp_path):
     spec = parse_spec(
         {
@@ -204,11 +252,7 @@ ALL_KEYS = set().union(*READS.values()) | {"absorber_width", "absorber_strength"
 
 
 #: experiment -> (callee in experiments, what of its call the numerics shape)
-CONSUMERS = {
-    "ground-state": ("ground_state", lambda args, kwargs: kwargs.get("dx")),
-    "decay-curves": ("switch_and_record", lambda args, kwargs: args[4]),
-    "spectrum-vs-T": ("switch_and_project", lambda args, kwargs: args[4]),
-}
+CONSUMERS = {"ground-state": ("ground_state", lambda args, kwargs: kwargs.get("dx"))}
 
 
 class _Captured(Exception):
@@ -229,10 +273,33 @@ def _captured_call(monkeypatch, consumers, document):
     return got.value.args[0]
 
 
+def _handed_to_runs(monkeypatch, spec):
+    """What a propagating runner hands propagate and the projection; both are
+    stand-ins that only record, and the runs stay in this process."""
+    handed = []
+
+    def record_setup(initial, setup, unit, record_every=1):
+        handed.append((setup, record_every))
+        t = np.linspace(0.0, setup.t_end, 200)
+        return PropagationResult(initial, DecayRecord(t, np.exp(-t / 0.1), np.ones_like(t)))
+
+    def flat_distribution(state, final_config, unit, e_grid, **kwargs):
+        handed.append(tuple(e_grid))
+        return EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0)
+
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(spectra, "propagate", record_setup)
+    monkeypatch.setattr(experiments, "energy_distribution", flat_distribution)
+    experiments.RUNNERS[spec.name](spec)
+    return handed
+
+
 def _runner_record(monkeypatch, name, numerics):
-    options = {"t_switch_fractions": [0.1]} if name == "spectrum-vs-T" else {}
-    document = {"experiment": {"name": name, **options}, "numerics": numerics}
-    return _captured_call(monkeypatch, CONSUMERS, document)
+    if name in CONSUMERS:
+        document = {"experiment": {"name": name}, "numerics": numerics}
+        return _captured_call(monkeypatch, CONSUMERS, document)
+    document = {"experiment": {"name": name, "t_switch_fractions": [0.1]}, "numerics": numerics}
+    return _handed_to_runs(monkeypatch, parse_spec(document))
 
 
 @pytest.mark.parametrize("name", sorted(READS))
@@ -290,8 +357,8 @@ OPTION_CONSUMERS = {
     "ground-state": ("ground_state", lambda args, kwargs: kwargs),
     "delay-spectrum": ("fit_lorentzian", lambda args, kwargs: (args[0].tolist(), kwargs)),
     "iso-curves": ("trace_iso_resonance", lambda args, kwargs: (args[0], kwargs)),
-    "decay-curves": ("switch_and_record", lambda args, kwargs: args[2]),
-    "spectrum-vs-T": ("switch_and_project", lambda args, kwargs: args[2]),
+    "decay-curves": ("map_runs", lambda args, kwargs: [s.schedule.t_switch for s in args[1]]),
+    "spectrum-vs-T": ("map_runs", lambda args, kwargs: [s.schedule.t_switch for s in args[1]]),
     "t-scan": ("optimal_switch_time", lambda args, kwargs: (args[0], kwargs)),
 }
 

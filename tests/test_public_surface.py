@@ -11,7 +11,11 @@ import importlib.util
 import inspect
 import os
 
+import pytest
+
 import trapswitch
+from trapswitch import spectra
+from trapswitch.io import parse_spec
 from trapswitch.poles import IsoResonanceCurve
 from trapswitch.propagate import propagate
 from trapswitch.scattering import pole_function_terms, s_matrix
@@ -52,3 +56,26 @@ def test_traced_arguments_and_fields_keep_their_places():
         assert list(inspect.signature(fn).parameters)[2] == "k"
     assert "n_iterations" in LorentzianFit.__dataclass_fields__
     assert "v_well" in IsoResonanceCurve.__dataclass_fields__
+
+
+#: small propagating specs with two runs each, so two workers share them
+POOLED = {
+    "decay-curves": {"dx": 0.5, "e_cut": 100.0, "box_length": 60.0, "dt": 5e-4, "record_every": 20},
+    "spectrum-vs-T": {"dx": 0.4, "dt": 5e-4, "e_cut": 200.0, "n_energy": 300},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED))
+def test_pooled_runs_pickle_while_the_tracer_is_attached(tmp_path, monkeypatch, name):
+    # the tracer's wrappers replace names such as experiments.switch_and_record
+    # and cannot be pickled by name, so no pool job may be one of them
+    tracer = _tracer()
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    spec = parse_spec({
+        "experiment": {"name": name, "t_switch_fractions": [0.02, 0.05]},
+        "numerics": POOLED[name],
+        "outputs": {"directory": str(tmp_path / "run")},
+    })
+    with tracer.attached(tracer.Recorder()):
+        path, _ = trapswitch.run_experiment(spec)
+    assert os.path.isfile(os.path.join(path, "report.txt"))

@@ -1,11 +1,13 @@
 """Energy-domain analysis: grids, reference profiles, fits, deviations."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from trapswitch import spectra
 from trapswitch.errors import (
     CompletenessViolationError,
     ContainmentError,
@@ -17,7 +19,7 @@ from trapswitch.errors import (
 from trapswitch.groundstate import WavefunctionGrid, ground_state
 from trapswitch.model import SwitchingSchedule
 from trapswitch.poles import find_poles
-from trapswitch.propagate import DecayRecord, propagate
+from trapswitch.propagate import DecayRecord, PropagationSetup, propagate
 from trapswitch.spectra import (
     PROPAGATED_CONTAIN_RTOL,
     EnergyDistribution,
@@ -30,6 +32,7 @@ from trapswitch.spectra import (
     lorentzian_deviation,
     lorentzian_reference,
     lowest_resonance,
+    map_runs,
 )
 
 from conftest import E_RES, FINAL, GAMMA_RES, INITIAL, TAU_RES
@@ -231,3 +234,27 @@ def test_projection_memory_stays_flat(unit, res):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def _grid_work(setup, tag):
+    # a map_runs job: module-level, so a worker can unpickle it by name
+    return tag, setup.n_nodes() * setup.n_steps(), os.getpid()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_map_runs_returns_results_in_the_order_given(monkeypatch, cpus):
+    # the largest run is last here, so a pool submits it first
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
+    schedule = SwitchingSchedule(INITIAL, FINAL, 0.0)
+    setups = [
+        PropagationSetup(schedule, dx=0.5, box_length=box, dt=1e-3, t_end=t_end)
+        for box, t_end in ((20.0, 0.02), (30.0, 0.01), (20.0, 0.01), (40.0, 0.04))
+    ]
+    got = [pending() for pending in map_runs(_grid_work, setups, "x")]
+    assert [work for _, work, _ in got] == [41 * 20, 61 * 10, 41 * 10, 81 * 40]
+    assert {tag for tag, _, _ in got} == {"x"}
+    pids = {pid for _, _, pid in got}
+    if cpus == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and 1 <= len(pids) <= cpus
