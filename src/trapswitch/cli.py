@@ -10,7 +10,7 @@ passed.
 import argparse
 import sys
 
-from .errors import SpecValidationError, TrapSwitchError
+from .errors import InvalidArgumentError, SpecValidationError, TrapSwitchError
 from .experiments import planned_setups, run_experiment
 from .io import apply_overrides, load_document, parse_spec, spec_problems
 from .propagate import validate_setup
@@ -32,7 +32,10 @@ def _cmd_validate(args) -> int:
     problems = spec_problems(document)
     if not problems:
         spec = parse_spec(document)
-        found = [p for s in planned_setups(spec) for p in validate_setup(s, spec.unit)]
+        try:
+            found = [p for s in planned_setups(spec) for p in validate_setup(s, spec.unit)]
+        except InvalidArgumentError as exc:  # a plan `run` would refuse before any step
+            found = [str(exc)]
         problems = list(dict.fromkeys(found))
     for problem in problems:
         print(problem)

@@ -38,10 +38,6 @@ class AmbiguousBoundStateError(TrapSwitchError):
         self.energies = tuple(energies)
 
 
-class ResolutionError(TrapSwitchError):
-    """Grid or time step too coarse for the requested accuracy."""
-
-
 class NumericalBlowupError(TrapSwitchError):
     """Propagation produced a non-finite value."""
 

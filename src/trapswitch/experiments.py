@@ -266,7 +266,7 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
         res = lowest_resonance(spec.final, spec.unit)
     tau = res.tau
     fracs, run = _spectrum_plan(spec)
-    grid = energy_grid(res.e_r, res.gamma, run.e_cut, run.n_energy)
+    grid = run.grid(res)
     # the sudden point projects the prepared state without propagating
     ramps = [f for f in fracs if f != 0.0]
     released = dict(
@@ -432,16 +432,20 @@ def run_t_scan(spec: ExperimentSpec):
 
 def planned_setups(spec: ExperimentSpec) -> list[PropagationSetup]:
     """The setups `run` would propagate, built without propagating (t-scan:
-    the coarse scan points; refined points lie between them)."""
+    the coarse scan points; refined points lie between them).  Raises what
+    the runner refuses before its first run, such as an energy grid that
+    misses the resonance."""
     if spec.name not in ("decay-curves", "spectrum-vs-T", "t-scan"):
         return []
     with _stage("resonance"):
-        tau = lowest_resonance(spec.final, spec.unit).tau
+        res = lowest_resonance(spec.final, spec.unit)
+    tau = res.tau
     if spec.name == "decay-curves":
         fracs, _, run = _decay_plan(spec, tau)
         return _setups(spec, run, [f * tau for f in fracs])
     if spec.name == "spectrum-vs-T":
         fracs, run = _spectrum_plan(spec)
+        run.grid(res)  # the runner refuses a grid that misses the resonance
         # the sudden point projects the prepared state without propagating
         return _setups(spec, run, [f * tau for f in fracs if f != 0.0])
     scan = dict(spec.options)  # t_range_fractions, n_coarse, refine_rtol
@@ -449,7 +453,10 @@ def planned_setups(spec: ExperimentSpec) -> list[PropagationSetup]:
     scan.pop("refine_rtol", None)
     setups = []
     for objective in objectives:
-        setups += _setups(spec, *scan_plan(objective, tau, **scan))
+        run, t_switches = scan_plan(objective, tau, **scan)
+        if objective == LORENTZIAN_OBJECTIVE:
+            run.grid(res)
+        setups += _setups(spec, run, t_switches)
     return setups
 
 

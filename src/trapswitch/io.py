@@ -11,6 +11,7 @@ identical specs produce byte-identical outputs.
 
 import hashlib
 import os
+import re
 import shutil
 import sys
 from dataclasses import dataclass, field, fields
@@ -260,11 +261,23 @@ def parse_spec(document) -> ExperimentSpec:
     )
 
 
+class _SpecLoader(yaml.SafeLoader):
+    """PyYAML's safe loader with YAML 1.2's exponent floats: 2e-4 and 1E3 read
+    as numbers, where YAML 1.1 wants a dot and a signed exponent."""
+
+
+_SpecLoader.add_implicit_resolver(  # on a copy of SafeLoader's resolvers
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_document(path: str):
     """Raw YAML document of a spec file; errors carry their line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_SpecLoader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -284,7 +297,7 @@ def apply_overrides(document, assignments: list[str]):
         dotted, raw = item.split("=", 1)
         keys = dotted.strip().split(".")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_SpecLoader)
         except yaml.YAMLError:
             value = raw
         if not isinstance(document, dict):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
-from .errors import InvalidArgumentError, NumericalBlowupError, ResolutionError
+from .errors import InvalidArgumentError, NumericalBlowupError
 from .groundstate import WavefunctionGrid
 from .model import SwitchingSchedule, UnitSystem
 
@@ -93,16 +93,21 @@ def validate_setup(setup: PropagationSetup, unit: UnitSystem) -> list[str]:
             f"box_length={setup.box_length:.6g} holds {max(setup.n_nodes() - 2, 0)} "
             f"interior nodes at dx={setup.dx:.6g}; need >= {MIN_BLOCK}"
         )
-    if setup.dx > 0.0 and setup.e_cut > 0.0:
-        v_top = max(
-            setup.schedule.initial.v_well,
-            setup.schedule.final.v_well,
-        )
-        k_max = math.sqrt(2.0 * (setup.e_cut + v_top) / unit.kappa)
+    if setup.e_cut > 0.0:
+        # both steps must carry components up to e_top = e_cut + v_top:
+        # dx samples their wavelength 20 times, and dt keeps CN's group
+        # velocity, 1/(1 + (E dt/2)^2) of the true one, within 20% of it
+        e_top = setup.e_cut + max(setup.schedule.initial.v_well, setup.schedule.final.v_well)
+        k_max = math.sqrt(2.0 * e_top / unit.kappa)
         dx_bound = 2.0 * math.pi / (20.0 * k_max)
         if setup.dx > dx_bound:
             problems.append(
                 f"dx={setup.dx:.6g} does not resolve k_max={k_max:.6g}; need dx <= {dx_bound:.6g}"
+            )
+        if setup.dt * e_top > 1.0:
+            problems.append(
+                f"dt={setup.dt:.6g} carries energy e_cut + v_top = {e_top:.6g} over 20% "
+                f"slow; need dt <= {1.0 / e_top:.6g}"
             )
     if not setup.absorber and setup.t_end > 0.0 and setup.e_cut > 0.0:
         v_cut = unit.kappa * setup.k_cut(unit)
@@ -233,9 +238,6 @@ class _Operators:
     w_diag: np.ndarray  # absorber mass (real amplitudes; enters as -i W)
     w_off: np.ndarray
 
-    def hamiltonian(self, weight: float):
-        return self.h0_diag + weight * self.dv_diag, self.h0_off + weight * self.dv_off
-
 
 def _config_mass(config, x, dx):
     edges = [config.d, config.outer_edge]
@@ -278,13 +280,6 @@ def _tri_mul(diag, off, v):
     out[:-1] += off * v[1:]
     out[1:] += off * v[:-1]
     return out
-
-
-def _energy_expectation(ops: _Operators, weight: float, psi: np.ndarray) -> float:
-    hd, ho = ops.hamiltonian(weight)
-    num = np.vdot(psi, _tri_mul(hd, ho, psi)).real
-    den = np.vdot(psi, _tri_mul(ops.m_diag, ops.m_off, psi)).real
-    return num / den
 
 
 #: Relative size below which the tail of g = A22^-1 e1 is dropped.
@@ -457,33 +452,6 @@ def _embed_initial(initial: WavefunctionGrid, setup: PropagationSetup) -> np.nda
     return out
 
 
-ACCURACY_PROBE_STEPS = 64
-ACCURACY_DRIFT_TOL = 1e-3
-
-
-def _half_step_energy(ops, schedule, dt, psi0, window):
-    """Energy at t = window * dt after 2 * window steps at dt/2.
-
-    The accuracy probe compares the run's own energy at that time with it.
-    """
-    half = 0.5 * dt
-    stepper = _Stepper(ops, half)
-    psi = psi0
-    for j in range(2 * window):
-        psi = stepper.step(schedule.weight((j + 0.5) * half), psi, stepper.rhs(psi))
-    return _energy_expectation(ops, schedule.weight(window * dt), psi)
-
-
-def _check_drift(ops, schedule, dt, psi, window, e_half):
-    e_run = _energy_expectation(ops, schedule.weight(window * dt), psi)
-    scale = max(abs(e_half), 1.0)
-    if abs(e_run - e_half) > ACCURACY_DRIFT_TOL * scale:
-        raise ResolutionError(
-            f"energy drift {abs(e_run - e_half):.3e} vs scale {scale:.3e} over a "
-            f"{window}-step window; halve dt (currently {dt:.3e})"
-        )
-
-
 def propagate(
     initial: WavefunctionGrid,
     setup: PropagationSetup,
@@ -510,10 +478,6 @@ def propagate(
     schedule = setup.schedule
     dt = setup.dt
 
-    # accuracy probe: the run's first `window` steps against twice as many
-    # at dt/2; that stepper is freed before the run's own is built
-    window = min(n_steps, ACCURACY_PROBE_STEPS)
-    e_half = _half_step_energy(ops, schedule, dt, psi, window) if window else None
     stepper = _Stepper(ops, dt)
 
     n = setup.n_nodes()
@@ -536,8 +500,6 @@ def propagate(
         psi = stepper.step(schedule.weight((j + 0.5) * dt), psi, rhs)
         rhs = stepper.rhs(psi)
         step = j + 1
-        if step == window:
-            _check_drift(ops, schedule, dt, psi, window, e_half)
         if step % record_every == 0 or step == n_steps:
             sample(step, psi, rhs)
 

@@ -434,6 +434,13 @@ class SpectrumRunSpec:
             e_cut=self.e_cut,
         )
 
+    def grid(self, resonance: Resonance) -> np.ndarray:
+        """The energies P(E) is sampled at, dense around the resonance; refused
+        when they barely sample the window of lorentzian_deviation."""
+        grid = energy_grid(resonance.e_r, resonance.gamma, self.e_cut, self.n_energy)
+        _deviation_window(grid, resonance)
+        return grid
+
     def release(self, setup: PropagationSetup, unit: UnitSystem) -> WavefunctionGrid:
         """The released packet at the setup's t_end, from the prepared state;
         the run is sampled 50 times on the way."""
@@ -452,7 +459,7 @@ def switch_and_project(
     """Run the switch, then project the released packet at the settle time
     on a grid dense around the given resonance."""
     setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
-    grid = energy_grid(resonance.e_r, resonance.gamma, spec.e_cut, spec.n_energy)
+    grid = spec.grid(resonance)
     return energy_distribution(
         spec.release(setup, unit), final_config, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL
     )
@@ -527,13 +534,21 @@ OBJECTIVES = (LORENTZIAN_OBJECTIVE, EXPONENTIAL_OBJECTIVE)
 LATE_FIT_T_MIN = 1.8
 
 
-def lorentzian_deviation(dist: EnergyDistribution, resonance: Resonance) -> float:
-    """Integral of |P(E) - pole Lorentzian| over e_r +- 10 gamma."""
+def _deviation_window(energies: np.ndarray, resonance: Resonance) -> np.ndarray:
+    """Mask of the energies within e_r +- 10 gamma; refuses fewer than 20."""
     lo = resonance.e_r - 10.0 * resonance.gamma
     hi = resonance.e_r + 10.0 * resonance.gamma
-    mask = (dist.energies >= lo) & (dist.energies <= hi)
+    mask = (energies >= lo) & (energies <= hi)
     if np.count_nonzero(mask) < 20:
-        raise InvalidArgumentError("distribution grid barely samples the window")
+        raise InvalidArgumentError(
+            f"distribution grid barely samples the window [{lo:.6g}, {hi:.6g}]: < 20 energies"
+        )
+    return mask
+
+
+def lorentzian_deviation(dist: EnergyDistribution, resonance: Resonance) -> float:
+    """Integral of |P(E) - pole Lorentzian| over e_r +- 10 gamma."""
+    mask = _deviation_window(dist.energies, resonance)
     e = dist.energies[mask]
     ref = lorentzian_reference(resonance, e)
     return float(np.trapezoid(np.abs(dist.p[mask] - ref), e))
@@ -631,7 +646,7 @@ def optimal_switch_time(
     n_coarse = len(ts)
 
     if objective == LORENTZIAN_OBJECTIVE:
-        grid = energy_grid(resonance.e_r, resonance.gamma, run.e_cut, run.n_energy)
+        grid = run.grid(resonance)
 
         def score(state):
             dist = energy_distribution(

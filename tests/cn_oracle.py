@@ -23,9 +23,8 @@ def _tri_solve(diag, off, rhs):
 
 
 def _cn_step(ops, weight, dt, psi):
-    hd, ho = ops.hamiltonian(weight)
-    a_diag = hd - 1j * ops.w_diag
-    a_off = ho - 1j * ops.w_off
+    a_diag = ops.h0_diag + weight * ops.dv_diag - 1j * ops.w_diag
+    a_off = ops.h0_off + weight * ops.dv_off - 1j * ops.w_off
     z = 0.5j * dt
     rhs = _tri_mul(ops.m_diag - z * a_diag, ops.m_off - z * a_off, psi)
     return _tri_solve(ops.m_diag + z * a_diag, ops.m_off + z * a_off, rhs)

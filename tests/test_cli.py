@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from trapswitch import experiments, spectra
+from trapswitch import propagate as propagate_module
 from trapswitch.cli import main
 from trapswitch.model import make_unit_system
 from trapswitch.propagate import DecayRecord, PropagationResult, validate_setup
@@ -281,3 +282,51 @@ def test_validate_agrees_with_the_runners_own_setups(
     assert printed == (problems or {"ok"})
     propagating = ("decay_curves.yaml", "spectrum_vs_t.yaml", "switch_scan.yaml")
     assert bool(setups) == (config in propagating)
+
+
+class _FirstStep(Exception):
+    """Raised where a run that passed every check would take its first step."""
+
+
+#: (config, override, refused): a dt ladder at theta = (e_cut + v_top) dt/2
+#: from 0.094 to 2.7 (refused above 0.5), a ramp shorter than one step, and
+#: an e_cut below the resonance, whose P(E) grid misses the fit window
+LADDER = [
+    ("decay_curves.yaml", "numerics.dt=2e-4", False),  # theta 0.135
+    ("decay_curves.yaml", "numerics.dt=4e-4", False),  # 0.27
+    ("decay_curves.yaml", "numerics.dt=8.0e-4", True),  # 0.54
+    ("decay_curves.yaml", "numerics.dt=1.6e-3", True),  # 1.08
+    ("decay_curves.yaml", "numerics.dt=4.0e-3", True),  # 2.7
+    ("decay_curves.yaml", "experiment.t_switch_fractions=[1e-4]", False),  # T = 0.2 dt
+    ("spectrum_vs_t.yaml", "numerics.dt=2.5e-4", False),  # 0.094
+    ("spectrum_vs_t.yaml", "numerics.dt=8e-4", False),  # 0.30
+    ("spectrum_vs_t.yaml", "numerics.dt=1.6e-3", True),  # 0.60
+    ("spectrum_vs_t.yaml", "numerics.dt=4.0e-3", True),  # 1.5
+    ("spectrum_vs_t.yaml", "experiment.t_switch_fractions=[1e-4]", False),
+    ("spectrum_vs_t.yaml", "numerics.e_cut=80", True),
+]
+
+
+@pytest.mark.parametrize("config, override, refused", LADDER)
+def test_validate_and_run_refuse_the_same_specs(
+    tmp_path, monkeypatch, capsys, config, override, refused
+):
+    args = [os.path.join(CONFIGS, config), "--set", override]
+    assert main(["validate", *args]) == (1 if refused else 0)
+    printed = capsys.readouterr().out.splitlines()
+
+    def first_step(*_):
+        raise _FirstStep
+
+    # runs stay in this process, and an accepted one stops where it would step
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(propagate_module, "_Stepper", first_step)
+    run = ["run", *args, "--set", f"outputs.directory={tmp_path / 'out'}"]
+    if refused:
+        assert main(run) == 2
+        err = capsys.readouterr().err
+        assert printed and all(line in err for line in printed)
+    else:
+        assert printed == ["ok"]
+        with pytest.raises(_FirstStep):
+            main(run)

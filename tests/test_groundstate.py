@@ -25,8 +25,7 @@ def _fem_residual(unit, dx):
                              dt=2e-4, t_end=0.0, e_cut=10.0)
     ops = assemble_operators(setup, unit)
     v = phi.values[1:-1].copy()
-    hd, ho = ops.hamiltonian(0.0)
-    hv = _tri_mul(hd, ho, v)
+    hv = _tri_mul(ops.h0_diag, ops.h0_off, v)
     r = _tri_solve(ops.m_diag.astype(complex), ops.m_off.astype(complex), hv) - e0 * v
     return float(np.linalg.norm(r) / (abs(e0) * np.linalg.norm(v)))
 

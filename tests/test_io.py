@@ -18,6 +18,7 @@ from trapswitch.io import (
     canonical_document,
     emit_experiment,
     format_number,
+    load_document,
     load_spec,
     parse_spec,
     spec_hash,
@@ -261,6 +262,30 @@ def test_load_spec_reads_valid_file(tmp_path):
     path.write_text("experiment:\n  name: delay-spectrum\n")
     spec = load_spec(str(path))
     assert spec.name == "delay-spectrum"
+
+
+@pytest.mark.parametrize(
+    "raw, problem",
+    [
+        ("2e-4", None),
+        ("1E3", None),
+        ("abc", "numerics.dt: expected a number, got 'abc'"),
+        (".inf", "numerics.dt: must be finite, got inf"),
+    ],
+)
+def test_numbers_with_an_exponent_load_as_floats(tmp_path, raw, problem):
+    path = tmp_path / "spec.yaml"
+    path.write_text(f"experiment:\n  name: decay-curves\nnumerics:\n  dt: {raw}\n")
+    from_file = load_document(str(path))
+    overridden = apply_overrides({"experiment": {"name": "decay-curves"}}, [f"numerics.dt={raw}"])
+    for doc in (from_file, overridden):
+        value = doc["numerics"]["dt"]
+        if problem is None:
+            assert type(value) is float and value == float(raw)
+        assert spec_problems(doc) == ([problem] if problem else [])
+    # integers stay integers, and the shared safe loader is left as it was
+    assert apply_overrides({}, ["numerics.n_energy=12"])["numerics"]["n_energy"] == 12
+    assert yaml.safe_load("2e-4") == "2e-4"
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ profiles are kept small enough for quick iteration.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import trapswitch.propagate as propagate_module
-from trapswitch.errors import InvalidArgumentError, ResolutionError
+from trapswitch.errors import InvalidArgumentError
 from trapswitch.groundstate import ground_state
 from trapswitch.model import SwitchingSchedule
 from trapswitch.propagate import (
@@ -58,6 +59,15 @@ def test_validate_setup_flags_each_constraint(unit):
                             dt=2e-4, t_end=0.0, e_cut=40.0)
     assert any("1 interior nodes" in p for p in validate_setup(tiny, unit))
 
+    # CN carries e_cut + v_top = 390 hbar/s at 1/(1 + 0.975^2) of its group
+    # velocity here, so dt must come down to 1/390 s
+    slow = PropagationSetup(schedule=SwitchingSchedule(INITIAL, FINAL, 0.01), dx=0.05,
+                            box_length=300.0, dt=5e-3, t_end=0.5, e_cut=40.0)
+    assert validate_setup(slow, unit) == [
+        "dt=0.005 carries energy e_cut + v_top = 390 over 20% slow; need dt <= 0.0025641"
+    ]
+    assert validate_setup(replace(slow, dt=1.0 / 390.0), unit) == []
+
 
 def test_propagate_rejects_invalid_inputs(unit):
     phi, _ = ground_state(INITIAL, unit, dx=0.05, x_max=300.0)
@@ -69,15 +79,6 @@ def test_propagate_rejects_invalid_inputs(unit):
     doubled.values[:] *= 2.0
     with pytest.raises(InvalidArgumentError):
         propagate(doubled, setup, unit)
-
-
-def test_accuracy_probe_rejects_coarse_step(unit):
-    phi, _ = ground_state(INITIAL, unit, dx=0.05, x_max=300.0)
-    sched = SwitchingSchedule(INITIAL, FINAL, 0.01)
-    setup = PropagationSetup(schedule=sched, dx=0.05, box_length=300.0,
-                             dt=5e-3, t_end=0.5, e_cut=40.0)
-    with pytest.raises(ResolutionError):
-        propagate(phi, setup, unit)
 
 
 def test_mass_norm_conserved_and_recorded(unit):
@@ -193,10 +194,9 @@ def test_stepper_matches_banded_lu_oracle_edge_cases(unit, final, box, absorbed,
 
 def test_far_block_is_factored_once_per_time_step(unit, monkeypatch):
     """Structural guard: while the switch changes, each step refactors only
-    the trap rows, and the far block is factored once for the run's dt and
-    once for the probe's dt/2.  Once w == 1.0 (from the first step of a
-    sudden switch) the whole matrix is factored once per dt instead, and no
-    step refactors anything."""
+    the trap rows, and the far block is factored once per run.  Once
+    w == 1.0 (from the first step of a sudden switch) the whole matrix is
+    factored once instead, and no step refactors anything."""
     calls = []
 
     def counting(name, routine):
@@ -220,14 +220,13 @@ def test_far_block_is_factored_once_per_time_step(unit, monkeypatch):
     trap_rows = round(FINAL.outer_edge / setup.dx)
     rows = setup.n_nodes() - 2
     far_rows = rows - trap_rows
-    assert factored == [far_rows, far_rows]
-    probe_steps = 2 * propagate_module.ACCURACY_PROBE_STEPS
-    assert trap_solved == [trap_rows] * (setup.n_steps() + probe_steps)
+    assert factored == [far_rows]
+    assert trap_solved == [trap_rows] * setup.n_steps()
 
-    # the probe's stepper, then the run's: each factors its far block when
-    # built and the whole matrix on its first step
+    # the stepper factors its far block when built and the whole matrix on
+    # its first step
     _, factored, trap_solved = run(0.0)
-    assert factored == [far_rows, rows, far_rows, rows]
+    assert factored == [far_rows, rows]
     assert trap_solved == []
 
 

@@ -47,9 +47,9 @@ def test_every_traced_name_resolves_in_its_calling_module():
 
 
 def test_traced_arguments_and_fields_keep_their_places():
-    # the tracer's hooks read these by position or by attribute
-    # (its propagate hook falls back to a probing run when it finds no fifth
-    # argument, and every run probes)
+    # the tracer's hooks read these by position or by attribute (its
+    # propagate hook still looks for a fifth, accuracy-probe argument; with
+    # none it counts probe steps, although no run takes them any more)
     params = list(inspect.signature(propagate).parameters)
     assert params == ["initial", "setup", "unit", "record_every"]
     for fn in (pole_function_terms, s_matrix):
