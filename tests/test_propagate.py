@@ -81,6 +81,17 @@ def test_propagate_rejects_invalid_inputs(unit):
         propagate(doubled, setup, unit)
 
 
+def test_accuracy_probe_rejects_coarse_step(unit):
+    """propagate refuses a time step too coarse for e_cut before any step,
+    through the static dt bound of validate_setup."""
+    phi, _ = ground_state(INITIAL, unit, dx=0.05, x_max=300.0)
+    sched = SwitchingSchedule(INITIAL, FINAL, 0.01)
+    setup = PropagationSetup(schedule=sched, dx=0.05, box_length=300.0,
+                             dt=5e-3, t_end=0.5, e_cut=40.0)
+    with pytest.raises(InvalidArgumentError, match=r"dt=0\.005 .* need dt <= 0\.0025641"):
+        propagate(phi, setup, unit)
+
+
 def test_mass_norm_conserved_and_recorded(unit):
     phi, _ = ground_state(INITIAL, unit, dx=0.05, x_max=300.0)
     setup = PropagationSetup(schedule=_sudden(), dx=0.05, box_length=300.0,
