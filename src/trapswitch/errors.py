@@ -46,10 +46,6 @@ class NumericalBlowupError(TrapSwitchError):
         self.step = step
 
 
-class ContainmentError(TrapSwitchError):
-    """Wave function amplitude at the box edge is too large to project."""
-
-
 class CompletenessViolationError(TrapSwitchError):
     """Continuum projection would miss weight (bound state present)."""
 

@@ -27,7 +27,6 @@ from .spectra import (
     FIT_SPAN_LIFETIMES,
     LORENTZIAN_OBJECTIVE,
     OBJECTIVES,
-    PROPAGATED_CONTAIN_RTOL,
     SpectrumRunSpec,
     energy_distribution,
     energy_grid,
@@ -267,33 +266,28 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
     tau = res.tau
     fracs, run = _spectrum_plan(spec)
     grid = run.grid(res)
-    # the sudden point projects the prepared state without propagating
-    ramps = [f for f in fracs if f != 0.0]
-    released = dict(
-        zip(ramps, map_runs(run.release, _setups(spec, run, [f * tau for f in ramps]), spec.unit))
-    )
+    # the sudden point's run takes no step: it cuts the prepared state at the
+    # box edge, with its tail
+    runs = map_runs(run.release, _setups(spec, run, [f * tau for f in fracs]), spec.unit)
     table = Table("spectrum_vs_t")
     table.add("e", "hbar/s", grid)
     table.add("lorentzian_ref", "s/hbar", lorentzian_reference(res, grid))
     checks = []
     scalars = {"e_r": res.e_r, "gamma": res.gamma, "tau": tau}
-    for frac in fracs:
+    for frac, pending in zip(fracs, runs):
         label = frac_label(frac)
         with _stage(f"spectrum-{label}"):
+            out = pending()
+            dist = energy_distribution(out.final, spec.final, spec.unit, grid, edge=out.edge)
+            total = dist.total
             if frac == 0.0:
-                # sudden release: project the prepared state directly.  Its
-                # weight reaches far above e_cut (~5% beyond 400 hbar/s), so
-                # unit weight is checked on a fixed grid up to 3000 hbar/s
-                state, _ = ground_state(spec.initial, spec.unit, dx=run.dx)
-                dist = energy_distribution(state, spec.final, spec.unit, grid)
+                # the prepared state's weight reaches far above e_cut (~5%
+                # beyond 400 hbar/s), so unit weight is checked on a fixed
+                # grid up to 3000 hbar/s
                 wide = energy_grid(res.e_r, res.gamma, 3000.0, 2600)
-                total = energy_distribution(state, spec.final, spec.unit, wide).total
-            else:
-                dist = energy_distribution(
-                    released[frac](), spec.final, spec.unit, grid,
-                    contain_rtol=PROPAGATED_CONTAIN_RTOL,
-                )
-                total = dist.total
+                total = energy_distribution(
+                    out.final, spec.final, spec.unit, wide, edge=out.edge
+                ).total
         table.add(f"p_{label}", "s/hbar", dist.p)
         dev = lorentzian_deviation(dist, res)
         checks.append(
@@ -446,8 +440,7 @@ def planned_setups(spec: ExperimentSpec) -> list[PropagationSetup]:
     if spec.name == "spectrum-vs-T":
         fracs, run = _spectrum_plan(spec)
         run.grid(res)  # the runner refuses a grid that misses the resonance
-        # the sudden point projects the prepared state without propagating
-        return _setups(spec, run, [f * tau for f in fracs if f != 0.0])
+        return _setups(spec, run, [f * tau for f in fracs])
     scan = dict(spec.options)  # t_range_fractions, n_coarse, refine_rtol
     objectives = scan.pop("objectives", OBJECTIVES)
     scan.pop("refine_rtol", None)

@@ -1,18 +1,36 @@
 """Time propagation of the trapped packet through the potential switch.
 
 Spatial discretization is a linear finite-element (hat-function) basis on a
-uniform grid with hard Dirichlet walls at both box ends.  The element
+uniform grid with a hard Dirichlet wall at x = 0.  The element
 integrals of the piecewise-constant potential are done exactly, splitting
 the two elements containing the region edges; this keeps the discrete
 eigenpairs honest at the kinks, where a plain finite-difference Laplacian
 loses two orders of accuracy.  Time stepping is the unconditionally stable
 implicit midpoint (Crank-Nicolson) rule with the switching profile sampled
 at t + dt/2; with no absorber it conserves the mass-matrix norm to
-roundoff and is exactly reversible.  A run keeps only its state at t_end
-and a sampled record of the in-well probability and the norm.
+roundoff and is exactly reversible.  A run keeps only its state at t_end,
+a sampled record of the in-well probability and the norm, and for an open
+box the history of its edge.
+
+The right end of the box is open unless the setup asks for the absorber.
+Past the last node J (x_J >= d + b) the potential is zero at all times, so
+the exterior rows of the scheme are constant and a Z-transform in time
+solves them exactly (the discrete transparent boundary of Arnold, VLSI
+Design 6, 313 (1998)): 2A(w) psi_{J+1} = -(B(w) + s(w)) psi_J in w = 1/zeta,
+with A = a - a' w and B = b - b' w the exterior row coefficients and s the
+square root of B^2 - 4A^2, whose coefficients s_m follow a three-term
+recurrence (`edge_kernel`).  In time this is a convolution of the history
+of psi_J with s_m plus a one-step recurrence in psi_{J+1}; row J's diagonal
+gains a constant, and the rest goes onto the right-hand side.  A prepared
+state that reaches past J as a sampled exponential c rho^j carries that
+tail exactly: c rho^j zeta_p^n, zeta_p = D'/D, solves the exterior rows, so
+the boundary acts on the difference.  Only the absorbing box keeps a
+Dirichlet wall at its right end: a cubic absorbing ramp over its last
+quarter.
 
 All matrices are symmetric tridiagonal (the absorber adds a symmetric
-negative-imaginary part), stored as (diagonal, off-diagonal) arrays.  The
+negative-imaginary part, the open edge a constant on the last diagonal),
+stored as (diagonal, off-diagonal) arrays.  The
 switch changes the step matrix only in the trap rows, x <= d + b, so while
 it changes each step is solved by block elimination: the constant far block
 past the trap is LU-factored (LAPACK `zgttrf`, pivoted) once per run and
@@ -64,9 +82,6 @@ class PropagationSetup:
     e_cut: float = 1000.0
     absorber: bool = False
 
-    def k_cut(self, unit: UnitSystem) -> float:
-        return math.sqrt(2.0 * self.e_cut / unit.kappa)
-
     def n_nodes(self) -> int:
         return int(round(self.box_length / self.dx)) + 1
 
@@ -109,14 +124,12 @@ def validate_setup(setup: PropagationSetup, unit: UnitSystem) -> list[str]:
                 f"dt={setup.dt:.6g} carries energy e_cut + v_top = {e_top:.6g} over 20% "
                 f"slow; need dt <= {1.0 / e_top:.6g}"
             )
-    if not setup.absorber and setup.t_end > 0.0 and setup.e_cut > 0.0:
-        v_cut = unit.kappa * setup.k_cut(unit)
-        l_min = setup.schedule.initial.outer_edge + v_cut * setup.t_end
-        if setup.box_length < l_min:
-            problems.append(
-                f"box_length={setup.box_length:.6g} lets flux reach the wall; "
-                f"need >= {l_min:.6g} without an absorber"
-            )
+    trap_edge = max(setup.schedule.initial.outer_edge, setup.schedule.final.outer_edge)
+    if not setup.absorber and setup.box_length < trap_edge:
+        problems.append(
+            f"box_length={setup.box_length:.6g} ends inside the trap; the open edge "
+            f"needs V = 0 past it, so box_length >= {trap_edge:.6g}"
+        )
     return problems
 
 
@@ -139,9 +152,26 @@ class DecayRecord:
 
 
 @dataclass
+class EdgeHistory:
+    """What an open run leaves past its last node J, for the projection.
+
+    psi_edge and psi_out hold psi_J and psi_{J+1} at every step, from t = 0.
+    At t = 0 the state past J is tail * rho^(j - J - 1) for j > J (tail 0:
+    nothing).  dt is the run's step, which fixes the exterior rows.
+    """
+
+    dt: float
+    psi_edge: np.ndarray
+    psi_out: np.ndarray
+    tail: complex
+    rho: float
+
+
+@dataclass
 class PropagationResult:
     final: WavefunctionGrid
     record: DecayRecord
+    edge: EdgeHistory | None
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +290,12 @@ def assemble_operators(setup: PropagationSetup, unit: UnitSystem) -> _Operators:
         w_diag, w_off = _absorber_mass(x, dx, setup.box_length)
     else:
         w_diag, w_off = np.zeros(n), np.zeros(n - 1)
-    # drop the Dirichlet nodes at both ends
-    sl = slice(1, n - 1)
-    so = slice(1, n - 2)
+    # drop the Dirichlet node at x = 0, and at the box end under the absorber;
+    # an open box keeps its last node J, whose diagonal already holds both
+    # of its elements
+    last = n - 1 if setup.absorber else n
+    sl = slice(1, last)
+    so = slice(1, last - 1)
     return _Operators(
         m_diag=m_diag[sl],
         m_off=m_off[so],
@@ -297,6 +330,8 @@ class _Stepper:
     With z = i dt/2 and L(w) = M + z(H0 + w dV - iW), one step is
     psi' = L^-1 (2M - L) psi = L^-1 (2M psi) - psi, so the right-hand side
     2M psi (`rhs`) does not depend on the switch; `step` solves into it.
+    An open box adds the constant edge (a nu_0 of `_OpenEdge`) to L's last
+    diagonal; the caller adds the edge's share to the last entry of rhs.
     At w == 1.0 exactly L is constant: it is factored whole (`zgttrf`) on
     the first such step, and each such step is one `zgttrs` over all rows.
     Otherwise L(w) depends on w only in its first m rows, the trap block
@@ -307,10 +342,10 @@ class _Stepper:
     factorization keeps partial pivoting.
     """
 
-    def __init__(self, ops: _Operators, dt: float):
+    def __init__(self, ops: _Operators, dt: float, edge: complex):
         z = 0.5j * dt
         n = ops.m_diag.size
-        self.ops, self.z = ops, z
+        self.ops, self.z, self.edge = ops, z, edge
         # doubling is exact, so 2M psi carries the roundoff of M psi; numpy
         # multiplies complex by complex faster than real by complex
         self.m2_diag = 2.0 * ops.m_diag.astype(complex)
@@ -351,6 +386,8 @@ class _Stepper:
         ops, z = self.ops, self.z
         diag = ops.m_diag + z * (ops.h0_diag - 1j * ops.w_diag) + weight * (z * ops.dv_diag)
         off = ops.m_off + z * (ops.h0_off - 1j * ops.w_off) + weight * (z * ops.dv_off)
+        if self.edge:
+            diag[-1] += self.edge
         return diag, off
 
     @staticmethod
@@ -430,7 +467,122 @@ def non_escape_probability(snapshot: WavefunctionGrid, d: float) -> float:
     return float(np.dot(wts, np.abs(snapshot.values[: wts.size]) ** 2))
 
 
-def _embed_initial(initial: WavefunctionGrid, setup: PropagationSetup) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# the open edge
+
+
+def edge_rows(dx: float, dt: float, kappa: float) -> tuple[complex, complex]:
+    """(a, b): off-diagonal and diagonal of L = M + (i dt/2) H on the
+    potential-free rows past the trap.  The right-hand side 2M - L has
+    their conjugates a' and b' there."""
+    z = 0.5j * dt
+    alpha = 0.5 * kappa
+    return dx / 6.0 - z * alpha / dx, 2.0 * dx / 3.0 + 2.0 * z * alpha / dx
+
+
+def edge_kernel(a: complex, b: complex, n: int) -> np.ndarray:
+    """s_0 .. s_n, the power-series coefficients in w = 1/zeta of
+    s(w) = sqrt(B^2 - 4A^2), A = a - a' w, B = b - b' w, on the branch that
+    makes nu_0 = -(b + s_0)/(2a), the diagonal gain of row J per a, the
+    decaying root (|nu_0| < 1).
+
+    P = B^2 - 4A^2 = p0 + p1 w + p2 w^2 and P s' = P' s / 2 give the exact
+    three-term recurrence p0 (m+1) s_{m+1} = -p1 (m - 1/2) s_m - p2 (m - 2) s_{m-1}.
+    Both roots of P lie on |w| = 1, so every solution of the recurrence
+    decays like m^(-3/2) and running it forward loses no digits.
+    """
+    # P = (r1 - r1' w)(r2 - r2' w) with r1 = b - 2a, r2 = b + 2a; the
+    # factored coefficients avoid the cancellation of b b' against 4 a a'
+    r1, r2 = b - 2.0 * a, b + 2.0 * a
+    p0 = r1 * r2
+    c1 = -(r1 * r2.conjugate() + r1.conjugate() * r2) / p0
+    c2 = (r1 * r2).conjugate() / p0
+    s0 = np.sqrt(p0)
+    if abs(b + s0) > 2.0 * abs(a):
+        s0 = -s0
+    s = np.empty(n + 1, dtype=complex)
+    s[0] = cur = complex(s0)
+    prev = 0j
+    for m in range(n):
+        cur, prev = -(c1 * (m - 0.5) * cur + c2 * (m - 2) * prev) / (m + 1), cur
+        s[m + 1] = cur
+    return s
+
+
+def tail_phase(a: complex, b: complex, rho: float) -> complex:
+    """zeta_p = D'/D, D = a (rho + 1/rho) + b: c rho^j zeta_p^n solves the
+    exterior rows for every j and n, and |zeta_p| = 1."""
+    d = a * (rho + 1.0 / rho) + b
+    return d.conjugate() / d
+
+
+class _OpenEdge:
+    """Row J's share of each step of an open run, and its history.
+
+    u = psi - f at nodes J and J + 1, where f_j^n = c rho^j zeta_p^n carries
+    the prepared state's tail (f = 0 without one), starts at zero; the
+    boundary relation 2a u_{J+1}^n - 2a' u_{J+1}^{n-1} = -b u_J^n + b' u_J^{n-1}
+    - sum_m s_m u_J^{n-m} then holds exactly.  With psi_{J+1}^{n+1} =
+    nu_0 psi_J^{n+1} + (known) in row J, the step is L~ y = 2M psi + load e_J,
+    L~ = L + a nu_0 e_J e_J^T, and `load` needs only the u_J history.
+    """
+
+    def __init__(self, a, b, n_steps, tail, rho):
+        self.a, self.ac, self.bc = a, a.conjugate(), b.conjugate()
+        s = edge_kernel(a, b, n_steps)
+        self.nu0 = -(b + s[0]) / (2.0 * a)
+        self.gain = self.a * self.nu0
+        self.decay = 0.5 * (b + self.bc + s[0])
+        self.s_rev = s[:0:-1].copy()  # s_n .. s_1, so each history dot is contiguous
+        self.u_edge = np.zeros(n_steps + 1, dtype=complex)
+        self.u_out = np.zeros(n_steps + 1, dtype=complex)
+        self.f_edge = self.f_out = np.zeros(n_steps + 1, dtype=complex)
+        self.forcing = np.zeros(n_steps, dtype=complex)
+        self.tail, self.rho = tail, rho
+        if tail:
+            zeta = tail_phase(a, b, rho)
+            phases = np.exp(1j * np.angle(zeta) * np.arange(n_steps + 1))
+            self.f_out = tail * phases
+            self.f_edge = (tail / rho) * phases
+            f_edge, f_out = self.f_edge, self.f_out
+            self.forcing = (
+                self.ac * f_out[:-1] + self.gain * (f_edge[:-1] + f_edge[1:]) - a * f_out[1:]
+            )
+        self.hist = 0j
+
+    def load(self, j):
+        """Row J's right-hand side term of the step from j to j + 1."""
+        n = self.s_rev.size
+        self.hist = np.dot(self.s_rev[n - j - 1 :], self.u_edge[: j + 1])
+        return 0.5 * self.hist - self.decay * self.u_edge[j] + self.forcing[j]
+
+    def advance(self, j, psi_edge):
+        """Record psi_J at step j + 1 and the psi_{J+1} it implies."""
+        u = psi_edge - self.f_edge[j + 1]
+        self.u_edge[j + 1] = u
+        self.u_out[j + 1] = self.nu0 * u + (
+            2.0 * self.ac * self.u_out[j] + self.bc * self.u_edge[j] - self.hist
+        ) / (2.0 * self.a)
+
+    def history(self, dt):
+        return EdgeHistory(
+            dt=dt,
+            psi_edge=self.u_edge + self.f_edge,
+            psi_out=self.u_out + self.f_out,
+            tail=self.tail,
+            rho=self.rho,
+        )
+
+
+#: Largest departure, relative to its peak, of an initial state past the box
+#: from a geometric tail (open box) or from zero (absorbing box).
+TAIL_RTOL = 1e-10
+
+
+def _embed_initial(initial: WavefunctionGrid, setup: PropagationSetup):
+    """The initial state on the box's nodes, and (tail, rho) of an open
+    box: past the last node J the state is tail * rho^(j - J - 1).  A state
+    that ends inside the box is padded with zeros and has no tail (0, 0)."""
     n = setup.n_nodes()
     if abs(initial.dx - setup.dx) > 1e-12 * setup.dx:
         raise InvalidArgumentError(
@@ -438,18 +590,30 @@ def _embed_initial(initial: WavefunctionGrid, setup: PropagationSetup) -> np.nda
         )
     if initial.x0 != 0.0:
         raise InvalidArgumentError("initial state must start at the hard wall x=0")
-    if initial.values.size > n:
-        cut = np.max(np.abs(initial.values[n:]))
-        if cut > 1e-10 * np.max(np.abs(initial.values)):
-            raise InvalidArgumentError(
-                "initial state extends beyond the box with non-negligible amplitude"
-            )
     out = np.zeros(n, dtype=complex)
     m = min(n, initial.values.size)
     out[:m] = initial.values[:m]
     out[0] = 0.0
+    if initial.values.size > n:
+        peak = np.max(np.abs(initial.values))
+        past = initial.values[n - 1 :]  # node J and beyond
+        if not setup.absorber and past[0] != 0.0:
+            ratio = past[1] / past[0]
+            rho = float(ratio.real)
+            geometric = past[0] * rho ** np.arange(past.size)
+            if (
+                abs(ratio.imag) <= 1e-12 * abs(rho)
+                and 0.0 < abs(rho) < 1.0
+                and np.max(np.abs(past - geometric)) <= TAIL_RTOL * peak
+            ):
+                return out, complex(past[1]), rho
+        if np.max(np.abs(initial.values[n:])) > TAIL_RTOL * peak:
+            raise InvalidArgumentError(
+                "initial state extends beyond the box with non-negligible amplitude"
+                + ("" if setup.absorber else " and does not decay geometrically there")
+            )
     out[-1] = 0.0
-    return out
+    return out, 0j, 0.0
 
 
 def propagate(
@@ -458,10 +622,12 @@ def propagate(
     unit: UnitSystem,
     record_every: int = 1,
 ) -> PropagationResult:
-    """Run the switch to t_end and return the final state and decay record.
+    """Run the switch to t_end and return the final state and decay record,
+    and for an open box the history of its edge.
 
     The record samples t = 0 and then every record_every-th step; the norm
-    column is the conserved mass-matrix norm.
+    column is the mass-matrix norm inside the box, conserved in the
+    absorber-free interior until flux leaves through the open edge.
     """
     problems = validate_setup(setup, unit)
     if problems:
@@ -473,16 +639,22 @@ def propagate(
         raise InvalidArgumentError(f"initial state norm {norm0} is not 1")
 
     ops = assemble_operators(setup, unit)
-    psi = _embed_initial(initial, setup)[1:-1]
+    embedded, tail, rho = _embed_initial(initial, setup)
+    n = setup.n_nodes()
+    psi = embedded[1 : 1 + ops.m_diag.size]
     n_steps = setup.n_steps()
     schedule = setup.schedule
     dt = setup.dt
 
-    stepper = _Stepper(ops, dt)
+    if setup.absorber:
+        edge = None
+        stepper = _Stepper(ops, dt, 0.0)
+    else:
+        edge = _OpenEdge(*edge_rows(setup.dx, dt, unit.kappa), n_steps, tail, rho)
+        stepper = _Stepper(ops, dt, edge.gain)
 
-    n = setup.n_nodes()
     # the well's trapezoid weights on the interior nodes; the wall node is 0
-    well = _well_weights(schedule.initial.d, setup.dx, n)[1 : n - 1]
+    well = _well_weights(schedule.initial.d, setup.dx, n)[1 : 1 + psi.size]
     times, p_ws, norms = [], [], []
 
     def sample(j, vec, rhs):
@@ -497,7 +669,11 @@ def propagate(
     rhs = stepper.rhs(psi)
     sample(0, psi, rhs)
     for j in range(n_steps):
+        if edge is not None:
+            rhs[-1] += edge.load(j)
         psi = stepper.step(schedule.weight((j + 0.5) * dt), psi, rhs)
+        if edge is not None:
+            edge.advance(j, psi[-1])
         rhs = stepper.rhs(psi)
         step = j + 1
         if step % record_every == 0 or step == n_steps:
@@ -505,5 +681,6 @@ def propagate(
 
     record = DecayRecord(np.array(times), np.array(p_ws), np.array(norms))
     final = np.zeros(n, dtype=complex)
-    final[1:-1] = psi
-    return PropagationResult(WavefunctionGrid(0.0, setup.dx, final), record)
+    final[1 : 1 + psi.size] = psi
+    history = None if edge is None else edge.history(dt)
+    return PropagationResult(WavefunctionGrid(0.0, setup.dx, final), record, history)

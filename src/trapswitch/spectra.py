@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     CompletenessViolationError,
-    ContainmentError,
     FitFailureError,
     InsufficientDataError,
     InvalidArgumentError,
@@ -31,7 +30,14 @@ from .errors import (
 from .groundstate import WavefunctionGrid, ground_state
 from .model import PotentialConfig, SwitchingSchedule, UnitSystem
 from .poles import RESONANCE, Resonance, find_bound_states, find_poles, resonances
-from .propagate import DecayRecord, PropagationSetup, propagate
+from .propagate import (
+    DecayRecord,
+    EdgeHistory,
+    PropagationResult,
+    PropagationSetup,
+    edge_rows,
+    propagate,
+)
 from .scattering import evaluate_scattering_state, s_matrix
 
 _TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
@@ -96,34 +102,86 @@ def energy_grid(e_r: float, gamma: float, e_cut: float, n_points: int = 2000) ->
 _ENERGY_CHUNK = 128
 
 
+def _blocked(series: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows of equal length n laid out for `_phase_sums`: blocks of width
+    B = isqrt(n), zero-padded, one column per (row, block)."""
+    rows, n = series.shape
+    width = max(1, math.isqrt(n))
+    n_blocks = max(1, -(-n // width))
+    padded = np.zeros((rows, n_blocks * width), dtype=complex)
+    padded[:, :n] = series
+    return padded.reshape(rows * n_blocks, width).T, n_blocks
+
+
+def _phase_sums(blocked: np.ndarray, n_blocks: int, theta: np.ndarray) -> np.ndarray:
+    """sum_m e^{i theta m} v_m for each laid-out row v and each theta, as
+    (theta, row).  With m = b B + c it is a (theta x B) @ (B x blocks)
+    product of in-block phases, weighted by the block phases: ~2 sqrt(n)
+    exponentials per theta instead of n, exact in arithmetic."""
+    width = blocked.shape[0]
+    phase = np.exp(1j * theta[:, None] * np.arange(width))
+    at_block = np.exp(1j * theta[:, None] * (width * np.arange(n_blocks)))
+    sums = (phase @ blocked).reshape(theta.size, -1, n_blocks)
+    return np.einsum("trb,tb->tr", sums, at_block)
+
+
+def _exterior(edge: EdgeHistory, x_edge: float, dx: float, kappa: float, k: np.ndarray):
+    """F_+ and F_- at the run's last step: sum_{j>J} e^{+-ikx_j} psi_j,
+    from the edge history alone.
+
+    The potential-free rows past J make F obey q F^{n+1} + a C^{n+1} =
+    q' F^n + a' C^n, with q = b + 2a cos(k dx) and the boundary term
+    C^n = e^{ikx_{J+1}} psi_J^n - e^{ikx_J} psi_{J+1}^n (k -> -k for F_-).
+    lambda = q'/q is unimodular, so F^N = lambda^N F^0 + ((a'/lambda - a) G
+    - (a'/lambda) C^N + a lambda^N C^0) / q, where G = sum_n lambda^(N-n) C^n
+    takes two phase sums over the reversed histories.  F^0 is the geometric
+    sum of the prepared tail.  This is an exact discrete form of t-SURFF
+    (Tao & Scrinzi, New J. Phys. 14, 013021 (2012)).
+    """
+    a, b = edge_rows(dx, edge.dt, kappa)
+    history, n_blocks = _blocked(np.stack([edge.psi_edge[::-1], edge.psi_out[::-1]]))
+    q = b + 2.0 * a * np.cos(k * dx)
+    theta = np.angle(np.conj(q) / q)
+    h_edge, h_out = np.concatenate(
+        [_phase_sums(history, n_blocks, theta[lo : lo + _ENERGY_CHUNK])
+         for lo in range(0, k.size, _ENERGY_CHUNK)]
+    ).T
+    lam_n = np.exp(1j * theta * (edge.psi_edge.size - 1))
+    ac_lam = a.conjugate() * q / np.conj(q)
+    sums = []
+    for sign in (1.0, -1.0):
+        at_edge = np.exp(sign * 1j * k * x_edge)
+        at_out = np.exp(sign * 1j * k * (x_edge + dx))
+        f0 = edge.tail * at_out / (1.0 - edge.rho * np.exp(sign * 1j * k * dx))
+        g = at_out * h_edge - at_edge * h_out
+        c_last = at_out * edge.psi_edge[-1] - at_edge * edge.psi_out[-1]
+        c_first = at_out * edge.psi_edge[0] - at_edge * edge.psi_out[0]
+        sums.append(lam_n * f0 + ((ac_lam - a) * g - ac_lam * c_last + a * lam_n * c_first) / q)
+    return sums
+
+
 def energy_distribution(
     state: WavefunctionGrid,
     final_config: PotentialConfig,
     unit: UnitSystem,
     e_grid: np.ndarray,
-    contain_rtol: float = 1e-8,
+    edge: EdgeHistory | None = None,
 ) -> EnergyDistribution:
     """Project a state onto the final trap's scattering states.
 
     The final trap must hold no bound state, otherwise the scattering states
-    are not complete and the density cannot integrate to one.  contain_rtol
-    bounds the allowed amplitude at the right grid edge relative to the
-    peak.  Callers projecting propagated states in finite boxes may loosen
-    it knowingly: fast components beyond the analyzed energy window reflect
-    off the box wall, and on a finite interval the reflected part is not
-    orthogonal to the analyzed states, so it leaks into P(E).
+    are not complete and the density cannot integrate to one.  Without edge
+    the overlap <psi_k|psi> is the trapezoid sum over the state's grid.
+    With the edge history of an open run the state is that run's state on
+    [0, x_J], the sum runs on past x_J, and its exterior part comes from
+    `_exterior`: nothing is cut off and nothing reflects.
 
-    Each overlap <psi_k|psi> is the trapezoid sum over the grid, with the
-    weights folded into the state once, taken for _ENERGY_CHUNK energies at
-    a time.  The nodes up to d + b (a few hundred) take one array call of
-    evaluate_scattering_state per chunk.  Past d + b, conj psi_k = (e^{ikx}
-    - conj(S) e^{-ikx})/sqrt(2 pi) on a uniform grid.  With the outer nodes
-    in blocks of B ~ sqrt(N), x = x_b + m B dx + c dx, so each sum
-    sum_j f_j e^{+-ikx_j} is a (chunk x B) @ (B x blocks) matrix product of
-    in-block phases e^{+-ikc dx}, weighted by the block phases
-    e^{+-ik(x_b + m B dx)}.  That takes ~2 sqrt(N) exponentials per energy
-    instead of N, and the sums stay exact in arithmetic: no FFT and no
-    interpolation.
+    The sums are taken for _ENERGY_CHUNK energies at a time.  The nodes up
+    to d + b (a few hundred) take one array call of
+    evaluate_scattering_state per chunk.  Past d + b, conj psi_k =
+    (e^{ikx} - conj(S) e^{-ikx})/sqrt(2 pi) on a uniform grid, whose sums
+    sum_j f_j e^{+-ikx_j} are blocked phase sums (`_phase_sums`): no FFT
+    and no interpolation.
     """
     e_grid = np.asarray(e_grid, dtype=float)
     if np.any(e_grid <= 0.0) or np.any(np.diff(e_grid) <= 0.0):
@@ -134,43 +192,31 @@ def energy_distribution(
             f"final configuration holds {len(bound)} bound state(s); "
             "scattering states alone are not complete"
         )
-    amp = np.abs(state.values)
-    peak = float(np.max(amp))
-    # the very last node may be clamped to zero by the propagator, so probe
-    # the outer band (standing-wave antinodes of any reflected front land here)
-    band = max(3, int(round(0.02 * amp.size)))
-    edge = float(np.max(amp[-band:]))
-    if peak > 0.0 and edge > contain_rtol * peak:
-        raise ContainmentError(
-            f"amplitude near the right edge is {edge / peak:.3e} of the peak "
-            f"(allowed {contain_rtol:.1e}); enlarge the box"
-        )
     x = state.x
     weighted = state.values * state.dx
-    weighted[[0, -1]] *= 0.5
+    weighted[0] *= 0.5
+    if edge is None:
+        weighted[-1] *= 0.5
     n_in = int(np.searchsorted(x, final_config.outer_edge, side="right"))
-    n_out = x.size - n_in
-    width = max(1, math.isqrt(n_out))
-    n_blocks = -(-n_out // width)
-    blocks = np.zeros(n_blocks * width, dtype=complex)
-    blocks[:n_out] = weighted[n_in:]
-    blocks = blocks.reshape(n_blocks, width).T
-    in_block = state.dx * np.arange(width)
-    block_start = state.x0 + state.dx * (n_in + width * np.arange(n_blocks))
+    outer = weighted[n_in:]
+    blocks, n_blocks = _blocked(np.stack([outer, outer.conj()]))
+    x_out = state.x0 + state.dx * n_in
 
     k = np.sqrt(2.0 * e_grid / unit.kappa)
     s_conj = np.conj(s_matrix(final_config, unit, k))
     overlap = np.empty(k.size, dtype=complex)
     for lo in range(0, k.size, _ENERGY_CHUNK):
         chunk = slice(lo, lo + _ENERGY_CHUNK)
-        kc = k[chunk, None]
-        psi_in = evaluate_scattering_state(final_config, unit, k[chunk], x[:n_in])
-        phase = np.exp(1j * kc * in_block)
-        at_block = np.exp(1j * kc * block_start)
-        plus = np.sum((phase @ blocks) * at_block, axis=1)
-        minus = np.sum((phase.conj() @ blocks) * at_block.conj(), axis=1)
+        kc = k[chunk]
+        psi_in = evaluate_scattering_state(final_config, unit, kc, x[:n_in])
+        at_out = np.exp(1j * kc * x_out)
+        sums = _phase_sums(blocks, n_blocks, kc * state.dx)
+        plus, minus = at_out * sums[:, 0], np.conj(at_out * sums[:, 1])
         outer = (plus - s_conj[chunk] * minus) / _TWO_PI_SQRT
         overlap[chunk] = psi_in.conj() @ weighted[:n_in] + outer
+    if edge is not None:
+        f_plus, f_minus = _exterior(edge, state.x_max, state.dx, unit.kappa, k)
+        overlap += state.dx * (f_plus - s_conj * f_minus) / _TWO_PI_SQRT
     p = np.abs(overlap) ** 2 / (unit.kappa * k)
     total = float(np.trapezoid(p, e_grid))
     return EnergyDistribution(e_grid, p, total)
@@ -360,19 +406,13 @@ def fit_exponential_decay(
 FIT_SPAN_LIFETIMES = 3.3
 
 #: A spectrum run projects once the switch is within RESIDUAL_V (ħ/s) of
-#: the final trap, and not before MIN_PROJECTION_TIME (s); its box holds
-#: the e_cut front at that time plus BOX_PAD (µm).
+#: the final trap, and not before MIN_PROJECTION_TIME (s).  Its box ends at
+#: OPEN_BOX (µm), or at the trap's outer edge if that lies further out, and
+#: is open there: what passes the edge leaves, and the projection reads it
+#: back from the edge history.
 RESIDUAL_V = 1e-3
 MIN_PROJECTION_TIME = 0.05
-BOX_PAD = 20.0
-
-#: Edge-amplitude bound for projecting a propagated state.  Components
-#: faster than e_cut reflect off the far wall, and on a finite interval
-#: the reflected part is not orthogonal to the analyzed scattering states.
-#: 0.1 admits it knowingly (it causes the ~3e-4 ripple of the shape
-#: objective) and still catches a grossly undersized box; the ROADMAP item
-#: "Spectra without wall reflections" removes the reflection itself.
-PROPAGATED_CONTAIN_RTOL = 0.1
+OPEN_BOX = 20.0
 
 
 def _usable_cpus() -> int:
@@ -412,7 +452,7 @@ def map_runs(job, setups, *args) -> list:
 
 @dataclass(frozen=True)
 class SpectrumRunSpec:
-    """Numerics for one spectrum-profile run (no absorber, contained box)."""
+    """Numerics for one spectrum-profile run (no absorber, open box)."""
 
     dx: float = 0.1
     dt: float = 2e-4
@@ -420,15 +460,17 @@ class SpectrumRunSpec:
     n_energy: int = 2000
 
     def setup(self, schedule: SwitchingSchedule, unit: UnitSystem) -> PropagationSetup:
-        """Propagate to the settle time in a box the e_cut front cannot cross
-        before then."""
-        t_star = max(schedule.settle_time(RESIDUAL_V), MIN_PROJECTION_TIME)
-        v_cut = unit.kappa * math.sqrt(2.0 * self.e_cut / unit.kappa)
-        box = schedule.final.outer_edge + v_cut * t_star + BOX_PAD
+        """Propagate to the settle time in the open box; a sudden switch
+        projects the prepared state itself, whose P(E) the switch no longer
+        changes.  unit is unused, kept so both records share one signature."""
+        t_star = 0.0
+        if schedule.t_switch > 0.0:
+            t_star = max(schedule.settle_time(RESIDUAL_V), MIN_PROJECTION_TIME)
+        edge = max(OPEN_BOX, schedule.initial.outer_edge, schedule.final.outer_edge)
         return PropagationSetup(
             schedule=schedule,
             dx=self.dx,
-            box_length=math.ceil(box / self.dx) * self.dx,
+            box_length=math.ceil(edge / self.dx) * self.dx,
             dt=self.dt,
             t_end=t_star,
             e_cut=self.e_cut,
@@ -441,11 +483,12 @@ class SpectrumRunSpec:
         _deviation_window(grid, resonance)
         return grid
 
-    def release(self, setup: PropagationSetup, unit: UnitSystem) -> WavefunctionGrid:
-        """The released packet at the setup's t_end, from the prepared state;
-        the run is sampled 50 times on the way."""
-        phi0, _ = ground_state(setup.schedule.initial, unit, dx=setup.dx, x_max=setup.box_length)
-        return propagate(phi0, setup, unit, record_every=max(1, setup.n_steps() // 50)).final
+    def release(self, setup: PropagationSetup, unit: UnitSystem) -> PropagationResult:
+        """The run from the prepared state, whose exponential tail reaches
+        past the box, to the setup's t_end: the released packet in the box
+        and the edge history; the run is sampled 50 times on the way."""
+        phi0, _ = ground_state(setup.schedule.initial, unit, dx=setup.dx)
+        return propagate(phi0, setup, unit, record_every=max(1, setup.n_steps() // 50))
 
 
 def switch_and_project(
@@ -459,9 +502,9 @@ def switch_and_project(
     """Run the switch, then project the released packet at the settle time
     on a grid dense around the given resonance."""
     setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
-    grid = spec.grid(resonance)
+    released = spec.release(setup, unit)
     return energy_distribution(
-        spec.release(setup, unit), final_config, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL
+        released.final, final_config, unit, spec.grid(resonance), edge=released.edge
     )
 
 
@@ -648,9 +691,9 @@ def optimal_switch_time(
     if objective == LORENTZIAN_OBJECTIVE:
         grid = run.grid(resonance)
 
-        def score(state):
+        def score(released):
             dist = energy_distribution(
-                state, final_config, unit, grid, contain_rtol=PROPAGATED_CONTAIN_RTOL
+                released.final, final_config, unit, grid, edge=released.edge
             )
             return lorentzian_deviation(dist, resonance)
     else:

@@ -22,9 +22,12 @@ def _tri_solve(diag, off, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _cn_step(ops, weight, dt, psi):
+def _cn_step(ops, weight, dt, psi, edge=0.0):
+    """One step of L psi' = (2M - L) psi; edge is added to L's last diagonal,
+    as the stepper adds an open box's edge term."""
     a_diag = ops.h0_diag + weight * ops.dv_diag - 1j * ops.w_diag
     a_off = ops.h0_off + weight * ops.dv_off - 1j * ops.w_off
     z = 0.5j * dt
+    a_diag[-1] += edge / z
     rhs = _tri_mul(ops.m_diag - z * a_diag, ops.m_off - z * a_off, psi)
     return _tri_solve(ops.m_diag + z * a_diag, ops.m_off + z * a_off, rhs)

@@ -256,9 +256,10 @@ def test_validate_agrees_with_the_runners_own_setups(
 
     def record_setup(initial, setup, unit, record_every=1):
         setups.append(setup)
-        t = np.linspace(0.0, setup.t_end, 200)
+        # a sudden spectrum run takes no step (t_end 0) and reads no record
+        t = np.linspace(0.0, setup.t_end or 1.0, 200)
         record = DecayRecord(t, np.exp(-t / 0.1), np.ones_like(t))
-        return PropagationResult(None, record)
+        return PropagationResult(None, record, None)
 
     def flat_distribution(state, final_config, unit, e_grid, **kwargs):
         return EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0)

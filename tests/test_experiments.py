@@ -281,7 +281,8 @@ def _handed_to_runs(monkeypatch, spec):
     def record_setup(initial, setup, unit, record_every=1):
         handed.append((setup, record_every))
         t = np.linspace(0.0, setup.t_end, 200)
-        return PropagationResult(initial, DecayRecord(t, np.exp(-t / 0.1), np.ones_like(t)))
+        record = DecayRecord(t, np.exp(-t / 0.1), np.ones_like(t))
+        return PropagationResult(initial, record, None)
 
     def flat_distribution(state, final_config, unit, e_grid, **kwargs):
         handed.append(tuple(e_grid))
