@@ -47,11 +47,11 @@ the step's own right-hand side 2M psi, and the in-well probability from one
 dot of |psi|^2 with the trapezoid weights of `non_escape_probability`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .errors import InvalidArgumentError, NumericalBlowupError
 from .groundstate import WavefunctionGrid
@@ -319,6 +319,15 @@ def _tri_mul(diag, off, v):
 SCHUR_TAIL_CUT = 1e-17
 
 
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on first use: it is about half the
+    package's import time, and only a Crank-Nicolson step needs it."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _checked(info, routine):
     if info != 0:
         raise NumericalBlowupError(f"{routine} failed on a Crank-Nicolson block (info {info})")
@@ -346,6 +355,7 @@ class _Stepper:
         z = 0.5j * dt
         n = ops.m_diag.size
         self.ops, self.z, self.edge = ops, z, edge
+        self.lapack = _lapack()
         # doubling is exact, so 2M psi carries the roundoff of M psi; numpy
         # multiplies complex by complex faster than real by complex
         self.m2_diag = 2.0 * ops.m_diag.astype(complex)
@@ -390,21 +400,18 @@ class _Stepper:
             diag[-1] += self.edge
         return diag, off
 
-    @staticmethod
-    def _factor(off, diag):
-        *factors, info = zgttrf(off, diag, off)
+    def _factor(self, off, diag):
+        *factors, info = self.lapack.zgttrf(off, diag, off)
         _checked(info, "zgttrf")
         return factors
 
-    @staticmethod
-    def _solve(factors, rhs):
-        x, info = zgttrs(*factors, rhs, overwrite_b=1)
+    def _solve(self, factors, rhs):
+        x, info = self.lapack.zgttrs(*factors, rhs, overwrite_b=1)
         _checked(info, "zgttrs")
         return x
 
-    @staticmethod
-    def _trap_solve(off, diag, rhs):
-        *_, x, info = zgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
+    def _trap_solve(self, off, diag, rhs):
+        *_, x, info = self.lapack.zgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
         _checked(info, "zgtsv")
         return x
 

@@ -35,6 +35,7 @@ from .propagate import (
     EdgeHistory,
     PropagationResult,
     PropagationSetup,
+    _lapack,
     edge_rows,
     propagate,
 )
@@ -431,14 +432,17 @@ def map_runs(job, setups, *args) -> list:
     With one, each run happens in this process when its callable is called.
     job, its arguments and its result must pickle, job by its import path.
 
-    Workers are forked, not spawned: a spawned one imports numpy and scipy
-    afresh, ~0.7 s on a 2-core host, more than the pool saves on short runs.
-    The pool forks them all from this thread before it starts threads of
-    its own.
+    Workers are forked, not spawned: a spawned one imports the package and
+    numpy afresh, ~0.25 s on a 2-core host, and scipy on its first step,
+    ~0.2 s more, which is more than the pool saves on short runs.  scipy's
+    LAPACK is loaded here, once, before the fork, so the workers inherit it
+    instead of each importing it on its first step.  The pool forks them
+    all from this thread before it starts threads of its own.
     """
     workers = min(len(setups), _usable_cpus())
     if workers <= 1:
         return [functools.partial(job, setup, *args) for setup in setups]
+    _lapack()
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -510,7 +514,7 @@ def switch_and_project(
 
 @dataclass(frozen=True)
 class DecayRunSpec:
-    """Numerics for one decay-profile run (absorbing layer, small box)."""
+    """Numerics for one decay-profile run (absorbing layer, 150 µm box by default)."""
 
     dx: float = 0.05
     dt: float = 2e-4

@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour: exit codes, output bundles, overrides."""
 
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +164,61 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, experi
         emitted.append(_emitted(out))
     assert min(pooled) >= 2
     assert emitted[0] == emitted[1]
+
+
+#: Run in a fresh interpreter with argv [out, configs, *spec files]: validate
+#: every shipped config, run the given specs, then hand two decay-curves
+#: setups to a two-worker map_runs whose job only reports whether
+#: scipy.linalg is loaded in the worker.
+STARTUP = """\
+import json, os, sys
+from trapswitch import spectra
+from trapswitch.cli import main
+from trapswitch.experiments import planned_setups
+from trapswitch.io import parse_spec
+
+out, configs, *specs = sys.argv[1:]
+codes = [main(["validate", os.path.join(configs, name)]) for name in sorted(os.listdir(configs))]
+codes += [main(["run", spec]) for spec in specs]
+before_pool = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+def probe(setup, parent):
+    return os.getpid() != parent and "scipy.linalg" in sys.modules
+
+spectra._usable_cpus = lambda: 2
+spec = parse_spec({"experiment": {"name": "decay-curves", "t_switch_fractions": [0.02, 0.05]}})
+runs = spectra.map_runs(probe, planned_setups(spec), os.getpid())
+json.dump({"codes": codes, "before_pool": before_pool, "in_workers": [r() for r in runs]},
+          open(os.path.join(out, "startup.json"), "w"))
+"""
+
+
+def test_only_propagation_loads_scipy(tmp_path):
+    """Validation and the non-propagating experiments never import scipy,
+    and a pool's workers inherit LAPACK from their parent rather than each
+    importing it on their first step."""
+    specs = []
+    for experiment in ("poles", "ground-state", "delay-spectrum", "iso-curves"):
+        options, numerics = TINY[experiment]
+        document = {
+            "experiment": {"name": experiment, **options},
+            "numerics": numerics,
+            "outputs": {"directory": str(tmp_path / experiment)},
+        }
+        specs.append(_write(tmp_path, yaml.safe_dump(document), f"{experiment}.yaml"))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run(
+        [sys.executable, "-c", STARTUP, str(tmp_path), CONFIGS, *specs],
+        env=env, check=True, capture_output=True,
+    )
+    with open(tmp_path / "startup.json") as fh:
+        seen = json.load(fh)
+    configs = len(os.listdir(CONFIGS))
+    assert seen["codes"][:configs] == [0] * configs
+    assert all(code in (0, 1) for code in seen["codes"][configs:])  # checks may fail
+    assert seen["before_pool"] == []
+    assert seen["in_workers"] == [True, True]
 
 
 def test_set_override_lands_in_emitted_spec(tmp_path, capsys):

@@ -230,8 +230,9 @@ def test_far_block_is_factored_once_per_time_step(unit, monkeypatch):
             return routine(*args, **kwargs)
         return wrapped
 
+    lapack = propagate_module._lapack()
     for name in ("zgttrf", "zgtsv"):
-        monkeypatch.setattr(propagate_module, name, counting(name, getattr(propagate_module, name)))
+        monkeypatch.setattr(lapack, name, counting(name, getattr(lapack, name)))
 
     def run(t_switch):
         setup = DecayRunSpec(t_end=0.02).setup(SwitchingSchedule(INITIAL, FINAL, t_switch), unit)
