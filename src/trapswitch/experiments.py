@@ -29,6 +29,7 @@ from .spectra import (
     OBJECTIVES,
     SpectrumRunSpec,
     energy_distribution,
+    energy_distributions,
     energy_grid,
     fit_exponential_decay,
     fit_lorentzian,
@@ -269,25 +270,28 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
     # the sudden point's run takes no step: it cuts the prepared state at the
     # box edge, with its tail
     runs = map_runs(run.release, _setups(spec, run, [f * tau for f in fracs]), spec.unit)
+    released = []
+    for frac, pending in zip(fracs, runs):
+        with _stage(f"spectrum-{frac_label(frac)}"):
+            out = pending()
+        released.append((out.final, out.edge))
+    with _stage("projection"):
+        dists = energy_distributions(released, spec.final, spec.unit, grid)
     table = Table("spectrum_vs_t")
     table.add("e", "hbar/s", grid)
     table.add("lorentzian_ref", "s/hbar", lorentzian_reference(res, grid))
     checks = []
     scalars = {"e_r": res.e_r, "gamma": res.gamma, "tau": tau}
-    for frac, pending in zip(fracs, runs):
+    for frac, (state, edge), dist in zip(fracs, released, dists):
         label = frac_label(frac)
-        with _stage(f"spectrum-{label}"):
-            out = pending()
-            dist = energy_distribution(out.final, spec.final, spec.unit, grid, edge=out.edge)
-            total = dist.total
-            if frac == 0.0:
-                # the prepared state's weight reaches far above e_cut (~5%
-                # beyond 400 hbar/s), so unit weight is checked on a fixed
-                # grid up to 3000 hbar/s
-                wide = energy_grid(res.e_r, res.gamma, 3000.0, 2600)
-                total = energy_distribution(
-                    out.final, spec.final, spec.unit, wide, edge=out.edge
-                ).total
+        total = dist.total
+        if frac == 0.0:
+            # the prepared state's weight reaches far above e_cut (~5%
+            # beyond 400 hbar/s), so unit weight is checked on a fixed
+            # grid up to 3000 hbar/s
+            wide = energy_grid(res.e_r, res.gamma, 3000.0, 2600)
+            with _stage(f"spectrum-{label}"):
+                total = energy_distribution(state, spec.final, spec.unit, wide, edge=edge).total
         table.add(f"p_{label}", "s/hbar", dist.p)
         dev = lorentzian_deviation(dist, res)
         checks.append(

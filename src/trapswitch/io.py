@@ -350,6 +350,24 @@ def format_number(x) -> str:
     return f"{float(x):.12g}"
 
 
+#: Rows of a table formatted at a time.
+_ROW_BLOCK = 256
+
+
+def _formatted(column: np.ndarray) -> list[str]:
+    """format_number of every cell of a column, in one pass by dtype: floats
+    up to double, integers and strings; any other kind cell by cell."""
+    values = column.tolist()
+    kind = column.dtype.kind
+    if kind == "f" and column.dtype.itemsize <= 8:
+        return [f"{v:.12g}" for v in values]
+    if kind in "iu":
+        return [str(v) for v in values]
+    if kind == "U":
+        return values
+    return [format_number(v) for v in values]
+
+
 @dataclass
 class Table:
     """One CSV in the making: named, unit-tagged, equal-length columns."""
@@ -370,16 +388,15 @@ def write_table(directory: str, table: Table, common_meta: dict):
     if len(lengths) > 1:
         raise SpecValidationError(f"table {table.name}: ragged columns {lengths}")
     path = os.path.join(directory, f"{table.name}.csv")
-    lines = []
-    for key, value in {**common_meta, **table.meta}.items():
-        lines.append(f"# {key}: {value}")
-    lines.append(",".join(f"{name} [{unit}]" for name, unit, _ in table.columns))
-    n = table.n_rows()
-    cols = [col[2] for col in table.columns]
-    for i in range(n):
-        lines.append(",".join(format_number(col[i]) for col in cols))
+    head = [f"# {key}: {value}" for key, value in {**common_meta, **table.meta}.items()]
+    head.append(",".join(f"{name} [{unit}]" for name, unit, _ in table.columns))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(head) + "\n")
+        # a block of rows at a time: the cell strings of a whole table would
+        # add their size to the run's peak memory
+        for lo in range(0, table.n_rows(), _ROW_BLOCK):
+            cells = [_formatted(values[lo : lo + _ROW_BLOCK]) for _, _, values in table.columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 @dataclass

@@ -35,7 +35,9 @@ switch changes the step matrix only in the trap rows, x <= d + b, so while
 it changes each step is solved by block elimination: the constant far block
 past the trap is LU-factored (LAPACK `zgttrf`, pivoted) once per run and
 time step, and each step refactors only the few hundred trap rows, whose
-last diagonal carries the far block's Schur complement.  The far block's
+last diagonal carries the far block's Schur complement.  A far block with
+fewer rows than the trap block is not worth its own solve and joins the
+trap block, so such a box solves all its rows each step.  The far block's
 response to its first row, g, decays geometrically; it is cut where it falls
 below 1e-17 of its first entry, because its tail changes nothing above
 roundoff and would otherwise fill the per-step update with slow subnormal
@@ -347,8 +349,13 @@ class _Stepper:
     that holds the support of dV.  The far block A22 below them is constant
     and is factored once here.  Such a step solves A22, then the trap block
     with the Schur term c^2 g0 on its last diagonal (c couples the blocks,
-    g = A22^-1 e1), then corrects the far part by -c x1[-1] g.  Every
-    factorization keeps partial pivoting.
+    g = A22^-1 e1), then corrects the far part by -c x1[-1] g.  A far block
+    with fewer rows than the trap block joins it, and each such step is one
+    `zgtsv` over all rows: the block path's extra solve and update cost more
+    than the rows they spare (on a 2-core host the 135-node spectrum box
+    takes 12 us per step whole, 15 us in blocks; the 3,000-row decay box
+    keeps its blocks).
+    Every factorization keeps partial pivoting.
     """
 
     def __init__(self, ops: _Operators, dt: float, edge: complex):
@@ -362,13 +369,12 @@ class _Stepper:
         self.m2_off = 2.0 * ops.m_off.astype(complex)
         lhs_diag, lhs_off = self._lhs(0.0)  # adding 0.0 z dV leaves L(0) exact
         # the trap block holds every row dV touches (an off entry touches
-        # two) and at least MIN_BLOCK rows; a far block too small for the
-        # LAPACK wrappers joins it
+        # two) and at least MIN_BLOCK rows; a smaller far block joins it
         rows = np.concatenate(
             [np.flatnonzero(ops.dv_diag) + 1, np.flatnonzero(ops.dv_off) + 2, [MIN_BLOCK]]
         )
         m = int(rows.max())
-        if n - m < MIN_BLOCK:
+        if n - m < m:
             m = n
         self.m = m
         self.lhs_diag = lhs_diag[:m].copy()  # not a view: the rest is freed
@@ -537,14 +543,15 @@ class _OpenEdge:
     def __init__(self, a, b, n_steps, tail, rho):
         self.a, self.ac, self.bc = a, a.conjugate(), b.conjugate()
         s = edge_kernel(a, b, n_steps)
-        self.nu0 = -(b + s[0]) / (2.0 * a)
+        s0 = complex(s[0])
+        self.nu0 = -(b + s0) / (2.0 * a)
         self.gain = self.a * self.nu0
-        self.decay = 0.5 * (b + self.bc + s[0])
+        self.decay = 0.5 * (b + self.bc + s0)
         self.s_rev = s[:0:-1].copy()  # s_n .. s_1, so each history dot is contiguous
         self.u_edge = np.zeros(n_steps + 1, dtype=complex)
         self.u_out = np.zeros(n_steps + 1, dtype=complex)
         self.f_edge = self.f_out = np.zeros(n_steps + 1, dtype=complex)
-        self.forcing = np.zeros(n_steps, dtype=complex)
+        forcing = np.zeros(n_steps, dtype=complex)
         self.tail, self.rho = tail, rho
         if tail:
             zeta = tail_phase(a, b, rho)
@@ -552,24 +559,27 @@ class _OpenEdge:
             self.f_out = tail * phases
             self.f_edge = (tail / rho) * phases
             f_edge, f_out = self.f_edge, self.f_out
-            self.forcing = (
-                self.ac * f_out[:-1] + self.gain * (f_edge[:-1] + f_edge[1:]) - a * f_out[1:]
-            )
-        self.hist = 0j
+            forcing = self.ac * f_out[:-1] + self.gain * (f_edge[:-1] + f_edge[1:]) - a * f_out[1:]
+        # the per-step scalars are Python complex numbers, whose arithmetic
+        # costs less than numpy scalars'
+        self.forcing = forcing.tolist()
+        self.f_next = self.f_edge[1:].tolist()
+        self.hist = self.last_edge = self.last_out = 0j  # u_J, u_{J+1} at the current step
 
     def load(self, j):
         """Row J's right-hand side term of the step from j to j + 1."""
         n = self.s_rev.size
-        self.hist = np.dot(self.s_rev[n - j - 1 :], self.u_edge[: j + 1])
-        return 0.5 * self.hist - self.decay * self.u_edge[j] + self.forcing[j]
+        self.hist = complex(np.dot(self.s_rev[n - j - 1 :], self.u_edge[: j + 1]))
+        return 0.5 * self.hist - self.decay * self.last_edge + self.forcing[j]
 
     def advance(self, j, psi_edge):
         """Record psi_J at step j + 1 and the psi_{J+1} it implies."""
-        u = psi_edge - self.f_edge[j + 1]
-        self.u_edge[j + 1] = u
-        self.u_out[j + 1] = self.nu0 * u + (
-            2.0 * self.ac * self.u_out[j] + self.bc * self.u_edge[j] - self.hist
+        u = psi_edge - self.f_next[j]
+        out = self.nu0 * u + (
+            2.0 * self.ac * self.last_out + self.bc * self.last_edge - self.hist
         ) / (2.0 * self.a)
+        self.u_edge[j + 1] = self.last_edge = u
+        self.u_out[j + 1] = self.last_out = out
 
     def history(self, dt):
         return EdgeHistory(
@@ -680,7 +690,7 @@ def propagate(
             rhs[-1] += edge.load(j)
         psi = stepper.step(schedule.weight((j + 0.5) * dt), psi, rhs)
         if edge is not None:
-            edge.advance(j, psi[-1])
+            edge.advance(j, psi.item(-1))
         rhs = stepper.rhs(psi)
         step = j + 1
         if step % record_every == 0 or step == n_steps:

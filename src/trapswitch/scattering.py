@@ -20,7 +20,10 @@ the closed forms
 J and R depend on q and q' only through their squares, so no square-root
 branch can affect any observable; both are entire in k, which also covers
 k at a channel threshold (q or q' = 0) through the sinc limits.  For real k
-both J and R are real and |S| = 1 identically.
+both J and R are real and |S| = 1 identically, and so are q^2 and q'^2:
+inside the trap psi_k is a complex amplitude times a real standing wave
+(`trap_waves`), which the projection onto these states evaluates in real
+arithmetic.
 """
 
 import math
@@ -127,14 +130,62 @@ def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
     return -np.exp(-2j * k * length) * (t1 - t2) / (t1 + t2)
 
 
+def _standing_pair(z2: np.ndarray, u: np.ndarray):
+    """cos(z u) and sin(z u)/z for real z2 = z^2 of either sign, one row per
+    z2 and one column per u: cosh(|z| u) and sinh(|z| u)/|z| where z2 < 0,
+    and 1 and u where z2 = 0.  Each row takes one branch, in real arithmetic."""
+    cos_w = np.ones((z2.size, u.size))
+    sin_w = np.broadcast_to(u, cos_w.shape).copy()
+    for rows, cos, sin in ((z2 > 0.0, np.cos, np.sin), (z2 < 0.0, np.cosh, np.sinh)):
+        if rows.any():
+            z = np.sqrt(np.abs(z2[rows]))[:, None]
+            arg = z * u
+            cos_w[rows] = cos(arg)
+            sin_w[rows] = sin(arg) / z
+    return cos_w, sin_w
+
+
+def trap_waves(config: PotentialConfig, unit: UnitSystem, k: np.ndarray, x: np.ndarray):
+    """psi_k inside the trap as a complex amplitude times a real standing
+    wave, and S(k): (amp, wave, s) with psi_k(x_j) = amp[i] wave[i, j].
+
+    k is a 1-d array of finite wave numbers k > 0 and x a 1-d array of nodes
+    x <= d + b; the wave vanishes at and behind the wall, x <= 0.  At real k
+    both q^2 and q'^2 are real, so the wave is sin(qx)/q in the well and
+    continues into the barrier as sw cos(q'u) + cw sin(q'u)/q', u = x - d,
+    with sw = sin(qd)/q and cw = cos(qd) its value and slope at d (cosh and
+    sinh where q'^2 < 0).  The same blocks at u = b give J and R, so
+    Omega = kJ + iR, amp = 2k e^{-ikL}/(Omega sqrt(2 pi)) and
+    S = -e^{-2ikL} conj(Omega)/Omega, L = d + b.
+    """
+    d, b = config.d, config.b
+    length = d + b
+    q = np.sqrt(k * k + 2.0 * config.v_well / unit.kappa)[:, None]
+    p2 = k * k - 2.0 * config.v_barrier / unit.kappa
+    well = x <= d
+    u = np.append(x[~well] - d, b)  # the barrier's nodes, then its far end
+    cb_u, sb_u = _standing_pair(p2, u)
+    cw, sw = np.cos(q * d), np.sin(q * d) / q
+    jj = sw[:, 0] * cb_u[:, -1] + cw[:, 0] * sb_u[:, -1]
+    rr = cw[:, 0] * cb_u[:, -1] - p2 * sw[:, 0] * sb_u[:, -1]
+    omega = k * jj + 1j * rr
+    turn = np.exp(-1j * k * length)
+    amp = 2.0 * k * turn / (omega * _TWO_PI_SQRT)
+    s = -turn * turn * omega.conj() / omega
+    wave = np.empty((k.size, x.size))
+    wave[:, well] = np.sin(q * np.maximum(x[well], 0.0)) / q
+    wave[:, ~well] = sw * cb_u[:, :-1] + cw * sb_u[:, :-1]
+    return amp, wave, s
+
+
 def evaluate_scattering_state(config: PotentialConfig, unit: UnitSystem, k, x) -> np.ndarray:
     """psi_k on an array of coordinates, delta-normalized in k.
 
     k is a scalar or a 1-d array of wave numbers, each finite and positive;
-    the result has shape k.shape + x.shape, one row per k.  Evaluated
-    region-wise from the wall outward via value/derivative continuation,
-    which stays finite at channel thresholds and does not reference any
-    square-root branch.
+    the result has shape k.shape + x.shape, one row per k.  Inside the trap
+    it is `trap_waves`' amplitude times its real standing wave, which stays
+    finite at channel thresholds and references no square-root branch;
+    past d + b it is (e^{-ikx} - S e^{ikx})/sqrt(2 pi).
     """
     k = np.asarray(k, dtype=float)
     if k.ndim > 1:
@@ -145,29 +196,13 @@ def evaluate_scattering_state(config: PotentialConfig, unit: UnitSystem, k, x) -
         raise InvalidArgumentError(f"k must be finite and positive, got k = {first}")
     x = np.asarray(x, dtype=float)
     xs = x.ravel()
+    inside = xs <= config.d + config.b
+    amp, wave, s = trap_waves(config, unit, k.reshape(-1), xs[inside])
     kc = k.reshape(-1, 1)  # one row per k, one column per node
-    out = np.zeros((kc.shape[0], xs.size), dtype=complex)
-    d, b = config.d, config.b
-    length = d + b
-
-    q, p, p2, cw, sw, cb, sb = _interior_blocks(config, unit, kc)
-    t1, t2, _ = _pole_terms(kc, p2, cw, sw, cb, sb)
-    amp_q = 2.0 * kc * np.exp(-1j * kc * length) / (t1 + t2)  # A*q
-    s = -np.exp(-2j * kc * length) * (t1 - t2) / (t1 + t2)
-    pref = 1.0 / _TWO_PI_SQRT
-
-    inner = (xs > 0.0) & (xs <= d)
-    out[:, inner] = pref * amp_q * xs[inner] * cardinal_sine(q * xs[inner])
-
-    psi_d = pref * amp_q * sw          # value at x = d
-    dpsi_d = pref * amp_q * cw         # derivative at x = d
-    mid = (xs > d) & (xs <= length)
-    u = xs[mid] - d
-    out[:, mid] = psi_d * np.cos(p * u) + dpsi_d * u * cardinal_sine(p * u)
-
-    outer = xs > length
-    wave = np.exp(1j * kc * xs[outer])
-    out[:, outer] = pref * (wave.conj() - s * wave)
+    out = np.empty((kc.shape[0], xs.size), dtype=complex)
+    out[:, inside] = amp[:, None] * wave
+    plane = np.exp(1j * kc * xs[~inside])
+    out[:, ~inside] = (plane.conj() - s[:, None] * plane) / _TWO_PI_SQRT
     return out.reshape(k.shape + x.shape)
 
 

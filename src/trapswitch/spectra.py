@@ -3,10 +3,14 @@
 The released packet is projected onto the analytic scattering states of the
 final trap, giving the energy density P(E) = |<psi_k|psi>|^2 / (kappa k);
 with the delta-in-k normalization of the states this is exactly the kinetic
-energy distribution of the outgoing atom.  The overlaps are array sums:
-one scattering-state array call on the nodes inside the trap, and blocked
-matrix products of plane-wave phases on the uniform grid past it, a chunk
-of energies at a time.  Lorentzian and exponential fits quantify how close
+energy distribution of the outgoing atom.  The overlaps are array sums, a
+chunk of energies at a time: inside the trap each scattering state is a
+complex amplitude times a real standing wave, so the sums of any number of
+states on one node grid are one real matrix product per chunk; past it
+they are blocked matrix products of plane-wave phases on the uniform grid.
+`energy_distributions` projects several states at once (the columns of
+spectrum-vs-T, the coarse points of a scan), `energy_distribution` one.
+Lorentzian and exponential fits quantify how close
 a given switching time T comes to releasing the bare resonance, and the
 scan over T locates the best one under two explicit metrics
 (shape-and-magnitude match of P(E) to the pole Lorentzian, and
@@ -39,7 +43,9 @@ from .propagate import (
     edge_rows,
     propagate,
 )
-from .scattering import evaluate_scattering_state, s_matrix
+# evaluate_scattering_state is not called here: perfbench/tracer.py counts
+# calls of this module's name and stops on a missing one
+from .scattering import evaluate_scattering_state, trap_waves
 
 _TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 
@@ -97,9 +103,11 @@ def energy_grid(e_r: float, gamma: float, e_cut: float, n_points: int = 2000) ->
     return np.unique(grid)
 
 
-#: Energies per block of the projection.  Its temporaries grow as this
-#: times sqrt(nodes): ~2 MB at 128 on a 50k-node grid, where all 2000
-#: energies of a grid at once would take ~30 MB.
+#: Energies per block of the projection.  A block's temporaries (standing
+#: waves, energies x in-trap nodes, and phase tables, energies x sqrt(nodes
+#: or steps)) stay near 1 MB at 128: the shipped spectrum-vs-T columns,
+#: whose T = tau edge history has 20k steps, project with a 2 MB peak, and
+#: with a 20 MB one in a single block.
 _ENERGY_CHUNK = 128
 
 
@@ -161,6 +169,79 @@ def _exterior(edge: EdgeHistory, x_edge: float, dx: float, kappa: float, k: np.n
     return sums
 
 
+def energy_distributions(
+    released: list[tuple[WavefunctionGrid, EdgeHistory | None]],
+    final_config: PotentialConfig,
+    unit: UnitSystem,
+    e_grid: np.ndarray,
+) -> list[EnergyDistribution]:
+    """Project several states onto the final trap's scattering states, one
+    P(E) per (state, edge) pair of released, all on one energy grid.
+
+    The states must share one node grid.  The final trap must hold no bound
+    state, otherwise the scattering states are not complete and a density
+    cannot integrate to one; this is checked once.  Without an edge the
+    overlap <psi_k|psi> is the trapezoid sum over the state's grid.  With the
+    edge history of an open run the state is that run's state on [0, x_J],
+    the sum runs on past x_J, and its exterior part comes from `_exterior`:
+    nothing is cut off and nothing reflects.
+
+    The sums are taken for _ENERGY_CHUNK energies at a time.  Up to d + b,
+    psi_k is a complex amplitude times a real standing wave (`trap_waves`),
+    evaluated once per chunk for every state, so the in-trap sums of all
+    states are one real matrix product.  Past d + b, conj psi_k =
+    (e^{ikx} - conj(S) e^{-ikx})/sqrt(2 pi) on a uniform grid, whose sums
+    sum_j f_j e^{+-ikx_j} are blocked phase sums (`_phase_sums`) over every
+    state's tail at once: no FFT and no interpolation.
+    """
+    e_grid = np.asarray(e_grid, dtype=float)
+    if np.any(e_grid <= 0.0) or np.any(np.diff(e_grid) <= 0.0):
+        raise InvalidArgumentError("e_grid must be positive and strictly ascending")
+    states = [state for state, _ in released]
+    grid = states[0]
+    if any((s.x0, s.dx, s.values.size) != (grid.x0, grid.dx, grid.values.size) for s in states):
+        raise InvalidArgumentError("the projected states must share one node grid")
+    bound = find_bound_states(final_config, unit)
+    if bound:
+        raise CompletenessViolationError(
+            f"final configuration holds {len(bound)} bound state(s); "
+            "scattering states alone are not complete"
+        )
+    x, dx, n_states = grid.x, grid.dx, len(states)
+    weighted = np.array([s.values for s in states], dtype=complex) * dx
+    weighted[:, 0] *= 0.5
+    for row, (_, edge) in zip(weighted, released):
+        if edge is None:
+            row[-1] *= 0.5
+    n_in = int(np.searchsorted(x, final_config.outer_edge, side="right"))
+    # (node, state) pairs of reals, so a real wave matrix takes them in one product
+    in_trap = np.ascontiguousarray(weighted[:, :n_in].T).view(float)
+    outer = weighted[:, n_in:]
+    blocks, n_blocks = _blocked(np.concatenate([outer, outer.conj()]))
+    x_out = grid.x0 + dx * n_in
+
+    k = np.sqrt(2.0 * e_grid / unit.kappa)
+    s_conj = np.empty(k.size, dtype=complex)
+    overlap = np.empty((k.size, n_states), dtype=complex)
+    for lo in range(0, k.size, _ENERGY_CHUNK):
+        chunk = slice(lo, lo + _ENERGY_CHUNK)
+        kc = k[chunk]
+        amp, wave, s = trap_waves(final_config, unit, kc, x[:n_in])
+        s_conj[chunk] = s.conj()
+        inner = (wave @ in_trap).view(complex)
+        at_out = np.exp(1j * kc * x_out)[:, None]
+        sums = _phase_sums(blocks, n_blocks, kc * dx)
+        plus, minus = at_out * sums[:, :n_states], np.conj(at_out * sums[:, n_states:])
+        beyond = (plus - s_conj[chunk, None] * minus) / _TWO_PI_SQRT
+        overlap[chunk] = amp.conj()[:, None] * inner + beyond
+    for column, (state, edge) in zip(overlap.T, released):
+        if edge is not None:
+            f_plus, f_minus = _exterior(edge, state.x_max, dx, unit.kappa, k)
+            column += dx * (f_plus - s_conj * f_minus) / _TWO_PI_SQRT
+    p = np.ascontiguousarray((np.abs(overlap) ** 2 / (unit.kappa * k)[:, None]).T)
+    return [EnergyDistribution(e_grid, row, float(np.trapezoid(row, e_grid))) for row in p]
+
+
 def energy_distribution(
     state: WavefunctionGrid,
     final_config: PotentialConfig,
@@ -168,59 +249,9 @@ def energy_distribution(
     e_grid: np.ndarray,
     edge: EdgeHistory | None = None,
 ) -> EnergyDistribution:
-    """Project a state onto the final trap's scattering states.
-
-    The final trap must hold no bound state, otherwise the scattering states
-    are not complete and the density cannot integrate to one.  Without edge
-    the overlap <psi_k|psi> is the trapezoid sum over the state's grid.
-    With the edge history of an open run the state is that run's state on
-    [0, x_J], the sum runs on past x_J, and its exterior part comes from
-    `_exterior`: nothing is cut off and nothing reflects.
-
-    The sums are taken for _ENERGY_CHUNK energies at a time.  The nodes up
-    to d + b (a few hundred) take one array call of
-    evaluate_scattering_state per chunk.  Past d + b, conj psi_k =
-    (e^{ikx} - conj(S) e^{-ikx})/sqrt(2 pi) on a uniform grid, whose sums
-    sum_j f_j e^{+-ikx_j} are blocked phase sums (`_phase_sums`): no FFT
-    and no interpolation.
-    """
-    e_grid = np.asarray(e_grid, dtype=float)
-    if np.any(e_grid <= 0.0) or np.any(np.diff(e_grid) <= 0.0):
-        raise InvalidArgumentError("e_grid must be positive and strictly ascending")
-    bound = find_bound_states(final_config, unit)
-    if bound:
-        raise CompletenessViolationError(
-            f"final configuration holds {len(bound)} bound state(s); "
-            "scattering states alone are not complete"
-        )
-    x = state.x
-    weighted = state.values * state.dx
-    weighted[0] *= 0.5
-    if edge is None:
-        weighted[-1] *= 0.5
-    n_in = int(np.searchsorted(x, final_config.outer_edge, side="right"))
-    outer = weighted[n_in:]
-    blocks, n_blocks = _blocked(np.stack([outer, outer.conj()]))
-    x_out = state.x0 + state.dx * n_in
-
-    k = np.sqrt(2.0 * e_grid / unit.kappa)
-    s_conj = np.conj(s_matrix(final_config, unit, k))
-    overlap = np.empty(k.size, dtype=complex)
-    for lo in range(0, k.size, _ENERGY_CHUNK):
-        chunk = slice(lo, lo + _ENERGY_CHUNK)
-        kc = k[chunk]
-        psi_in = evaluate_scattering_state(final_config, unit, kc, x[:n_in])
-        at_out = np.exp(1j * kc * x_out)
-        sums = _phase_sums(blocks, n_blocks, kc * state.dx)
-        plus, minus = at_out * sums[:, 0], np.conj(at_out * sums[:, 1])
-        outer = (plus - s_conj[chunk] * minus) / _TWO_PI_SQRT
-        overlap[chunk] = psi_in.conj() @ weighted[:n_in] + outer
-    if edge is not None:
-        f_plus, f_minus = _exterior(edge, state.x_max, state.dx, unit.kappa, k)
-        overlap += state.dx * (f_plus - s_conj * f_minus) / _TWO_PI_SQRT
-    p = np.abs(overlap) ** 2 / (unit.kappa * k)
-    total = float(np.trapezoid(p, e_grid))
-    return EnergyDistribution(e_grid, p, total)
+    """P(E) of one state, with the edge history of its open run if it has
+    one: `energy_distributions` of the single pair (state, edge)."""
+    return energy_distributions([(state, edge)], final_config, unit, e_grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -695,24 +726,24 @@ def optimal_switch_time(
     if objective == LORENTZIAN_OBJECTIVE:
         grid = run.grid(resonance)
 
-        def score(released):
-            dist = energy_distribution(
-                released.final, final_config, unit, grid, edge=released.edge
-            )
-            return lorentzian_deviation(dist, resonance)
+        def scores(runs):
+            released = [(out.final, out.edge) for out in runs]
+            dists = energy_distributions(released, final_config, unit, grid)
+            return [lorentzian_deviation(dist, resonance) for dist in dists]
     else:
-        def score(record):
-            return exponential_deviation(record, tau)
+        def scores(records):
+            return [exponential_deviation(record, tau) for record in records]
 
     def setup(t_switch):
         return run.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
 
     def evaluate(t_switch: float) -> float:
-        return score(run.release(setup(t_switch), unit))
+        return scores([run.release(setup(t_switch), unit)])[0]
 
-    # the coarse points run at once; each refinement point depends on the last
+    # the coarse points run at once and are scored together; each refinement
+    # point depends on the last
     coarse = map_runs(run.release, [setup(t) for t in ts], unit)
-    vs = np.array([score(pending()) for pending in coarse])
+    vs = np.array(scores([pending() for pending in coarse]))
 
     minima = []
     for i in range(n_coarse):

@@ -319,14 +319,18 @@ def test_validate_agrees_with_the_runners_own_setups(
         record = DecayRecord(t, np.exp(-t / 0.1), np.ones_like(t))
         return PropagationResult(None, record, None)
 
-    def flat_distribution(state, final_config, unit, e_grid, **kwargs):
-        return EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0)
+    def flat_distributions(released, final_config, unit, e_grid):
+        return [EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0) for _ in released]
+
+    def flat_distribution(state, final_config, unit, e_grid, edge=None):
+        return flat_distributions([(state, edge)], final_config, unit, e_grid)[0]
 
     # the runs stay in this process, so what they record is seen here
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(spectra, "propagate", record_setup)
-    monkeypatch.setattr(spectra, "energy_distribution", flat_distribution)
-    monkeypatch.setattr(experiments, "energy_distribution", flat_distribution)
+    for module in (spectra, experiments):
+        monkeypatch.setattr(module, "energy_distribution", flat_distribution)
+        monkeypatch.setattr(module, "energy_distributions", flat_distributions)
 
     args = [os.path.join(CONFIGS, config)] + (["--set", override] if override else [])
     verdict = main(["validate", *args])

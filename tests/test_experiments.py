@@ -284,13 +284,17 @@ def _handed_to_runs(monkeypatch, spec):
         record = DecayRecord(t, np.exp(-t / 0.1), np.ones_like(t))
         return PropagationResult(initial, record, None)
 
-    def flat_distribution(state, final_config, unit, e_grid, **kwargs):
+    def flat_distributions(released, final_config, unit, e_grid):
         handed.append(tuple(e_grid))
-        return EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0)
+        return [EnergyDistribution(e_grid, np.ones_like(e_grid), 1.0) for _ in released]
+
+    def flat_distribution(state, final_config, unit, e_grid, edge=None):
+        return flat_distributions([(state, edge)], final_config, unit, e_grid)[0]
 
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(spectra, "propagate", record_setup)
     monkeypatch.setattr(experiments, "energy_distribution", flat_distribution)
+    monkeypatch.setattr(experiments, "energy_distributions", flat_distributions)
     experiments.RUNNERS[spec.name](spec)
     return handed
 

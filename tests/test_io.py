@@ -12,6 +12,7 @@ from trapswitch.errors import SpecValidationError
 from trapswitch.io import (
     _NUMERICS_KEYS,
     _OPTION_KEYS,
+    _ROW_BLOCK,
     Check,
     Table,
     apply_overrides,
@@ -321,6 +322,30 @@ def test_write_table_round_trips_through_loadtxt(tmp_path):
     assert data.shape == (3, 2)
     # 12 significant digits in the file
     np.testing.assert_allclose(data[:, 0], [1.0, 2.0, 134.51124872833176], rtol=1e-11)
+
+
+def test_write_table_formats_columns_as_format_number_does_cells(tmp_path):
+    # each column is formatted in one pass by dtype, a block of rows at a
+    # time; the file must equal the cell-by-cell format_number rows for
+    # every kind a runner hands it, across block boundaries
+    rng = np.random.default_rng(20261020)
+    floats = np.concatenate([rng.normal(size=592) * 10.0 ** rng.integers(-300, 300, 592),
+                             [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 123456789012.5]])
+    n = floats.size
+    t = Table("kinds")
+    t.add("f64", "-", floats)
+    with np.errstate(over="ignore"):  # past float32's range: inf
+        t.add("f32", "-", floats.astype(np.float32))
+    t.add("i64", "-", rng.integers(-(2**62), 2**62, n))
+    t.add("u8", "-", (np.arange(n) % 256).astype(np.uint8))
+    t.add("flag", "-", np.arange(n) % 3 == 0)
+    t.add("kind", "-", ["resonance", "bound", "ümlaut"] * (n // 3) + ["x"] * (n % 3))
+    t.add("mixed", "-", np.array([1, 2.5, "s", True] * (n // 4), dtype=object))
+    write_table(str(tmp_path), t, {})
+    rows = (tmp_path / "kinds.csv").read_text(encoding="utf-8").splitlines()[1:]
+    cols = [col for _, _, col in t.columns]
+    assert n > 2 * _ROW_BLOCK
+    assert rows == [",".join(format_number(col[i]) for col in cols) for i in range(n)]
 
 
 def test_write_table_rejects_ragged_columns(tmp_path):

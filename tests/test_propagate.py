@@ -29,7 +29,12 @@ from trapswitch.propagate import (
     tail_phase,
     validate_setup,
 )
-from trapswitch.spectra import DecayRunSpec, fit_exponential_decay, switch_and_record
+from trapswitch.spectra import (
+    DecayRunSpec,
+    SpectrumRunSpec,
+    fit_exponential_decay,
+    switch_and_record,
+)
 
 from cn_oracle import _cn_step
 from conftest import FINAL, INITIAL, KAPPA_BOUND, TAU_RES
@@ -202,9 +207,12 @@ def test_stepper_matches_banded_lu_oracle_on_decay_box(unit, t_switch):
         (FINAL, 60.0, False, 900),  # open edge: its node is a row
         (FINAL, 15.0, False, 0),  # no rows past the trap
         (FINAL, 15.05, False, 0),  # one row past the trap joins it
-        (FINAL, 15.15, False, 3),  # smallest far block
+        (FINAL, 15.15, False, 0),  # three rows, enough for LAPACK, join it too
+        (FINAL, 29.95, False, 0),  # 299 rows, one fewer than the trap block's, join it
+        (FINAL, 30.0, False, 300),  # smallest far block: as many rows as the trap block
     ],
-    ids=["no-dV", "no-absorber", "no-far-rows", "one-far-row", "smallest-far-block"],
+    ids=["no-dV", "no-absorber", "no-far-rows", "one-far-row", "three-far-rows",
+         "largest-joining-far-block", "smallest-far-block"],
 )
 def test_stepper_matches_banded_lu_oracle_edge_cases(unit, final, box, absorbed, far_rows):
     setup = PropagationSetup(
@@ -214,6 +222,18 @@ def test_stepper_matches_banded_lu_oracle_edge_cases(unit, final, box, absorbed,
     stepper, drift = _stepper_drift(unit, setup, 200)
     assert stepper.ops.m_diag.size - stepper.m == far_rows
     assert (stepper.far is None) == (far_rows == 0)
+    assert drift < STEPPER_ORACLE_TOL
+
+
+def test_stepper_matches_banded_lu_oracle_on_the_spectrum_box(unit):
+    # the shipped spectrum box: its 34 far rows join the 100 trap rows, so
+    # every step while 0 < w < 1 is one solve of the whole matrix
+    spec = SpectrumRunSpec(dx=0.15, dt=2.5e-4)
+    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES), unit)
+    assert setup.n_nodes() == 135
+    stepper, drift = _stepper_drift(unit, setup, 400)
+    assert stepper.far is None and stepper.m == stepper.ops.m_diag.size == 134
+    assert 0.0 < setup.schedule.weight(400 * setup.dt) < 1.0
     assert drift < STEPPER_ORACLE_TOL
 
 

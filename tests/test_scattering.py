@@ -23,8 +23,10 @@ from trapswitch.scattering import (
     pole_function_derivatives,
     pole_function_terms,
     s_matrix,
+    trap_waves,
 )
 
+from complex_state_oracle import scattering_state_complex
 from conftest import E_RES, FINAL, GAMMA_RES, K_RES, KAPPA
 from pointwise_oracle import delay_time_pointwise
 
@@ -141,6 +143,37 @@ def test_array_k_scattering_state_matches_the_scalar_calls(unit):
         scalar = evaluate_scattering_state(FINAL, unit, float(kk), x)
         assert scalar.shape == x.shape
         assert np.max(np.abs(row - scalar)) <= 1e-15 * np.max(np.abs(scalar))
+
+
+@pytest.mark.parametrize("dx", [0.15, 0.1], ids=["spectrum-grid", "scan-grid"])
+def test_standing_waves_match_the_complex_oracle(unit, dx):
+    # the projection's two node grids, on into the free region; energies
+    # below, at and above the barrier top, where q'^2 < 0, = 0 and > 0,
+    # and next to it, where |q'| is tiny
+    x = dx * np.arange(int(round(30.0 / dx)) + 1)
+    c = 2.0 * FINAL.v_barrier / unit.kappa
+    top = math.sqrt(c)
+    assert top * top - c == 0.0  # k^2 = 2 v_b/kappa exactly
+    near = [top * (1.0 + r) for r in (-1e-9, -1e-15, 1e-15, 1e-9)]
+    k = np.concatenate([
+        np.sqrt(2.0 * np.linspace(0.5, 3000.0, 1500) / unit.kappa),
+        [top, np.nextafter(top, 0.0), np.nextafter(top, 1.0), *near, K_RES.real],
+    ])
+    new = evaluate_scattering_state(FINAL, unit, k, x)
+    old = scattering_state_complex(FINAL, unit, k, x)
+    err = np.max(np.abs(new - old), axis=1) / np.max(np.abs(old), axis=1)
+    assert np.max(err) <= 1e-13, f"worst row {np.argmax(err)}: {np.max(err):.2e}"
+
+
+def test_trap_waves_factor_the_state_into_a_real_wave(unit):
+    # psi_k inside the trap is the amplitude times the real wave, and the
+    # S-matrix that comes with them is s_matrix's
+    x = np.linspace(-0.5, FINAL.outer_edge, 161)
+    k = np.array([0.05, 0.3, math.sqrt(2.0 * FINAL.v_barrier / KAPPA), 0.9])
+    amp, wave, s = trap_waves(FINAL, unit, k, x)
+    assert wave.dtype == np.float64 and np.all(wave[:, x <= 0.0] == 0.0)
+    np.testing.assert_array_equal(amp[:, None] * wave, evaluate_scattering_state(FINAL, unit, k, x))
+    assert np.max(np.abs(s - s_matrix(FINAL, unit, k))) <= 1e-14
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf])

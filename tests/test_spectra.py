@@ -24,6 +24,7 @@ from trapswitch.spectra import (
     EnergyDistribution,
     SpectrumRunSpec,
     energy_distribution,
+    energy_distributions,
     energy_grid,
     exponential_deviation,
     fit_exponential_decay,
@@ -193,6 +194,28 @@ def test_propagated_projection_matches_the_pointwise_oracle(unit, res):
     state = spec.release(setup, unit).final
     grid = energy_grid(res.e_r, res.gamma, spec.e_cut, 500)
     _assert_matches_pointwise(state, unit, grid)
+
+
+def test_batched_projection_matches_single_projections(unit, res):
+    # the spectrum-vs-T columns of one open box, plus one of their states
+    # without its edge history, whose last node then takes half weight,
+    # projected in one call and one at a time
+    spec = SpectrumRunSpec(dx=0.3, dt=1e-3)
+    released = []
+    for frac in (0.0, 0.058, 0.3):
+        out = spec.release(spec.setup(SwitchingSchedule(INITIAL, FINAL, frac * res.tau), unit), unit)
+        released.append((out.final, out.edge))
+    released.append((released[1][0], None))
+    grid = energy_grid(res.e_r, res.gamma, spec.e_cut, 700)
+    batched = energy_distributions(released, FINAL, unit, grid)
+    assert len(batched) == len(released)
+    for (state, edge), dist in zip(released, batched):
+        single = energy_distribution(state, FINAL, unit, grid, edge=edge)
+        assert np.max(np.abs(dist.p - single.p)) <= 1e-13 * np.max(single.p)
+        assert dist.total == pytest.approx(single.total, rel=1e-13)
+    shorter = WavefunctionGrid(0.0, spec.dx, released[1][0].values[:-1])
+    with pytest.raises(InvalidArgumentError, match="one node grid"):
+        energy_distributions([released[0], (shorter, None)], FINAL, unit, grid)
 
 
 # dx = 1/8 puts a node on d + b = 15 exactly: nodes 0 .. 120 lie inside it
