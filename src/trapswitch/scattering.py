@@ -37,9 +37,12 @@ _TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 
 
 def cardinal_sine(z):
-    """sin(z)/z for complex arrays, with the series used near z = 0."""
+    """sin(z)/z for complex arrays, with the series used near z = 0; the
+    series is evaluated only when some |z| needs it."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-4
+    if not small.any():
+        return np.sin(z) / z
     zs = np.where(small, 1.0, z)
     return np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, np.sin(zs) / zs)
 
@@ -51,9 +54,12 @@ _U_SERIES = [(-1) ** m * 2 * (m + 1) / math.factorial(2 * m + 3) for m in range(
 
 def _sinc_minus_cos_over_z2(z):
     """u(z) for complex arrays; the direct form loses ~3/|z|^2 ulps to
-    cancellation, so the series is used for |z| < 0.5."""
+    cancellation, so the series is used for |z| < 0.5, and evaluated only
+    when some |z| needs it."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 0.5
+    if not small.any():
+        return (np.sin(z) / z - np.cos(z)) / (z * z)
     zs = np.where(small, 1.0, z)
     z2, series = z * z, 0.0
     for c in _U_SERIES:  # Horner in z^2
@@ -119,12 +125,21 @@ def pole_function_derivatives(config: PotentialConfig, unit: UnitSystem, k):
     return (*_pole_terms(k, p2, cw, sw, cb, sb), d_k, -2.0 / unit.kappa * omega_p)
 
 
-def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
-    """S(k) for real k > 0, a scalar or an array of any shape; unitary by
-    construction."""
+def _checked_k(k) -> np.ndarray:
+    """k as a float array, refused unless every element is finite and > 0;
+    the error names the first bad value."""
     k = np.asarray(k, dtype=float)
-    if np.any(k <= 0.0):
-        raise InvalidArgumentError("s_matrix requires k > 0")
+    bad = ~(np.isfinite(k) & (k > 0.0))
+    if np.any(bad):
+        first = float(k[bad].flat[0])
+        raise InvalidArgumentError(f"k must be finite and positive, got k = {first}")
+    return k
+
+
+def s_matrix(config: PotentialConfig, unit: UnitSystem, k):
+    """S(k) for real finite k > 0, a scalar or an array of any shape;
+    unitary by construction."""
+    k = _checked_k(k)
     t1, t2, _ = pole_function_terms(config, unit, k)
     length = config.d + config.b
     return -np.exp(-2j * k * length) * (t1 - t2) / (t1 + t2)
@@ -187,13 +202,9 @@ def evaluate_scattering_state(config: PotentialConfig, unit: UnitSystem, k, x) -
     finite at channel thresholds and references no square-root branch;
     past d + b it is (e^{-ikx} - S e^{ikx})/sqrt(2 pi).
     """
-    k = np.asarray(k, dtype=float)
+    k = _checked_k(k)
     if k.ndim > 1:
         raise InvalidArgumentError(f"k must be a scalar or a 1-d array, got shape {k.shape}")
-    bad = ~(np.isfinite(k) & (k > 0.0))
-    if np.any(bad):
-        first = float(k[bad].flat[0])
-        raise InvalidArgumentError(f"k must be finite and positive, got k = {first}")
     x = np.asarray(x, dtype=float)
     xs = x.ravel()
     inside = xs <= config.d + config.b
@@ -217,20 +228,23 @@ def _raw_phase(config: PotentialConfig, unit: UnitSystem, k):
 
 
 def phase_shift_curve(config: PotentialConfig, unit: UnitSystem, k_grid: np.ndarray) -> np.ndarray:
-    """Continuous phase shift delta(k) on an increasing grid of real k > 0.
+    """Continuous phase shift delta(k) on an increasing grid of real finite
+    k > 0.
 
     S = e^{2 i delta} defines delta modulo pi; the curve is anchored at the
     principal value of the first node and stitched with pi jumps removed.
-    The raw phases on the grid come from one S-matrix call.  Each interval
-    is checked by midpoint refinement: the two half-steps must agree with the
-    direct step, otherwise the interval is subdivided, up to 26 halvings,
-    after which a refinement error names the offending interval.
+    Each interval is checked by midpoint refinement: the two half-steps must
+    agree with the direct step, otherwise the interval is subdivided, up to
+    26 halvings, after which a refinement error names the offending
+    interval.  The raw phases on the grid come from one S-matrix call, and
+    the first midpoint of every interval from one more; only the intervals
+    that fail that check are refined further, one scalar call per midpoint.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
+    k_grid = _checked_k(k_grid)
     if k_grid.ndim != 1 or k_grid.size < 2:
         raise InvalidArgumentError("k_grid must be a 1-d array with >= 2 nodes")
-    if np.any(k_grid <= 0.0) or np.any(np.diff(k_grid) <= 0.0):
-        raise InvalidArgumentError("k_grid must be strictly increasing and positive")
+    if np.any(np.diff(k_grid) <= 0.0):
+        raise InvalidArgumentError("k_grid must be strictly increasing")
 
     def step(ka, da, kb, db, depth):
         """Continuous increment of delta from ka to kb (raw values da, db)."""
@@ -248,26 +262,29 @@ def phase_shift_curve(config: PotentialConfig, unit: UnitSystem, k_grid: np.ndar
             return direct
         return step(ka, da, km, dm, depth + 1) + step(km, dm, kb, db, depth + 1)
 
-    raw_vals = _raw_phase(config, unit, k_grid).tolist()
-    delta = np.empty_like(k_grid)
-    delta[0] = raw_vals[0]
-    for i in range(k_grid.size - 1):
-        inc = step(k_grid[i], raw_vals[i], k_grid[i + 1], raw_vals[i + 1], 0)
-        delta[i + 1] = delta[i] + inc
-    return delta
+    # depth 0 of step() for every interval at once
+    raw = _raw_phase(config, unit, k_grid)
+    k_mid = 0.5 * (k_grid[:-1] + k_grid[1:])
+    raw_mid = _raw_phase(config, unit, k_mid)
+    inc = _wrap_half_pi(np.diff(raw))
+    halves = _wrap_half_pi(raw_mid - raw[:-1]) + _wrap_half_pi(raw[1:] - raw_mid)
+    for i in np.flatnonzero(~(np.abs(halves - inc) < 1e-9)):
+        inc[i] = step(k_grid[i], raw[i], k_mid[i], raw_mid[i], 1) + step(
+            k_mid[i], raw_mid[i], k_grid[i + 1], raw[i + 1], 1
+        )
+    return np.cumsum(np.concatenate((raw[:1], inc)))
 
 
 def delay_time(config: PotentialConfig, unit: UnitSystem, k):
-    """Wigner delay 2 hbar d delta/dE = (2/(kappa k)) d delta/dk at real k > 0.
+    """Wigner delay 2 hbar d delta/dE = (2/(kappa k)) d delta/dk at real
+    finite k > 0.
 
     k is a scalar or an array of any shape; a scalar gives a float, an array
     an array of its shape.  At real k, S = -e^{-2ikL} conj(Omega)/Omega, so
     d delta/dk = -L - Im(Omega'/Omega) exactly, from one block build of Omega
     and Omega' on the whole array; no phase is differenced or unwrapped.
     """
-    k = np.asarray(k, dtype=float)
-    if not np.all(k > 0.0):
-        raise InvalidArgumentError("delay_time requires k > 0")
+    k = _checked_k(k)
     t1, t2, _, d_k, _ = pole_function_derivatives(config, unit, k)
     dddk = -(config.d + config.b) - np.imag(d_k / (t1 + t2))
     out = 2.0 / (unit.kappa * k) * dddk

@@ -2,7 +2,9 @@
 scalar call per point.
 
 Kept only as a test oracle: `test_scattering.py` checks `delay_time_pointwise`
-(the old Richardson difference) against the exact delay, `test_poles.py`
+(the old Richardson difference) against the exact delay and
+`phase_shift_curve_pointwise` (the depth-first unwrap, one scalar S-matrix
+call per midpoint) against the batched one, `test_poles.py`
 checks the bound-state scan and the winding number against theirs, and
 `test_spectra.py` checks the blocked projection against
 `energy_distribution_pointwise`.  Not a test module.
@@ -13,8 +15,9 @@ import math
 
 import numpy as np
 
+from trapswitch.errors import RefinementError
 from trapswitch.poles import _arg_increment, pole_function
-from trapswitch.scattering import evaluate_scattering_state, s_matrix
+from trapswitch.scattering import _raw_phase, evaluate_scattering_state, s_matrix
 
 
 def _wrap_half_pi(diff: float) -> float:
@@ -33,6 +36,37 @@ def delay_time_pointwise(config, unit, k: float) -> float:
 
     dddk = (4.0 * slope(0.5 * h) - slope(h)) / 3.0
     return 2.0 / (unit.kappa * k) * dddk
+
+
+def phase_shift_curve_pointwise(config, unit, k_grid) -> np.ndarray:
+    """Continuous phase shift on an increasing grid of k > 0: raw phases on
+    the grid from one S-matrix call, then each interval checked depth-first
+    by midpoint refinement, one scalar S-matrix call per midpoint, up to 26
+    halvings."""
+    k_grid = np.asarray(k_grid, dtype=float)
+
+    def step(ka, da, kb, db, depth):
+        direct = _wrap_half_pi(db - da)
+        if depth >= 26:
+            raise RefinementError(
+                f"phase unwrap did not settle on [{ka:.9g}, {kb:.9g}]",
+                interval=(ka, kb),
+            )
+        km = 0.5 * (ka + kb)
+        dm = float(_raw_phase(config, unit, km))
+        left = _wrap_half_pi(dm - da)
+        right = _wrap_half_pi(db - dm)
+        if abs((left + right) - direct) < 1e-9:
+            return direct
+        return step(ka, da, km, dm, depth + 1) + step(km, dm, kb, db, depth + 1)
+
+    raw_vals = _raw_phase(config, unit, k_grid).tolist()
+    delta = np.empty_like(k_grid)
+    delta[0] = raw_vals[0]
+    for i in range(k_grid.size - 1):
+        inc = step(k_grid[i], raw_vals[i], k_grid[i + 1], raw_vals[i + 1], 0)
+        delta[i + 1] = delta[i] + inc
+    return delta
 
 
 def bound_state_kappas_pointwise(config, unit) -> list[float]:

@@ -14,9 +14,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from trapswitch import scattering
 from trapswitch.errors import InvalidArgumentError
 from trapswitch.model import PotentialConfig
 from trapswitch.scattering import (
+    _U_SERIES,
+    _sinc_minus_cos_over_z2,
+    cardinal_sine,
     delay_time,
     evaluate_scattering_state,
     phase_shift_curve,
@@ -28,7 +32,8 @@ from trapswitch.scattering import (
 
 from complex_state_oracle import scattering_state_complex
 from conftest import E_RES, FINAL, GAMMA_RES, K_RES, KAPPA
-from pointwise_oracle import delay_time_pointwise
+from pointwise_oracle import delay_time_pointwise, phase_shift_curve_pointwise
+from trapswitch.spectra import lowest_resonance
 
 
 def _potential(cfg, x):
@@ -105,6 +110,33 @@ def test_s_matrix_rejects_nonpositive_k(unit):
         s_matrix(FINAL, unit, np.array([0.3, -0.1]))
     with pytest.raises(InvalidArgumentError):
         delay_time(FINAL, unit, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_s_matrix_rejects_a_non_finite_k(unit, bad):
+    # S(inf) used to come back as NaN without a word
+    with pytest.raises(InvalidArgumentError, match=f"k = {bad}"):
+        s_matrix(FINAL, unit, bad)
+    with pytest.raises(InvalidArgumentError, match=f"k = {bad}"):
+        s_matrix(FINAL, unit, np.array([0.3, bad, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_delay_time_rejects_a_non_finite_k(unit, bad):
+    with pytest.raises(InvalidArgumentError, match=f"k = {bad}"):
+        delay_time(FINAL, unit, bad)
+    with pytest.raises(InvalidArgumentError, match=f"k = {bad}"):
+        delay_time(FINAL, unit, np.array([[0.3, 0.4], [bad, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_phase_curve_rejects_a_non_finite_node(unit, bad):
+    # a NaN or inf node used to run 26 halvings and then report an unwrap
+    # that did not settle
+    with pytest.raises(InvalidArgumentError, match=f"k = {bad}"):
+        phase_shift_curve(FINAL, unit, np.array([0.3, bad, 0.5]))
+    with pytest.raises(InvalidArgumentError, match=f"k = {bad}"):
+        phase_shift_curve(FINAL, unit, np.array([0.3, 0.5, bad]))
 
 
 def test_scattering_state_matches_ode_profile(unit):
@@ -206,6 +238,37 @@ def test_phase_curve_is_stitched_continuously(unit):
     i_lo = np.searchsorted(k, kr - 0.02)
     i_hi = np.searchsorted(k, kr + 0.02)
     assert 2.3 < delta[i_hi] - delta[i_lo] < 3.3
+
+
+def _shipped_delay_grid(unit):
+    # the k grid of the shipped delay-spectrum experiment (10 widths, 800 points)
+    res = lowest_resonance(FINAL, unit)
+    e = np.linspace(res.e_r - 10.0 * res.gamma, res.e_r + 10.0 * res.gamma, 800)
+    return np.sqrt(2.0 * e / unit.kappa)
+
+
+@pytest.mark.parametrize("grid", ["shipped", "coarse"])
+def test_phase_curve_equals_the_depth_first_oracle_bit_for_bit(monkeypatch, unit, grid):
+    # the first midpoint round is one array call; on the coarse 40-point
+    # grid the interval holding the resonance fails it and is refined two
+    # levels further by the scalar recursion
+    k = _shipped_delay_grid(unit) if grid == "shipped" else np.linspace(0.0675, 0.8, 40)
+    sizes = []
+
+    def counted(config, unit, kk):
+        sizes.append(np.size(kk))
+        return raw_phase(config, unit, kk)
+
+    raw_phase = scattering._raw_phase
+    monkeypatch.setattr(scattering, "_raw_phase", counted)
+    delta = phase_shift_curve(FINAL, unit, k)
+    monkeypatch.undo()
+    assert delta.tobytes() == phase_shift_curve_pointwise(FINAL, unit, k).tobytes()
+    assert sizes[:2] == [k.size, k.size - 1]
+    if grid == "shipped":
+        assert len(sizes) == 2  # no scalar S-matrix call
+    else:
+        assert len(sizes) >= 2 + 4 and set(sizes[2:]) == {1}
 
 
 def test_delay_time_matches_phase_slope(unit):
@@ -323,3 +386,50 @@ def test_pole_function_derivatives_carry_the_exact_pole_function_terms(unit):
         terms = pole_function_terms(cfg, unit, k)
         for got, want in zip(pole_function_derivatives(cfg, unit, k)[:3], terms):
             assert np.array_equal(got, want)
+
+
+def _cardinal_sine_where(z):
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-4
+    zs = np.where(small, 1.0, z)
+    return np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, np.sin(zs) / zs)
+
+
+def _sinc_minus_cos_over_z2_where(z):
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 0.5
+    zs = np.where(small, 1.0, z)
+    z2, series = z * z, 0.0
+    for c in _U_SERIES:
+        series = series * z2 + c
+    return np.where(small, series, (np.sin(zs) / zs - np.cos(zs)) / (zs * zs))
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        0.0,
+        0.0j,
+        3e-5 - 2e-5j,  # below both cuts
+        0.2 + 0.1j,  # between the cuts
+        1e-4,  # on the sinc cut
+        0.5,  # on the u cut
+        1.7 - 0.4j,  # above both cuts
+        np.array([0.0, 3e-5, 1e-4, 0.2 + 0.1j, 0.5, 1.7 - 0.4j, 40.0j]),
+        np.array([[2.0, 0.3j], [5e-5, 7.5 - 1.0j]]),
+        np.array([0.6, 1.7 - 0.4j, 40.0j]),  # no element below either cut
+        np.array([0.0, 1e-6j]),  # every element below both cuts
+    ],
+    ids=["zero", "zero-complex", "below", "between", "sinc-cut", "u-cut", "above",
+         "mixed", "mixed-2d", "all-above", "all-below"],
+)
+def test_omega_helpers_equal_their_where_forms_bit_for_bit(z):
+    # the helpers skip the small-|z| series when no element needs it; the
+    # np.where forms above evaluate both branches everywhere
+    for fast, where in (
+        (cardinal_sine, _cardinal_sine_where),
+        (_sinc_minus_cos_over_z2, _sinc_minus_cos_over_z2_where),
+    ):
+        got, want = np.asarray(fast(z)), np.asarray(where(z))
+        assert got.shape == want.shape == np.shape(z)
+        assert got.tobytes() == want.tobytes(), fast.__name__
