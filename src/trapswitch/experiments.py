@@ -213,9 +213,7 @@ def _setups(
     spec: ExperimentSpec, run: DecayRunSpec | SpectrumRunSpec, t_switches
 ) -> list[PropagationSetup]:
     """The setups of one run record at the given switching times."""
-    return [
-        run.setup(SwitchingSchedule(spec.initial, spec.final, t), spec.unit) for t in t_switches
-    ]
+    return [run.setup(SwitchingSchedule(spec.initial, spec.final, t)) for t in t_switches]
 
 
 def run_decay_curves(spec: ExperimentSpec):

@@ -2,8 +2,9 @@
 
 Spatial discretization is a linear finite-element (hat-function) basis on a
 uniform grid with a hard Dirichlet wall at x = 0.  The element
-integrals of the piecewise-constant potential are done exactly, splitting
-the two elements containing the region edges; this keeps the discrete
+integrals of the piecewise-constant potential are exact: each region (well,
+barrier) is clipped to every element and integrated against its two hats,
+so an element cut by a region edge gets both pieces; this keeps the discrete
 eigenpairs honest at the kinks, where a plain finite-difference Laplacian
 loses two orders of accuracy.  Time stepping is the unconditionally stable
 implicit midpoint (Crank-Nicolson) rule with the switching profile sampled
@@ -180,7 +181,7 @@ class PropagationResult:
 # assembly
 
 
-def _hat_overlaps(s: float, t: float) -> tuple[float, float, float]:
+def _hat_overlaps(s, t):
     """Integrals of (1-u)^2, u^2, u(1-u) over [s, t] in element coordinates."""
     left = ((1.0 - s) ** 3 - (1.0 - t) ** 3) / 3.0
     right = (t**3 - s**3) / 3.0
@@ -188,47 +189,26 @@ def _hat_overlaps(s: float, t: float) -> tuple[float, float, float]:
     return left, right, cross
 
 
-def _potential_mass(x: np.ndarray, dx: float, edges: list[float], values: list[float]):
-    """Exact FEM mass integrals of a piecewise-constant potential.
+def _config_mass(config, x, dx):
+    """Exact FEM mass integrals of one trap's potential, -v_well on [0, d)
+    and v_barrier on [d, d + b), as (diag, off) over all nodes.
 
-    edges are the ascending region boundaries inside (x[0], x[-1]); values
-    has one entry more than edges, value[i] applying between edge i-1 and
-    edge i.  Returns (diag, off) over all nodes.
+    Each region is clipped to every element [x_j, x_j + dx] in element
+    coordinates, so an element holding one edge, both edges or none is
+    integrated the same way.  Elements past d + b add exactly nothing,
+    which keeps the support of dV, and `_Stepper`'s trap block, to the trap.
     """
-    n = x.size
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    n_el = n - 1
-    # bulk fill assuming each element lies inside a single region
-    centers = x[:-1] + 0.5 * dx
-    region = np.searchsorted(edges, centers)
-    vals = np.asarray(values, dtype=float)[region]
-    diag[:-1] += vals * dx / 3.0
-    diag[1:] += vals * dx / 3.0
-    off += vals * dx / 6.0
-    # correct the elements actually cut by an edge
-    for e in edges:
-        j = int(math.floor(e / dx - 1e-12))
-        if j < 0 or j >= n_el:
-            continue
-        xa, xb = x[j], x[j + 1]
-        if not (xa < e < xb):
-            continue
-        # remove the bulk guess, redo the two pieces exactly
-        c = xa + 0.5 * dx
-        v_bulk = float(np.asarray(values)[np.searchsorted(edges, c)])
-        diag[j] -= v_bulk * dx / 3.0
-        diag[j + 1] -= v_bulk * dx / 3.0
-        off[j] -= v_bulk * dx / 6.0
-        cuts = [xa] + sorted(ee for ee in edges if xa < ee < xb) + [xb]
-        for a, bcut in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (a + bcut)
-            v = float(np.asarray(values)[np.searchsorted(edges, mid)])
-            s, tt = (a - xa) / dx, (bcut - xa) / dx
-            il, ir, ic = _hat_overlaps(s, tt)
-            diag[j] += v * dx * il
-            diag[j + 1] += v * dx * ir
-            off[j] += v * dx * ic
+    diag = np.zeros(x.size)
+    off = np.zeros(x.size - 1)
+    xa = x[:-1]
+    regions = ((0.0, config.d, -config.v_well), (config.d, config.outer_edge, config.v_barrier))
+    for lo, hi, v in regions:
+        s = np.clip((lo - xa) / dx, 0.0, 1.0)
+        t = np.clip((hi - xa) / dx, 0.0, 1.0)
+        left, right, cross = _hat_overlaps(s, t)
+        diag[:-1] += v * dx * left
+        diag[1:] += v * dx * right
+        off += v * dx * cross
     return diag, off
 
 
@@ -269,12 +249,6 @@ class _Operators:
     dv_off: np.ndarray
     w_diag: np.ndarray  # absorber mass (real amplitudes; enters as -i W)
     w_off: np.ndarray
-
-
-def _config_mass(config, x, dx):
-    edges = [config.d, config.outer_edge]
-    values = [-config.v_well, config.v_barrier, 0.0]
-    return _potential_mass(x, dx, edges, values)
 
 
 def assemble_operators(setup: PropagationSetup, unit: UnitSystem) -> _Operators:
@@ -599,7 +573,9 @@ TAIL_RTOL = 1e-10
 def _embed_initial(initial: WavefunctionGrid, setup: PropagationSetup):
     """The initial state on the box's nodes, and (tail, rho) of an open
     box: past the last node J the state is tail * rho^(j - J - 1).  A state
-    that ends inside the box is padded with zeros and has no tail (0, 0)."""
+    that ends inside the box is padded with zeros and has no tail (0, 0).
+    Node J is an unknown of an open run and keeps its value; in the
+    absorbing box it is the Dirichlet wall and is set to zero."""
     n = setup.n_nodes()
     if abs(initial.dx - setup.dx) > 1e-12 * setup.dx:
         raise InvalidArgumentError(
@@ -629,7 +605,8 @@ def _embed_initial(initial: WavefunctionGrid, setup: PropagationSetup):
                 "initial state extends beyond the box with non-negligible amplitude"
                 + ("" if setup.absorber else " and does not decay geometrically there")
             )
-    out[-1] = 0.0
+    if setup.absorber:
+        out[-1] = 0.0
     return out, 0j, 0.0
 
 

@@ -494,10 +494,10 @@ class SpectrumRunSpec:
     e_cut: float = 400.0
     n_energy: int = 2000
 
-    def setup(self, schedule: SwitchingSchedule, unit: UnitSystem) -> PropagationSetup:
+    def setup(self, schedule: SwitchingSchedule) -> PropagationSetup:
         """Propagate to the settle time in the open box; a sudden switch
         projects the prepared state itself, whose P(E) the switch no longer
-        changes.  unit is unused, kept so both records share one signature."""
+        changes."""
         t_star = 0.0
         if schedule.t_switch > 0.0:
             t_star = max(schedule.settle_time(RESIDUAL_V), MIN_PROJECTION_TIME)
@@ -536,7 +536,7 @@ def switch_and_project(
 ) -> EnergyDistribution:
     """Run the switch, then project the released packet at the settle time
     on a grid dense around the given resonance."""
-    setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
+    setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch))
     released = spec.release(setup, unit)
     return energy_distribution(
         released.final, final_config, unit, spec.grid(resonance), edge=released.edge
@@ -554,8 +554,8 @@ class DecayRunSpec:
     e_cut: float = 1000.0
     record_every: int = 5
 
-    def setup(self, schedule: SwitchingSchedule, unit: UnitSystem) -> PropagationSetup:
-        """The fixed absorbing box; unit is unused, kept so both records share one signature."""
+    def setup(self, schedule: SwitchingSchedule) -> PropagationSetup:
+        """The fixed absorbing box."""
         return PropagationSetup(
             schedule=schedule,
             dx=self.dx,
@@ -580,7 +580,7 @@ def switch_and_record(
     spec: DecayRunSpec = DecayRunSpec(),
 ) -> DecayRecord:
     """Run the switch in the absorbing box and return the decay record."""
-    setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
+    setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch))
     return spec.release(setup, unit)
 
 
@@ -647,13 +647,11 @@ def exponential_deviation(record: DecayRecord, tau: float) -> float:
 
 @dataclass
 class SwitchScanResult:
-    objective: str
     t_star: float
     t_values: np.ndarray
     values: np.ndarray
     multimodal: bool
     tau: float
-    resonance: Resonance
 
 
 def _golden_refine(f, a, b, rtol):
@@ -735,7 +733,7 @@ def optimal_switch_time(
             return [exponential_deviation(record, tau) for record in records]
 
     def setup(t_switch):
-        return run.setup(SwitchingSchedule(initial_config, final_config, t_switch), unit)
+        return run.setup(SwitchingSchedule(initial_config, final_config, t_switch))
 
     def evaluate(t_switch: float) -> float:
         return scores([run.release(setup(t_switch), unit)])[0]
@@ -771,11 +769,9 @@ def optimal_switch_time(
     t_sorted = np.array([p[0] for p in points])
     v_sorted = np.array([p[1] for p in points])
     return SwitchScanResult(
-        objective=objective,
         t_star=float(t_star),
         t_values=t_sorted,
         values=v_sorted,
         multimodal=multimodal,
         tau=tau,
-        resonance=resonance,
     )

@@ -1,5 +1,5 @@
-"""Time stepping: setup validation, conservation, convergence under step
-refinement, and the absorbing layer.
+"""Time stepping: setup validation, the potential's element integrals,
+conservation, convergence under step refinement, and the absorbing layer.
 
 The heavier invariance checks (projection equivalence, time reversal,
 stationarity, absorber transparency) live in the acceptance suite; here the
@@ -14,10 +14,11 @@ import pytest
 
 import trapswitch.propagate as propagate_module
 from trapswitch.errors import InvalidArgumentError
-from trapswitch.groundstate import ground_state
-from trapswitch.model import SwitchingSchedule
+from trapswitch.groundstate import WavefunctionGrid, ground_state
+from trapswitch.model import PotentialConfig, SwitchingSchedule
 from trapswitch.propagate import (
     PropagationSetup,
+    _config_mass,
     _embed_initial,
     _Stepper,
     _tri_mul,
@@ -38,6 +39,7 @@ from trapswitch.spectra import (
 
 from cn_oracle import _cn_step
 from conftest import FINAL, INITIAL, KAPPA_BOUND, TAU_RES
+from mass_oracle import config_mass_by_edges, potential_mass
 
 
 def _sudden():
@@ -159,6 +161,72 @@ def test_non_escape_probability_half_open_interval(unit):
     assert 0.0 < p_narrow < p_well < p_wide < 1.0
 
 
+#: (dx, box length) of the decay box, the spectrum-vs-T box, the scan's
+#: spectrum box, and a grid with nodes on both edges of the shipped traps
+MASS_GRIDS = [(0.05, 150.0), (0.15, 20.1), (0.1, 20.0), (0.125, 20.0)]
+MASS_GRID_IDS = ["decay", "spectrum", "scan", "nodes-on-edges"]
+
+
+def _random_traps(n):
+    """Traps whose barrier is wider than every grid step, inside a 20 um box."""
+    rng = np.random.default_rng(7)
+    return [
+        PotentialConfig(v_well=rng.uniform(0.0, 500.0), v_barrier=rng.uniform(0.0, 500.0),
+                        d=rng.uniform(0.3, 9.0), b=rng.uniform(0.5, 8.0))
+        for _ in range(n)
+    ]
+
+
+def _assert_mass_matches(config, x, dx, ref_diag, ref_off):
+    diag, off = _config_mass(config, x, dx)
+    tol = 1e-13 * max(config.v_well, config.v_barrier) * dx
+    assert np.max(np.abs(diag - ref_diag)) <= tol
+    assert np.max(np.abs(off - ref_off)) <= tol
+    # no potential past the trap: the elements there add exactly nothing
+    past = x[:-1] >= config.outer_edge
+    assert np.all(off[past] == 0.0) and np.all(diag[1:][past] == 0.0)
+
+
+@pytest.mark.parametrize("dx, box", MASS_GRIDS, ids=MASS_GRID_IDS)
+def test_config_mass_matches_the_edge_oracle(dx, box):
+    x = dx * np.arange(int(round(box / dx)) + 1)
+    for config in [INITIAL, FINAL, *_random_traps(20)]:
+        _assert_mass_matches(config, x, dx, *config_mass_by_edges(config, x, dx))
+
+
+@pytest.mark.parametrize("dx, box", MASS_GRIDS, ids=MASS_GRID_IDS)
+@pytest.mark.parametrize("b", [0.02, 0.0], ids=["narrow-barrier", "no-barrier"])
+def test_config_mass_on_an_element_holding_both_edges(dx, box, b):
+    """Both edges inside one element: the trap equals a step of
+    -(v_well + v_barrier) up to d plus a step of v_barrier up to d + b, and
+    the oracle is exact on each."""
+    x = dx * np.arange(int(round(box / dx)) + 1)
+    config = PotentialConfig(v_well=100.0, v_barrier=200.0, d=5.01, b=b)
+    j = int(config.d // dx)
+    assert x[j] < config.d <= config.outer_edge < x[j + 1]
+    well = potential_mass(x, dx, [config.d], [-config.v_well - config.v_barrier, 0.0])
+    step = potential_mass(x, dx, [config.outer_edge], [config.v_barrier, 0.0])
+    _assert_mass_matches(config, x, dx, well[0] + step[0], well[1] + step[1])
+
+
+def test_trap_rows_match_the_edge_oracle_on_the_shipped_boxes(unit, monkeypatch):
+    schedule = SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES)
+    specs = [DecayRunSpec(), SpectrumRunSpec(dx=0.15, dt=2.5e-4), SpectrumRunSpec()]
+    setups = [spec.setup(schedule) for spec in specs]
+
+    def trap_rows(setup):
+        ops = assemble_operators(setup, unit)
+        trap = _Stepper(ops, setup.dt, 0.0).m
+        return trap, np.flatnonzero(ops.dv_diag), np.flatnonzero(ops.dv_off)
+
+    rows = [trap_rows(setup) for setup in setups]
+    monkeypatch.setattr(propagate_module, "_config_mass", config_mass_by_edges)
+    for setup, (m, dv_diag, dv_off) in zip(setups, rows):
+        m_ref, dv_diag_ref, dv_off_ref = trap_rows(setup)
+        assert m == m_ref
+        assert np.array_equal(dv_diag, dv_diag_ref) and np.array_equal(dv_off, dv_off_ref)
+
+
 #: Block elimination reorders the pivoted elimination of the banded LU; its
 #: roundoff drifts ~1.7e-14 max|psi| per step (condition number ~200).
 STEPPER_ORACLE_TOL = 2e-10
@@ -190,7 +258,7 @@ def _stepper_drift(unit, setup, n_steps):
     ids=["T0", "T0.002s", "T0.058tau", "T1tau"],
 )
 def test_stepper_matches_banded_lu_oracle_on_decay_box(unit, t_switch):
-    setup = DecayRunSpec().setup(SwitchingSchedule(INITIAL, FINAL, t_switch), unit)
+    setup = DecayRunSpec().setup(SwitchingSchedule(INITIAL, FINAL, t_switch))
     stepper, drift = _stepper_drift(unit, setup, 2000)
     # the trap rows end at the outer edge; the rest is the constant far block
     assert stepper.m == round(FINAL.outer_edge / setup.dx)
@@ -229,7 +297,7 @@ def test_stepper_matches_banded_lu_oracle_on_the_spectrum_box(unit):
     # the shipped spectrum box: its 34 far rows join the 100 trap rows, so
     # every step while 0 < w < 1 is one solve of the whole matrix
     spec = SpectrumRunSpec(dx=0.15, dt=2.5e-4)
-    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES), unit)
+    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES))
     assert setup.n_nodes() == 135
     stepper, drift = _stepper_drift(unit, setup, 400)
     assert stepper.far is None and stepper.m == stepper.ops.m_diag.size == 134
@@ -255,7 +323,7 @@ def test_far_block_is_factored_once_per_time_step(unit, monkeypatch):
         monkeypatch.setattr(lapack, name, counting(name, getattr(lapack, name)))
 
     def run(t_switch):
-        setup = DecayRunSpec(t_end=0.02).setup(SwitchingSchedule(INITIAL, FINAL, t_switch), unit)
+        setup = DecayRunSpec(t_end=0.02).setup(SwitchingSchedule(INITIAL, FINAL, t_switch))
         phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
         calls.clear()
         propagate(phi, setup, unit)
@@ -282,7 +350,7 @@ def test_recorded_observables_match_the_final_state(unit, absorbed):
     the step's right-hand side 2M psi; both must equal the direct forms on
     the state they sample."""
     if absorbed:
-        setup = DecayRunSpec(t_end=0.05).setup(_sudden(), unit)
+        setup = DecayRunSpec(t_end=0.05).setup(_sudden())
     else:
         setup = PropagationSetup(schedule=SwitchingSchedule(INITIAL, FINAL, 0.01), dx=0.05,
                                  box_length=100.0, dt=2e-4, t_end=0.05, e_cut=40.0)
@@ -363,3 +431,20 @@ def test_open_box_matches_a_large_box(unit, t_switch):
     assert np.max(np.abs(small.final.values - inside)) <= 1e-10 * peak
     assert abs(small.edge.psi_out[-1] - large.final.values[135]) <= 1e-10 * peak
     assert np.max(np.abs(small.record.p_w - large.record.p_w)) <= 1e-12
+
+
+def test_embed_initial_keeps_node_j_of_an_open_box(unit):
+    """Node J is an unknown of an open run: a state that ends there, or is
+    zero past it, keeps psi_J.  The absorbing box's node J is its wall."""
+    setup = SpectrumRunSpec(dx=0.15, dt=2.5e-4).setup(SwitchingSchedule(INITIAL, FINAL, 0.0))
+    n = setup.n_nodes()
+    phi, _ = ground_state(INITIAL, unit, dx=setup.dx)
+    psi_j = phi.values[n - 1]
+    assert abs(psi_j) > 1e-3 * np.max(np.abs(phi.values))
+    ends_at_j = WavefunctionGrid(0.0, setup.dx, phi.values[:n].copy())
+    padded = WavefunctionGrid(0.0, setup.dx, np.concatenate([phi.values[:n], np.zeros(20)]))
+    for state in (ends_at_j, padded):
+        embedded, tail, rho = _embed_initial(state, setup)
+        assert embedded[-1] == psi_j and (tail, rho) == (0j, 0.0)
+        absorbed = _embed_initial(state, replace(setup, absorber=True))[0]
+        assert absorbed[-1] == 0.0 and np.array_equal(absorbed[:-1], embedded[:-1])

@@ -1,11 +1,14 @@
-"""The package root exports only what its callers use, and every name the
-benchmark's tracer patches still exists where the tracer looks for it.
+"""The package root exports only what its callers use, every name the
+benchmark's tracer patches still exists where the tracer looks for it, and
+the package's settable values are counted.
 
 `perfbench/tracer.py` replaces functions by name in the module that calls
 them, so renaming or moving one of them breaks the traced benchmark run
 without failing any other test here.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import inspect
@@ -34,6 +37,34 @@ def _tracer():
 def test_package_root_exports_only_what_callers_use():
     assert set(trapswitch.__all__) == {"load_spec", "run_experiment", "find_poles"}
     assert isinstance(trapswitch.__version__, str)
+
+
+#: Parameters and dataclass fields with a default over src/trapswitch/*.py:
+#: the values a caller can set.  A change that adds or removes one changes
+#: this constant and says so in CHANGES.md.
+SETTABLE_VALUES = 44
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return ast.unparse(target).split(".")[-1] == "dataclass"
+
+
+def test_settable_value_count_is_pinned():
+    count = 0
+    for path in glob.glob(os.path.join(os.path.dirname(trapswitch.__file__), "*.py")):
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(default is not None for default in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                count += sum(
+                    isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                    for stmt in node.body
+                )
+    assert count == SETTABLE_VALUES
 
 
 def test_every_traced_name_resolves_in_its_calling_module():

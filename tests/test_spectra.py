@@ -190,7 +190,7 @@ def test_propagated_projection_matches_the_pointwise_oracle(unit, res):
     # the in-box part of an open run's projection: the trapezoid sum over
     # the state it returns
     spec = SpectrumRunSpec(dx=0.3, dt=1e-3)
-    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * res.tau), unit)
+    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * res.tau))
     state = spec.release(setup, unit).final
     grid = energy_grid(res.e_r, res.gamma, spec.e_cut, 500)
     _assert_matches_pointwise(state, unit, grid)
@@ -203,7 +203,7 @@ def test_batched_projection_matches_single_projections(unit, res):
     spec = SpectrumRunSpec(dx=0.3, dt=1e-3)
     released = []
     for frac in (0.0, 0.058, 0.3):
-        out = spec.release(spec.setup(SwitchingSchedule(INITIAL, FINAL, frac * res.tau), unit), unit)
+        out = spec.release(spec.setup(SwitchingSchedule(INITIAL, FINAL, frac * res.tau)), unit)
         released.append((out.final, out.edge))
     released.append((released[1][0], None))
     grid = energy_grid(res.e_r, res.gamma, spec.e_cut, 700)
@@ -276,7 +276,7 @@ def _reflection_free(unit, spec, t_switch, grid):
     """P(E) of the spectrum run at t_switch in a box so wide that nothing
     Crank-Nicolson carries reaches its edge before the projection: CN's
     group velocity sqrt(2 E kappa)/(1 + (E dt/2)^2) peaks at E dt/2 = 1/sqrt(3)."""
-    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, t_switch), unit)
+    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, t_switch))
     v_max = 0.75 * math.sqrt(4.0 * unit.kappa / (math.sqrt(3.0) * spec.dt))
     box = math.ceil((FINAL.outer_edge + 1.2 * v_max * setup.t_end + 10.0) / spec.dx) * spec.dx
     phi0, _ = ground_state(INITIAL, unit, dx=spec.dx, x_max=box)
@@ -295,7 +295,7 @@ def test_open_box_spectrum_matches_a_reflection_free_box(unit, res, frac, dx, dt
     grid = spec.grid(res)
     open_box = switch_and_project(INITIAL, FINAL, frac * res.tau, unit, spec, res)
     ref = _reflection_free(unit, spec, frac * res.tau, grid)
-    assert spec.setup(SwitchingSchedule(INITIAL, FINAL, 1.0), unit).n_nodes() < 300
+    assert spec.setup(SwitchingSchedule(INITIAL, FINAL, 1.0)).n_nodes() < 300
     assert np.max(np.abs(open_box.p - ref.p)) <= 1e-10 * np.max(ref.p)
 
 
@@ -329,7 +329,7 @@ def test_sudden_projection_through_the_box_edge_matches_the_whole_state(unit, re
     # the sudden column: the prepared state cut at the box edge, its tail
     # summed in closed form, against the whole state's trapezoid sum
     spec = SpectrumRunSpec(dx=0.15, dt=2.5e-4)
-    released = spec.release(spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.0), unit), unit)
+    released = spec.release(spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.0)), unit)
     assert released.final.x_max < 21.0 and released.edge.tail != 0.0
     for grid in (spec.grid(res), energy_grid(res.e_r, res.gamma, 3000.0, 2600)):
         cut = energy_distribution(released.final, FINAL, unit, grid, edge=released.edge)
