@@ -45,9 +45,16 @@ roundoff and would otherwise fill the per-step update with slow subnormal
 arithmetic.  Once the switching weight is exactly 1 (all steps of a sudden
 switch, and every step after w(t) = -expm1(-t/T) rounds to 1) the step
 matrix is constant: it is factored whole on the first such step, and each
-later one is a single `zgttrs` over all rows.  The recorded norm comes from
-the step's own right-hand side 2M psi, and the in-well probability from one
-dot of |psi|^2 with the trapezoid weights of `non_escape_probability`.
+later one is a single `zgttrs` over all rows.  The steps run in blocks
+(13 steps on the decay box's 300 trap rows, 30 on the 134-row spectrum
+box): the trap rows of a block's steps are built as tables, one broadcast
+each from the scalar weights w(t), and only for a block where some w < 1;
+each step then indexes its row.  The LAPACK routines are called
+positionally with their overwrite flags, so f2py copies nothing and each
+step solves in place in the buffer that holds 2M psi.  The recorded norm
+comes from the step's own right-hand side 2M psi, and the in-well
+probability from one dot of |psi|^2 with the trapezoid weights of
+`non_escape_probability`.
 """
 
 import functools
@@ -284,15 +291,12 @@ def assemble_operators(setup: PropagationSetup, unit: UnitSystem) -> _Operators:
     )
 
 
-def _tri_mul(diag, off, v):
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    return out
-
-
 #: Relative size below which the tail of g = A22^-1 e1 is dropped.
 SCHUR_TAIL_CUT = 1e-17
+
+#: Largest size in bytes of one table of trap rows: a block of steps takes
+#: as many steps as keep its tables this small, so they stay in cache.
+TABLE_BYTES = 1 << 16
 
 
 @functools.cache
@@ -304,21 +308,21 @@ def _lapack():
     return lapack
 
 
-def _checked(info, routine):
-    if info != 0:
-        raise NumericalBlowupError(f"{routine} failed on a Crank-Nicolson block (info {info})")
+def _lapack_error(routine, info):
+    return NumericalBlowupError(f"{routine} failed on a Crank-Nicolson block (info {info})")
 
 
 class _Stepper:
-    """Crank-Nicolson steps at one dt.
+    """The constant parts of the Crank-Nicolson steps at one dt.
 
     With z = i dt/2 and L(w) = M + z(H0 + w dV - iW), one step is
     psi' = L^-1 (2M - L) psi = L^-1 (2M psi) - psi, so the right-hand side
-    2M psi (`rhs`) does not depend on the switch; `step` solves into it.
+    2M psi does not depend on the switch; `propagate` solves into it.
     An open box adds the constant edge (a nu_0 of `_OpenEdge`) to L's last
     diagonal; the caller adds the edge's share to the last entry of rhs.
-    At w == 1.0 exactly L is constant: it is factored whole (`zgttrf`) on
-    the first such step, and each such step is one `zgttrs` over all rows.
+    At w == 1.0 exactly L is constant: it is factored whole (`zgttrf`,
+    `factor_whole`) on the first such step, and each such step is one
+    `zgttrs` over all rows.
     Otherwise L(w) depends on w only in its first m rows, the trap block
     that holds the support of dV.  The far block A22 below them is constant
     and is factored once here.  Such a step solves A22, then the trap block
@@ -329,6 +333,9 @@ class _Stepper:
     than the rows they spare (on a 2-core host the 135-node spectrum box
     takes 12 us per step whole, 15 us in blocks; the 3,000-row decay box
     keeps its blocks).
+    The trap rows of `block` steps at a time come from `trap_rows` as
+    tables, one broadcast each, so a step only indexes its row; a table
+    stays under TABLE_BYTES.
     Every factorization keeps partial pivoting.
     """
 
@@ -351,6 +358,7 @@ class _Stepper:
         if n - m < m:
             m = n
         self.m = m
+        self.block = max(1, TABLE_BYTES // (16 * m))
         self.lhs_diag = lhs_diag[:m].copy()  # not a view: the rest is freed
         self.lhs_off = lhs_off[: m - 1].copy()
         self.zdv_diag = z * ops.dv_diag[:m]
@@ -362,7 +370,9 @@ class _Stepper:
             self.c = lhs_off[m - 1]
             e1 = np.zeros(n - m, dtype=complex)
             e1[0] = 1.0
-            g = self._solve(self.far, e1)
+            g, info = self.lapack.zgttrs(*self.far, e1)
+            if info:
+                raise _lapack_error("zgttrs", info)
             self.schur = self.c * self.c * g[0]
             # g decays geometrically into the far block.  Past the cut its
             # entries move x2 by less than roundoff, and once they turn
@@ -382,46 +392,26 @@ class _Stepper:
 
     def _factor(self, off, diag):
         *factors, info = self.lapack.zgttrf(off, diag, off)
-        _checked(info, "zgttrf")
+        if info:
+            raise _lapack_error("zgttrf", info)
         return factors
 
-    def _solve(self, factors, rhs):
-        x, info = self.lapack.zgttrs(*factors, rhs, overwrite_b=1)
-        _checked(info, "zgttrs")
-        return x
+    def factor_whole(self):
+        """The factors of L(1) over all rows, kept as `whole`."""
+        diag, off = self._lhs(1.0)
+        self.whole = self._factor(off, diag)
+        return self.whole
 
-    def _trap_solve(self, off, diag, rhs):
-        *_, x, info = self.lapack.zgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
-        _checked(info, "zgtsv")
-        return x
-
-    def rhs(self, psi: np.ndarray) -> np.ndarray:
-        """2M psi, the right-hand side of the step from psi."""
-        return _tri_mul(self.m2_diag, self.m2_off, psi)
-
-    def step(self, weight: float, psi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """psi' from psi and rhs = self.rhs(psi); psi' is written over rhs."""
-        x = self._settled_solve(rhs) if weight == 1.0 else self._block_solve(weight, rhs)
-        return np.subtract(x, psi, out=x)
-
-    def _settled_solve(self, rhs):
-        if self.whole is None:
-            diag, off = self._lhs(1.0)
-            self.whole = self._factor(off, diag)
-        return self._solve(self.whole, rhs)
-
-    def _block_solve(self, weight, rhs):
-        m = self.m
-        d1 = self.lhs_diag + weight * self.zdv_diag
-        o1 = self.lhs_off + weight * self.zdv_off
-        if self.far is None:
-            return self._trap_solve(o1, d1, rhs)
-        d1[-1] -= self.schur
-        x2 = self._solve(self.far, rhs[m:])
-        rhs[m - 1] -= self.c * x2[0]
-        x1 = self._trap_solve(o1, d1, rhs[:m])
-        x2[: self.g.size] -= (self.c * x1[-1]) * self.g
-        return rhs
+    def trap_rows(self, weights):
+        """Diagonal, sub- and superdiagonal of the trap rows of L(w), one
+        row per weight; the diagonal carries the Schur term.  The two
+        off-diagonals are separate buffers, as `zgtsv` overwrites both."""
+        w = np.array(weights)[:, None]
+        diag = self.lhs_diag + w * self.zdv_diag
+        lower = self.lhs_off + w * self.zdv_off
+        if self.far is not None:
+            diag[:, -1] -= self.schur
+        return diag, lower, lower.copy()
 
 
 def _well_weights(span: float, dx: float, n: int) -> np.ndarray:
@@ -504,17 +494,22 @@ def tail_phase(a: complex, b: complex, rho: float) -> complex:
 
 
 class _OpenEdge:
-    """Row J's share of each step of an open run, and its history.
+    """The constants of row J's share of each step of an open run, and the
+    history of u that `propagate` writes into u_edge and u_out.
 
     u = psi - f at nodes J and J + 1, where f_j^n = c rho^j zeta_p^n carries
     the prepared state's tail (f = 0 without one), starts at zero; the
     boundary relation 2a u_{J+1}^n - 2a' u_{J+1}^{n-1} = -b u_J^n + b' u_J^{n-1}
-    - sum_m s_m u_J^{n-m} then holds exactly.  With psi_{J+1}^{n+1} =
-    nu_0 psi_J^{n+1} + (known) in row J, the step is L~ y = 2M psi + load e_J,
-    L~ = L + a nu_0 e_J e_J^T, and `load` needs only the u_J history.
+    - sum_m s_m u_J^{n-m} then holds exactly.  A state with no tail and
+    psi_J^0 != 0 has a zero exterior, yet row J + 1 of the first step sees
+    psi_J^0; the Z-transform carries that as f_J^n = psi_J^0 (a'/a)^n, so
+    again u starts at zero.  With psi_{J+1}^{n+1} = nu_0 psi_J^{n+1} + (known)
+    in row J, the step from n to n + 1 is L~ y = 2M psi + load e_J,
+    L~ = L + a nu_0 e_J e_J^T, and load = hist/2 - decay u_J^n + forcing^n
+    needs only the u_J history, through hist = sum_{m >= 1} s_m u_J^{n+1-m}.
     """
 
-    def __init__(self, a, b, n_steps, tail, rho):
+    def __init__(self, a, b, n_steps, tail, rho, psi_edge):
         self.a, self.ac, self.bc = a, a.conjugate(), b.conjugate()
         s = edge_kernel(a, b, n_steps)
         s0 = complex(s[0])
@@ -532,28 +527,15 @@ class _OpenEdge:
             phases = np.exp(1j * np.angle(zeta) * np.arange(n_steps + 1))
             self.f_out = tail * phases
             self.f_edge = (tail / rho) * phases
+        elif psi_edge:
+            self.f_edge = psi_edge * np.exp(-2j * np.angle(a) * np.arange(n_steps + 1))
+        if tail or psi_edge:
             f_edge, f_out = self.f_edge, self.f_out
             forcing = self.ac * f_out[:-1] + self.gain * (f_edge[:-1] + f_edge[1:]) - a * f_out[1:]
         # the per-step scalars are Python complex numbers, whose arithmetic
         # costs less than numpy scalars'
         self.forcing = forcing.tolist()
         self.f_next = self.f_edge[1:].tolist()
-        self.hist = self.last_edge = self.last_out = 0j  # u_J, u_{J+1} at the current step
-
-    def load(self, j):
-        """Row J's right-hand side term of the step from j to j + 1."""
-        n = self.s_rev.size
-        self.hist = complex(np.dot(self.s_rev[n - j - 1 :], self.u_edge[: j + 1]))
-        return 0.5 * self.hist - self.decay * self.last_edge + self.forcing[j]
-
-    def advance(self, j, psi_edge):
-        """Record psi_J at step j + 1 and the psi_{J+1} it implies."""
-        u = psi_edge - self.f_next[j]
-        out = self.nu0 * u + (
-            2.0 * self.ac * self.last_out + self.bc * self.last_edge - self.hist
-        ) / (2.0 * self.a)
-        self.u_edge[j + 1] = self.last_edge = u
-        self.u_out[j + 1] = self.last_out = out
 
     def history(self, dt):
         return EdgeHistory(
@@ -640,12 +622,11 @@ def propagate(
     schedule = setup.schedule
     dt = setup.dt
 
-    if setup.absorber:
-        edge = None
-        stepper = _Stepper(ops, dt, 0.0)
-    else:
-        edge = _OpenEdge(*edge_rows(setup.dx, dt, unit.kappa), n_steps, tail, rho)
-        stepper = _Stepper(ops, dt, edge.gain)
+    edge = None
+    if not setup.absorber:
+        rows = edge_rows(setup.dx, dt, unit.kappa)
+        edge = _OpenEdge(*rows, n_steps, tail, rho, complex(psi[-1]))
+    stepper = _Stepper(ops, dt, 0.0 if edge is None else edge.gain)
 
     # the well's trapezoid weights on the interior nodes; the wall node is 0
     well = _well_weights(schedule.initial.d, setup.dx, n)[1 : 1 + psi.size]
@@ -660,19 +641,85 @@ def propagate(
         p_ws.append(p)
         norms.append(nm)
 
-    rhs = stepper.rhs(psi)
-    sample(0, psi, rhs)
-    for j in range(n_steps):
-        if edge is not None:
-            rhs[-1] += edge.load(j)
-        psi = stepper.step(schedule.weight((j + 0.5) * dt), psi, rhs)
-        if edge is not None:
-            edge.advance(j, psi.item(-1))
-        rhs = stepper.rhs(psi)
-        step = j + 1
-        if step % record_every == 0 or step == n_steps:
-            sample(step, psi, rhs)
+    # Two buffers take turns: one holds psi, the other 2M psi, into which
+    # the step solves in place; psi' = x - psi overwrites x, and the old
+    # psi's buffer then takes 2M psi'.  Each carries the views a step uses.
+    m, far, whole = stepper.m, stepper.far, stepper.whole
+    g_rows = 0 if far is None else stepper.g.size
 
+    def views(v):
+        """v, its two shifts, its trap rows, its far rows and the far rows
+        that g reaches."""
+        return v, v[1:], v[:-1], v[:m], v[m:], v[m : m + g_rows]
+
+    cur, nxt = views(psi), views(np.empty_like(psi))
+    m2_diag, m2_off = stepper.m2_diag, stepper.m2_off
+    tmp = np.empty_like(m2_off)
+
+    def double_mass(src, dst):
+        """dst = 2M src, rounded as diag * v + off * v[1:] + off * v[:-1]."""
+        np.multiply(m2_diag, src[0], out=dst[0])
+        np.multiply(m2_off, src[1], out=tmp)
+        np.add(dst[2], tmp, out=dst[2])
+        np.multiply(m2_off, src[2], out=tmp)
+        np.add(dst[1], tmp, out=dst[1])
+
+    double_mass(cur, nxt)
+    sample(0, cur[0], nxt[0])
+    zgtsv, zgttrs = stepper.lapack.zgtsv, stepper.lapack.zgttrs
+    if far is not None:
+        c, g = stepper.c, stepper.g
+    if edge is not None:
+        s_rev, u_edge, u_out = edge.s_rev, edge.u_edge, edge.u_out
+        forcing, f_next = edge.forcing, edge.f_next
+        nu0, decay, ac, bc, a = edge.nu0, edge.decay, edge.ac, edge.bc, edge.a
+        hist = last_edge = last_out = 0j  # u_J, u_{J+1} at the current step
+    weight = schedule.weight
+    block = stepper.block
+    for j0 in range(0, n_steps, block):
+        weights = [weight((j + 0.5) * dt) for j in range(j0, min(j0 + block, n_steps))]
+        if min(weights) < 1.0:
+            diags, lowers, uppers = stepper.trap_rows(weights)
+        for k, w in enumerate(weights):
+            j = j0 + k
+            psi, rhs = cur[0], nxt[0]
+            if edge is not None:
+                hist = complex(np.dot(s_rev[s_rev.size - j - 1 :], u_edge[: j + 1]))
+                rhs[-1] += 0.5 * hist - decay * last_edge + forcing[j]
+            if w == 1.0:
+                if whole is None:
+                    whole = stepper.factor_whole()
+                info = zgttrs(*whole, rhs, "N", 1)[-1]
+                if info:
+                    raise _lapack_error("zgttrs", info)
+            elif far is None:
+                info = zgtsv(lowers[k], diags[k], uppers[k], rhs, 1, 1, 1, 1)[-1]
+                if info:
+                    raise _lapack_error("zgtsv", info)
+            else:
+                _, _, _, x1, x2, x2_head = nxt
+                info = zgttrs(*far, x2, "N", 1)[-1]
+                if info:
+                    raise _lapack_error("zgttrs", info)
+                rhs[m - 1] -= c * x2[0]
+                info = zgtsv(lowers[k], diags[k], uppers[k], x1, 1, 1, 1, 1)[-1]
+                if info:
+                    raise _lapack_error("zgtsv", info)
+                x2_head -= (c * x1[-1]) * g
+            np.subtract(rhs, psi, out=rhs)
+            if edge is not None:
+                # psi_J at step j + 1 and the psi_{J+1} it implies
+                u = rhs.item(-1) - f_next[j]
+                out = nu0 * u + (2.0 * ac * last_out + bc * last_edge - hist) / (2.0 * a)
+                u_edge[j + 1] = last_edge = u
+                u_out[j + 1] = last_out = out
+            double_mass(nxt, cur)
+            cur, nxt = nxt, cur
+            step = j + 1
+            if step % record_every == 0 or step == n_steps:
+                sample(step, cur[0], nxt[0])
+
+    psi = cur[0]
     record = DecayRecord(np.array(times), np.array(p_ws), np.array(norms))
     final = np.zeros(n, dtype=complex)
     final[1 : 1 + psi.size] = psi

@@ -4,11 +4,13 @@ A test oracle for `trapswitch.propagate` + `trapswitch.spectra`: it shares
 no discretization or time stepping with them.  Space is a second-order
 finite-difference grid whose nodes carry the cell average of the
 piecewise-constant potential (a node on a region edge gets the mean of the
-two sides).  Each step applies the exact exponential of the mid-step
-Hamiltonian, exp(-i H(t + dt/2) dt), with scipy's `expm_multiply`, so the
-only time error comes from the switch itself.  The projection onto the
-final trap's scattering states is written out here rather than taken from
-`spectra`.
+two sides).  Each step applies the exponential of the mid-step
+Hamiltonian, exp(-i H(t + dt/2) dt), by its Chebyshev expansion over a
+Gershgorin interval of every H(t) (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+3967 (1984)), cut where its Bessel coefficients fall below 1e-16, so it is
+exact to roundoff and the only time error comes from the switch itself.
+The projection onto the final trap's scattering states is written out here
+rather than taken from `spectra`.
 
 The projection time follows the rule of a `SpectrumRunSpec` (settle time to
 `spectra.RESIDUAL_V`, at least `spectra.MIN_PROJECTION_TIME`).  The box is
@@ -23,9 +25,8 @@ Not a test module; `test_acceptance.py` imports it.
 import math
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 from trapswitch.errors import NoBoundStateError
 from trapswitch.groundstate import bound_state_profile
@@ -78,6 +79,26 @@ def _cell_average(config: PotentialConfig, x: np.ndarray, h: float) -> np.ndarra
     return out / h
 
 
+def _tri_apply(diag: np.ndarray, off: float, v: np.ndarray) -> np.ndarray:
+    """The tridiagonal matrix with this diagonal and constant off-diagonal,
+    times v, as three slices."""
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """c_m with exp(-i x y) = sum_m c_m T_m(y) on [-1, 1]: c_0 = J_0(x) and
+    c_m = 2 (-i)^m J_m(x), cut at the first m > x where |J_m(x)| < 1e-16."""
+    m = np.arange(int(2.0 * x) + 60)
+    bessel = jv(m, x)
+    cut = np.flatnonzero((m > x) & (np.abs(bessel) < 1e-16))[0]
+    coeffs = 2.0 * np.array([1.0, -1j, -1.0, 1j])[m[:cut] % 4] * bessel[:cut]
+    coeffs[0] *= 0.5
+    return coeffs
+
+
 def release_distribution(
     initial: PotentialConfig,
     final: PotentialConfig,
@@ -101,21 +122,33 @@ def release_distribution(
     psi[0] = psi[-1] = 0.0
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * h)
 
-    # interior nodes only: Dirichlet walls at x = 0 and x = box
+    # interior nodes only: Dirichlet walls at x = 0 and x = box.  H is
+    # tridiagonal, 2c + V on the diagonal and -c off it, and V lies between
+    # the two traps' potentials at every step, so by Gershgorin every H(t)
+    # has its spectrum in [lo, hi]; Hn = (H - mid) / half maps it to [-1, 1]
     xi = x[1:-1]
     c = 0.5 * unit.kappa / (h * h)
-    kinetic = sp.diags(
-        [np.full(n - 3, -c), np.full(n - 2, 2.0 * c), np.full(n - 3, -c)], [-1, 0, 1]
-    )
     v_init = _cell_average(initial, xi, h)
     v_step = _cell_average(final, xi, h) - v_init
+    lo = min(v_init.min(), (v_init + v_step).min())
+    hi = 4.0 * c + max(v_init.max(), (v_init + v_step).max())
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     n_steps = max(1, int(round(t_proj / dt)))
     step = t_proj / n_steps
+    coeffs = _chebyshev_coefficients(half * step)
+    phase = np.exp(-1j * mid * step)
+    off = -c / half
     u = psi[1:-1]
     for j in range(n_steps):
         w = schedule.weight((j + 0.5) * step)
-        ham = (kinetic + sp.diags(v_init + w * v_step)).tocsr()
-        u = expm_multiply(-1j * step * ham, u)
+        diag = (2.0 * c + v_init + w * v_step - mid) / half
+        # T_{m+1}(Hn) u = 2 Hn T_m(Hn) u - T_{m-1}(Hn) u
+        prev, cur = u, _tri_apply(diag, off, u)
+        total = coeffs[0] * prev + coeffs[1] * cur
+        for coeff in coeffs[2:]:
+            prev, cur = cur, 2.0 * _tri_apply(diag, off, cur) - prev
+            total += coeff * cur
+        u = phase * total
     psi[1:-1] = u
 
     p = np.empty(len(energies))

@@ -19,7 +19,6 @@ from trapswitch.model import PotentialConfig, SwitchingSchedule
 from trapswitch.poles import find_poles, newton_pole, trace_iso_resonance, winding_number
 from trapswitch.propagate import (
     PropagationSetup,
-    _tri_mul,
     assemble_operators,
     propagate,
 )
@@ -42,7 +41,7 @@ from trapswitch.spectra import (
 from trapswitch.groundstate import WavefunctionGrid
 
 import fd_oracle
-from cn_oracle import _tri_solve
+from cn_oracle import _tri_mul, _tri_solve
 from conftest import FINAL, INITIAL
 from distributions import distribution_median, l1_difference
 

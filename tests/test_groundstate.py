@@ -8,12 +8,11 @@ from trapswitch.groundstate import TAIL_CUTOFF, WavefunctionGrid, ground_state
 from trapswitch.model import PotentialConfig, SwitchingSchedule
 from trapswitch.propagate import (
     PropagationSetup,
-    _tri_mul,
     assemble_operators,
     non_escape_probability,
 )
 
-from cn_oracle import _tri_solve
+from cn_oracle import _tri_mul, _tri_solve
 from conftest import E_BOUND, FINAL, INITIAL, P_WELL_BOUND
 
 

@@ -1,5 +1,7 @@
 """Time stepping: setup validation, the potential's element integrals,
-conservation, convergence under step refinement, and the absorbing layer.
+whole runs against a banded-LU oracle (an open box's in a box its packet
+does not reach), conservation, convergence under step refinement, and the
+absorbing layer.
 
 The heavier invariance checks (projection equivalence, time reversal,
 stationarity, absorber transparency) live in the acceptance suite; here the
@@ -21,7 +23,6 @@ from trapswitch.propagate import (
     _config_mass,
     _embed_initial,
     _Stepper,
-    _tri_mul,
     assemble_operators,
     edge_kernel,
     edge_rows,
@@ -37,7 +38,7 @@ from trapswitch.spectra import (
     switch_and_record,
 )
 
-from cn_oracle import _cn_step
+from cn_oracle import _tri_mul, cn_states
 from conftest import FINAL, INITIAL, KAPPA_BOUND, TAU_RES
 from mass_oracle import config_mass_by_edges, potential_mass
 
@@ -95,7 +96,7 @@ def test_propagate_rejects_invalid_inputs(unit):
         propagate(doubled, setup, unit)
 
 
-def test_accuracy_probe_rejects_coarse_step(unit):
+def test_static_dt_bound_rejects_coarse_step(unit):
     """propagate refuses a time step too coarse for e_cut before any step,
     through the static dt bound of validate_setup."""
     phi, _ = ground_state(INITIAL, unit, dx=0.05, x_max=300.0)
@@ -232,24 +233,55 @@ def test_trap_rows_match_the_edge_oracle_on_the_shipped_boxes(unit, monkeypatch)
 STEPPER_ORACLE_TOL = 2e-10
 
 
-def _stepper_drift(unit, setup, n_steps):
-    """Largest state difference, relative to max|psi|, stepper against oracle;
-    an open box's matrices carry its edge term in both."""
-    ops = assemble_operators(setup, unit)
-    edge = 0.0
+def _reach(unit, dt, t):
+    """Twice the distance Crank-Nicolson carries anything in time t: its
+    group velocity kappa k / (1 + (c k^2)^2), c = kappa dt / 4, peaks at
+    (3/4) kappa (3 c^2)^(-1/4)."""
+    c = 0.25 * unit.kappa * dt
+    return 2.0 * 0.75 * unit.kappa * (3.0 * c * c) ** -0.25 * t
+
+
+def _oracle_drift(unit, monkeypatch, setup, phi, counts):
+    """Largest state difference, relative to max|psi|, of whole `propagate`
+    runs from phi of each step count in counts (ascending) against a loop of
+    `_cn_step`, and the stepper of the longest run.  An open box's oracle
+    runs in a box whose end nothing reaches in time, so it checks the open
+    edge too, with the psi_{J+1} the edge history implies."""
+    oracle_setup = setup
     if not setup.absorber:
-        a_row, b_row = edge_rows(setup.dx, setup.dt, unit.kappa)
-        edge = -0.5 * (b_row + edge_kernel(a_row, b_row, 0)[0])
-    phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
-    a = b = _embed_initial(phi.normalized(), setup)[0][1 : 1 + ops.m_diag.size]
-    stepper = _Stepper(ops, setup.dt, edge)
+        reach = _reach(unit, setup.dt, counts[-1] * setup.dt)
+        oracle_setup = replace(setup, box_length=setup.box_length + reach)
+    ops = assemble_operators(oracle_setup, unit)
+    start = _embed_initial(phi, oracle_setup)[0][1 : 1 + ops.m_diag.size]
+    oracle = cn_states(ops, setup.schedule, setup.dt, start, set(counts))
+    made = []
+
+    class Recording(_Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(propagate_module, "_Stepper", Recording)
     worst = 0.0
-    for j in range(n_steps):
-        w = setup.schedule.weight((j + 0.5) * setup.dt)
-        a = stepper.step(w, a, stepper.rhs(a))
-        b = _cn_step(ops, w, setup.dt, b, edge)
-        worst = max(worst, float(np.max(np.abs(a - b)) / np.max(np.abs(b))))
-    return stepper, worst
+    for count in counts:
+        run = propagate(phi, replace(setup, t_end=count * setup.dt), unit)
+        size = made[-1].ops.m_diag.size
+        ref = oracle[count]
+        peak = np.max(np.abs(ref))
+        drift = np.max(np.abs(run.final.values[1 : 1 + size] - ref[:size]))
+        if not setup.absorber:
+            assert abs(ref[-1]) <= 1e-14 * peak
+            drift = max(drift, abs(run.edge.psi_out[-1] - ref[size]))
+        worst = max(worst, float(drift / peak))
+    return made[-1], worst
+
+
+def _block_counts(unit, setup, n_steps):
+    """Step counts 1, one below, at and one above the stepper's block of
+    steps, one that ends mid-block, and n_steps."""
+    block = _Stepper(assemble_operators(setup, unit), setup.dt, 0.0).block
+    assert 2 <= block < n_steps // 3
+    return block, [1, block - 1, block, block + 1, 2 * block + block // 2, n_steps]
 
 
 @pytest.mark.parametrize(
@@ -257,13 +289,20 @@ def _stepper_drift(unit, setup, n_steps):
     [0.0, 0.002, 0.058 * TAU_RES, TAU_RES],
     ids=["T0", "T0.002s", "T0.058tau", "T1tau"],
 )
-def test_stepper_matches_banded_lu_oracle_on_decay_box(unit, t_switch):
+def test_stepper_matches_banded_lu_oracle_on_decay_box(unit, monkeypatch, t_switch):
     setup = DecayRunSpec().setup(SwitchingSchedule(INITIAL, FINAL, t_switch))
-    stepper, drift = _stepper_drift(unit, setup, 2000)
+    phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
+    block, counts = _block_counts(unit, setup, 2000)
+    stepper, drift = _oracle_drift(unit, monkeypatch, setup, phi, counts)
     # the trap rows end at the outer edge; the rest is the constant far block
     assert stepper.m == round(FINAL.outer_edge / setup.dx)
-    # w(t) rounds to exactly 1 near step 370 at T = 0.002 s, so that run
-    # crosses from block elimination to the whole factored matrix
+    # w(t) rounds to exactly 1 near step 370 at T = 0.002 s, inside a block
+    # of steps, so that run crosses from block elimination to the whole
+    # factored matrix within one table of trap rows
+    if t_switch == 0.002:
+        weights = (setup.schedule.weight((j + 0.5) * setup.dt) for j in range(2000))
+        settled = next(j for j, w in enumerate(weights) if w == 1.0)
+        assert 360 < settled < 380 and settled % block != 0
     assert (stepper.whole is not None) == (t_switch < 0.01)
     assert drift < STEPPER_ORACLE_TOL
 
@@ -282,24 +321,32 @@ def test_stepper_matches_banded_lu_oracle_on_decay_box(unit, t_switch):
     ids=["no-dV", "no-absorber", "no-far-rows", "one-far-row", "three-far-rows",
          "largest-joining-far-block", "smallest-far-block"],
 )
-def test_stepper_matches_banded_lu_oracle_edge_cases(unit, final, box, absorbed, far_rows):
+def test_stepper_matches_banded_lu_oracle_edge_cases(
+    unit, monkeypatch, final, box, absorbed, far_rows
+):
+    """The prepared state cut at the box's end: an open box starts with
+    psi_J != 0 and nothing past J."""
     setup = PropagationSetup(
         schedule=SwitchingSchedule(INITIAL, final, 0.01), dx=0.05, box_length=box,
         dt=2e-4, t_end=0.1, absorber=absorbed,
     )
-    stepper, drift = _stepper_drift(unit, setup, 200)
+    phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
+    stepper, drift = _oracle_drift(unit, monkeypatch, setup, phi, [200])
     assert stepper.ops.m_diag.size - stepper.m == far_rows
     assert (stepper.far is None) == (far_rows == 0)
     assert drift < STEPPER_ORACLE_TOL
 
 
-def test_stepper_matches_banded_lu_oracle_on_the_spectrum_box(unit):
-    # the shipped spectrum box: its 34 far rows join the 100 trap rows, so
-    # every step while 0 < w < 1 is one solve of the whole matrix
+def test_stepper_matches_banded_lu_oracle_on_the_spectrum_box(unit, monkeypatch):
+    # the shipped spectrum box and prepared state, tail included: its 34 far
+    # rows join the 100 trap rows, so every step while 0 < w < 1 is one
+    # solve of the whole matrix
     spec = SpectrumRunSpec(dx=0.15, dt=2.5e-4)
     setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES))
     assert setup.n_nodes() == 135
-    stepper, drift = _stepper_drift(unit, setup, 400)
+    phi, _ = ground_state(INITIAL, unit, dx=setup.dx)
+    _, counts = _block_counts(unit, setup, 400)
+    stepper, drift = _oracle_drift(unit, monkeypatch, setup, phi, counts)
     assert stepper.far is None and stepper.m == stepper.ops.m_diag.size == 134
     assert 0.0 < setup.schedule.weight(400 * setup.dt) < 1.0
     assert drift < STEPPER_ORACLE_TOL
@@ -414,9 +461,10 @@ def test_edge_kernel_matches_mpmath(dx, dt, unit):
 
 @pytest.mark.parametrize("t_switch", [0.0, 0.058 * TAU_RES], ids=["T0", "T0.058tau"])
 def test_open_box_matches_a_large_box(unit, t_switch):
-    """A 134-node run at the benchmark's numerics equals, on [0, R], a box so
-    large that nothing Crank-Nicolson carries reaches its edge (its edge
-    history stays below 1e-14): the edge is exact, tail term included."""
+    """A 135-node run (134 unknowns past the wall) at the benchmark's
+    numerics equals, on [0, R], a box so large that nothing Crank-Nicolson
+    carries reaches its edge (its edge history stays below 1e-14): the edge
+    is exact, tail term included."""
     dx, dt, t_end = 0.15, 2.5e-4, 0.3
     schedule = SwitchingSchedule(INITIAL, FINAL, t_switch)
     phi, _ = ground_state(INITIAL, unit, dx=dx)
