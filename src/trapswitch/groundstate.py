@@ -19,13 +19,13 @@ from .poles import find_bound_states
 
 @dataclass
 class WavefunctionGrid:
-    """Uniform complex samples psi(x_j), x_j = x0 + j dx, with x0 = 0.
+    """Uniform complex samples psi(x_j), x_j = j dx, from the hard wall at
+    x_0 = 0.
 
     Norm convention is the plain Riemann sum sum |psi_j|^2 dx; the hard
     wall makes psi_0 = 0, so the j = 0 term never contributes anyway.
     """
 
-    x0: float
     dx: float
     values: np.ndarray = field(repr=False)
 
@@ -38,11 +38,11 @@ class WavefunctionGrid:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.values.size)
+        return self.dx * np.arange(self.values.size)
 
     @property
     def x_max(self) -> float:
-        return self.x0 + self.dx * (self.values.size - 1)
+        return self.dx * (self.values.size - 1)
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.dx)
@@ -51,7 +51,7 @@ class WavefunctionGrid:
         n2 = self.norm_squared()
         if n2 <= 0.0:
             raise InvalidArgumentError("cannot normalize a zero wavefunction")
-        return WavefunctionGrid(self.x0, self.dx, self.values / math.sqrt(n2))
+        return WavefunctionGrid(self.dx, self.values / math.sqrt(n2))
 
 
 def bound_state_profile(
@@ -125,5 +125,5 @@ def ground_state(
     n = int(math.ceil(x_max / dx)) + 1
     x = dx * np.arange(n)
     values = bound_state_profile(config, unit, kappa0, x).astype(complex)
-    grid = WavefunctionGrid(0.0, dx, values).normalized()
+    grid = WavefunctionGrid(dx, values).normalized()
     return grid, e0

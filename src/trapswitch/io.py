@@ -24,16 +24,6 @@ from .errors import SpecValidationError
 from .model import PotentialConfig, UnitSystem, make_unit_system
 from .spectra import MIN_FIT_SAMPLES, OBJECTIVES, DecayRunSpec, SpectrumRunSpec
 
-EXPERIMENT_NAMES = (
-    "iso-curves",
-    "delay-spectrum",
-    "decay-curves",
-    "spectrum-vs-T",
-    "t-scan",
-    "poles",
-    "ground-state",
-)
-
 _PHYSICS_KEYS = {"mass_amu", "initial", "final", "d", "b"}
 #: default well width d and barrier width b, in um
 _GEOMETRY = {"d": 5.0, "b": 10.0}
@@ -90,8 +80,8 @@ def _objectives_fault(value):
     return None if len(set(value)) == len(value) else f"names an objective twice: {value}"
 
 
-#: experiment -> {option key its runner reads: why a value is bad, or None};
-#: well-formed values are kept as parsed
+#: experiment -> {option key its runner reads: why a value is bad, or None},
+#: for every experiment name; well-formed values are kept as parsed
 _OPTION_KEYS = {
     "iso-curves": {
         "e_r_targets": lambda v: _numbers_fault(v) or _number_fault(min(v)),
@@ -166,9 +156,9 @@ def spec_problems(document) -> list[str]:
         problems.append("experiment.name: required")
     else:
         name = exp["name"]
-        if name not in EXPERIMENT_NAMES:
+        if name not in _OPTION_KEYS:
             problems.append(
-                f"experiment.name: {name!r} not one of {sorted(EXPERIMENT_NAMES)}"
+                f"experiment.name: {name!r} not one of {sorted(_OPTION_KEYS)}"
             )
         else:
             faults = _OPTION_KEYS[name]
@@ -210,7 +200,7 @@ def spec_problems(document) -> list[str]:
     num = document.get("numerics") or {}
     if not isinstance(num, dict):
         problems.append("numerics: expected a mapping")
-    elif name in EXPERIMENT_NAMES:
+    elif name in _OPTION_KEYS:
         kinds = _NUMERICS_KEYS[name]
         unknown = set(num) - set(kinds)
         if unknown:

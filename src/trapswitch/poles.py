@@ -4,8 +4,9 @@ The pole condition is Omega(k) = k J(k) + i R(k) = 0 with J, R as built in
 scattering.py.  Omega is entire in k and even in both interior channel wave
 numbers, so roots can be chased anywhere in the complex plane without branch
 bookkeeping.  Roots on the positive imaginary axis are bound states (there
-Omega/i is real), roots in the fourth quadrant are resonances, and their
-mirror images under k -> -conj(k) are the anti-resonances.
+Omega/i is real) and roots in the fourth quadrant are resonances; the
+search keeps Re k > 0, so their mirror images under k -> -conj(k) are
+never returned.
 
 Search strategy: the winding number of Omega around a rectangle counts the
 enclosed roots (argument principle); Newton refinement runs from physical
@@ -31,7 +32,6 @@ from .scattering import delay_time, pole_function_derivatives, pole_function_ter
 
 BOUND = "bound"
 RESONANCE = "resonance"
-ANTIRESONANCE = "antiresonance"
 
 #: Newton residual acceptance, relative to the larger of Omega's two terms.
 RESIDUAL_RTOL = 1e-10
@@ -56,13 +56,12 @@ def pole_function(config: PotentialConfig, unit: UnitSystem, k):
 class Resonance:
     """A single S-matrix pole in wave number and energy form.
 
-    k_res = k1 + i k2; e_complex = (kappa/2) k_res^2 = e_r - i gamma/2 for
+    k_res = k1 + i k2, and (kappa/2) k_res^2 = e_r - i gamma/2 for
     resonances.  gamma = |2 kappa k1 k2| is kept positive by convention;
     bound states carry gamma = 0 and an infinite lifetime.
     """
 
     k_res: complex
-    e_complex: complex
     e_r: float
     gamma: float
     tau: float
@@ -70,13 +69,14 @@ class Resonance:
 
 
 def _classify(unit: UnitSystem, k: complex) -> Resonance:
+    """A bound state for k on the positive imaginary axis, else a resonance:
+    every root handed in has Re k > 0 or lies on that axis."""
     k1, k2 = k.real, k.imag
     if abs(k1) <= 1e-9 * abs(k) and k2 > 0.0:
         kap = k2
         e0 = -0.5 * unit.kappa * kap * kap
         return Resonance(
             k_res=complex(0.0, kap),
-            e_complex=complex(e0, 0.0),
             e_r=e0,
             gamma=0.0,
             tau=math.inf,
@@ -84,14 +84,12 @@ def _classify(unit: UnitSystem, k: complex) -> Resonance:
         )
     e = 0.5 * unit.kappa * k * k
     gamma = abs(2.0 * unit.kappa * k1 * k2)
-    kind = RESONANCE if k1 > 0.0 else ANTIRESONANCE
     return Resonance(
         k_res=k,
-        e_complex=e,
         e_r=e.real,
         gamma=gamma,
         tau=(1.0 / gamma) if gamma > 0.0 else math.inf,
-        kind=kind,
+        kind=RESONANCE,
     )
 
 

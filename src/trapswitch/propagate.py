@@ -89,7 +89,7 @@ class PropagationSetup:
     box_length: float
     dt: float
     t_end: float
-    e_cut: float = 1000.0
+    e_cut: float
     absorber: bool = False
 
     def n_nodes(self) -> int:
@@ -436,11 +436,11 @@ def non_escape_probability(snapshot: WavefunctionGrid, d: float) -> float:
     """Trapezoid integral of |psi|^2 over the well region [0, d]."""
     if d < 0.0:
         raise InvalidArgumentError(f"well edge must be non-negative, got {d}")
-    if snapshot.x0 > 0.0 or snapshot.x_max < d:
+    if snapshot.x_max < d:
         raise InvalidArgumentError(
-            f"snapshot grid [{snapshot.x0}, {snapshot.x_max:.6g}] does not cover [0, {d}]"
+            f"snapshot grid [0, {snapshot.x_max:.6g}] does not cover [0, {d}]"
         )
-    wts = _well_weights(d - snapshot.x0, snapshot.dx, snapshot.values.size)
+    wts = _well_weights(d, snapshot.dx, snapshot.values.size)
     return float(np.dot(wts, np.abs(snapshot.values[: wts.size]) ** 2))
 
 
@@ -563,8 +563,6 @@ def _embed_initial(initial: WavefunctionGrid, setup: PropagationSetup):
         raise InvalidArgumentError(
             f"initial state dx={initial.dx} does not match setup dx={setup.dx}"
         )
-    if initial.x0 != 0.0:
-        raise InvalidArgumentError("initial state must start at the hard wall x=0")
     out = np.zeros(n, dtype=complex)
     m = min(n, initial.values.size)
     out[:m] = initial.values[:m]
@@ -596,7 +594,7 @@ def propagate(
     initial: WavefunctionGrid,
     setup: PropagationSetup,
     unit: UnitSystem,
-    record_every: int = 1,
+    record_every: int,
 ) -> PropagationResult:
     """Run the switch to t_end and return the final state and decay record,
     and for an open box the history of its edge.
@@ -724,4 +722,4 @@ def propagate(
     final = np.zeros(n, dtype=complex)
     final[1 : 1 + psi.size] = psi
     history = None if edge is None else edge.history(dt)
-    return PropagationResult(WavefunctionGrid(0.0, setup.dx, final), record, history)
+    return PropagationResult(WavefunctionGrid(setup.dx, final), record, history)

@@ -45,9 +45,7 @@ from .propagate import (
 )
 # evaluate_scattering_state is not called here: perfbench/tracer.py counts
 # calls of this module's name and stops on a missing one
-from .scattering import evaluate_scattering_state, trap_waves
-
-_TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
+from .scattering import _TWO_PI_SQRT, evaluate_scattering_state, trap_waves
 
 # ---------------------------------------------------------------------------
 # energy distributions
@@ -74,7 +72,7 @@ class EnergyDistribution:
 E_MIN = 0.5
 
 
-def energy_grid(e_r: float, gamma: float, e_cut: float, n_points: int = 2000) -> np.ndarray:
+def energy_grid(e_r: float, gamma: float, e_cut: float, n_points: int) -> np.ndarray:
     """Grid dense near the resonance (spacing gamma/50 within e_r +- 5 gamma),
     linear elsewhere from E_MIN up to e_cut."""
     if e_cut <= E_MIN:
@@ -199,7 +197,7 @@ def energy_distributions(
         raise InvalidArgumentError("e_grid must be positive and strictly ascending")
     states = [state for state, _ in released]
     grid = states[0]
-    if any((s.x0, s.dx, s.values.size) != (grid.x0, grid.dx, grid.values.size) for s in states):
+    if any((s.dx, s.values.size) != (grid.dx, grid.values.size) for s in states):
         raise InvalidArgumentError("the projected states must share one node grid")
     bound = find_bound_states(final_config, unit)
     if bound:
@@ -218,7 +216,7 @@ def energy_distributions(
     in_trap = np.ascontiguousarray(weighted[:, :n_in].T).view(float)
     outer = weighted[:, n_in:]
     blocks, n_blocks = _blocked(np.concatenate([outer, outer.conj()]))
-    x_out = grid.x0 + dx * n_in
+    x_out = dx * n_in
 
     k = np.sqrt(2.0 * e_grid / unit.kappa)
     s_conj = np.empty(k.size, dtype=complex)
@@ -315,7 +313,7 @@ def _lorentzian_jacobian(theta, e, with_offset):
 def fit_lorentzian(
     energies: np.ndarray,
     values: np.ndarray,
-    with_offset: bool = False,
+    with_offset: bool,
 ) -> LorentzianFit:
     """Levenberg-Marquardt fit of a Lorentzian peak (optionally plus a constant).
 
@@ -513,8 +511,14 @@ class SpectrumRunSpec:
 
     def grid(self, resonance: Resonance) -> np.ndarray:
         """The energies P(E) is sampled at, dense around the resonance; refused
-        when they barely sample the window of lorentzian_deviation."""
+        when the dense part alone takes more than n_energy, or when they
+        barely sample the window of lorentzian_deviation."""
         grid = energy_grid(resonance.e_r, resonance.gamma, self.e_cut, self.n_energy)
+        if grid.size > self.n_energy:
+            raise InvalidArgumentError(
+                f"energy grid needs n_energy >= {grid.size} for spacing gamma/50 "
+                f"within e_r +- 5 gamma, got {self.n_energy}"
+            )
         _deviation_window(grid, resonance)
         return grid
 
@@ -543,13 +547,14 @@ def switch_and_project(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DecayRunSpec:
-    """Numerics for one decay-profile run (absorbing layer, 150 µm box by default)."""
+    """Numerics for one decay-profile run (absorbing layer, 150 µm box by
+    default); t_end comes from the caller's plan."""
 
     dx: float = 0.05
     dt: float = 2e-4
-    t_end: float = 2.5
+    t_end: float
     box_length: float = 150.0
     e_cut: float = 1000.0
     record_every: int = 5
@@ -577,7 +582,7 @@ def switch_and_record(
     final_config: PotentialConfig,
     t_switch: float,
     unit: UnitSystem,
-    spec: DecayRunSpec = DecayRunSpec(),
+    spec: DecayRunSpec,
 ) -> DecayRecord:
     """Run the switch in the absorbing box and return the decay record."""
     setup = spec.setup(SwitchingSchedule(initial_config, final_config, t_switch))

@@ -99,7 +99,7 @@ TINY = {
     ),
     "spectrum-vs-T": (
         {"t_switch_fractions": [0.02]},
-        {"dx": 0.4, "dt": 5e-4, "e_cut": 200.0, "n_energy": 300},
+        {"dx": 0.4, "dt": 5e-4, "e_cut": 200.0, "n_energy": 504},
     ),
     "t-scan": (
         {"objectives": ["lorentzian-deviation"], "n_coarse": 3, "t_range_fractions": [0.01, 0.03]},
@@ -352,8 +352,9 @@ class _FirstStep(Exception):
 
 
 #: (config, override, refused): a dt ladder at theta = (e_cut + v_top) dt/2
-#: from 0.094 to 2.7 (refused above 0.5), a ramp shorter than one step, and
-#: an e_cut below the resonance, whose P(E) grid misses the fit window
+#: from 0.094 to 2.7 (refused above 0.5), a ramp shorter than one step, an
+#: e_cut below the resonance, whose P(E) grid misses the fit window, and an
+#: n_energy below the 504 energies the grid needs
 LADDER = [
     ("decay_curves.yaml", "numerics.dt=2e-4", False),  # theta 0.135
     ("decay_curves.yaml", "numerics.dt=4e-4", False),  # 0.27
@@ -367,6 +368,8 @@ LADDER = [
     ("spectrum_vs_t.yaml", "numerics.dt=4.0e-3", True),  # 1.5
     ("spectrum_vs_t.yaml", "experiment.t_switch_fractions=[1e-4]", False),
     ("spectrum_vs_t.yaml", "numerics.e_cut=80", True),
+    ("spectrum_vs_t.yaml", "numerics.n_energy=300", True),
+    ("spectrum_vs_t.yaml", "numerics.n_energy=504", False),
 ]
 
 
@@ -393,3 +396,4 @@ def test_validate_and_run_refuse_the_same_specs(
         assert printed == ["ok"]
         with pytest.raises(_FirstStep):
             main(run)
+

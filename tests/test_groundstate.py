@@ -92,10 +92,10 @@ def test_fem_residual_second_order_convergence(unit):
 
 def test_wavefunction_grid_validation():
     with pytest.raises(InvalidArgumentError):
-        WavefunctionGrid(0.0, -0.1, np.ones(5, dtype=complex))
+        WavefunctionGrid(-0.1, np.ones(5, dtype=complex))
     with pytest.raises(InvalidArgumentError):
-        WavefunctionGrid(0.0, 0.1, np.ones((2, 3), dtype=complex))
-    grid = WavefunctionGrid(0.0, 0.1, np.ones(8, dtype=complex))
+        WavefunctionGrid(0.1, np.ones((2, 3), dtype=complex))
+    grid = WavefunctionGrid(0.1, np.ones(8, dtype=complex))
     assert grid.x_max == pytest.approx(0.7)
     assert grid.x.shape == (8,)
 

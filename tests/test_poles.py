@@ -89,7 +89,6 @@ def test_classified_pole_fields_are_consistent(unit):
     poles = find_poles(FINAL, unit, (0.0, 0.9, -0.4, 0.0))
     for p in poles:
         e = 0.5 * unit.kappa * p.k_res * p.k_res
-        assert p.e_complex == pytest.approx(e, rel=1e-14)
         assert p.e_r == pytest.approx(e.real, rel=1e-14)
         assert p.gamma == pytest.approx(-2.0 * e.imag, rel=1e-12)
         assert p.tau == pytest.approx(1.0 / p.gamma, rel=1e-12)

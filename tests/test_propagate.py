@@ -93,7 +93,7 @@ def test_propagate_rejects_invalid_inputs(unit):
     doubled = phi.normalized()
     doubled.values[:] *= 2.0
     with pytest.raises(InvalidArgumentError):
-        propagate(doubled, setup, unit)
+        propagate(doubled, setup, unit, record_every=1)
 
 
 def test_static_dt_bound_rejects_coarse_step(unit):
@@ -104,7 +104,7 @@ def test_static_dt_bound_rejects_coarse_step(unit):
     setup = PropagationSetup(schedule=sched, dx=0.05, box_length=300.0,
                              dt=5e-3, t_end=0.5, e_cut=40.0)
     with pytest.raises(InvalidArgumentError, match=r"dt=0\.005 .* need dt <= 0\.0025641"):
-        propagate(phi, setup, unit)
+        propagate(phi, setup, unit, record_every=1)
 
 
 def test_mass_norm_conserved_and_recorded(unit):
@@ -212,7 +212,7 @@ def test_config_mass_on_an_element_holding_both_edges(dx, box, b):
 
 def test_trap_rows_match_the_edge_oracle_on_the_shipped_boxes(unit, monkeypatch):
     schedule = SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES)
-    specs = [DecayRunSpec(), SpectrumRunSpec(dx=0.15, dt=2.5e-4), SpectrumRunSpec()]
+    specs = [DecayRunSpec(t_end=2.5), SpectrumRunSpec(dx=0.15, dt=2.5e-4), SpectrumRunSpec()]
     setups = [spec.setup(schedule) for spec in specs]
 
     def trap_rows(setup):
@@ -264,7 +264,7 @@ def _oracle_drift(unit, monkeypatch, setup, phi, counts):
     monkeypatch.setattr(propagate_module, "_Stepper", Recording)
     worst = 0.0
     for count in counts:
-        run = propagate(phi, replace(setup, t_end=count * setup.dt), unit)
+        run = propagate(phi, replace(setup, t_end=count * setup.dt), unit, record_every=1)
         size = made[-1].ops.m_diag.size
         ref = oracle[count]
         peak = np.max(np.abs(ref))
@@ -290,7 +290,7 @@ def _block_counts(unit, setup, n_steps):
     ids=["T0", "T0.002s", "T0.058tau", "T1tau"],
 )
 def test_stepper_matches_banded_lu_oracle_on_decay_box(unit, monkeypatch, t_switch):
-    setup = DecayRunSpec().setup(SwitchingSchedule(INITIAL, FINAL, t_switch))
+    setup = DecayRunSpec(t_end=2.5).setup(SwitchingSchedule(INITIAL, FINAL, t_switch))
     phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
     block, counts = _block_counts(unit, setup, 2000)
     stepper, drift = _oracle_drift(unit, monkeypatch, setup, phi, counts)
@@ -328,7 +328,7 @@ def test_stepper_matches_banded_lu_oracle_edge_cases(
     psi_J != 0 and nothing past J."""
     setup = PropagationSetup(
         schedule=SwitchingSchedule(INITIAL, final, 0.01), dx=0.05, box_length=box,
-        dt=2e-4, t_end=0.1, absorber=absorbed,
+        dt=2e-4, t_end=0.1, e_cut=1000.0, absorber=absorbed,
     )
     phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
     stepper, drift = _oracle_drift(unit, monkeypatch, setup, phi, [200])
@@ -373,7 +373,7 @@ def test_far_block_is_factored_once_per_time_step(unit, monkeypatch):
         setup = DecayRunSpec(t_end=0.02).setup(SwitchingSchedule(INITIAL, FINAL, t_switch))
         phi, _ = ground_state(INITIAL, unit, dx=setup.dx, x_max=setup.box_length)
         calls.clear()
-        propagate(phi, setup, unit)
+        propagate(phi, setup, unit, record_every=1)
         factored = [size for name, size in calls if name == "zgttrf"]
         return setup, factored, [size for name, size in calls if name == "zgtsv"]
 
@@ -468,11 +468,15 @@ def test_open_box_matches_a_large_box(unit, t_switch):
     dx, dt, t_end = 0.15, 2.5e-4, 0.3
     schedule = SwitchingSchedule(INITIAL, FINAL, t_switch)
     phi, _ = ground_state(INITIAL, unit, dx=dx)
-    small = propagate(phi, PropagationSetup(schedule, dx, 20.1, dt, t_end, e_cut=400.0), unit)
+    small = propagate(
+        phi, PropagationSetup(schedule, dx, 20.1, dt, t_end, e_cut=400.0), unit, record_every=1
+    )
     assert small.final.values.size == 135 and small.edge.tail != 0.0
     big = 1500.0
     phi_big, _ = ground_state(INITIAL, unit, dx=dx, x_max=big)
-    large = propagate(phi_big, PropagationSetup(schedule, dx, big, dt, t_end, e_cut=400.0), unit)
+    large = propagate(
+        phi_big, PropagationSetup(schedule, dx, big, dt, t_end, e_cut=400.0), unit, record_every=1
+    )
     peak = np.max(np.abs(large.final.values))
     assert np.max(np.abs(large.edge.psi_edge)) <= 1e-14 * peak
     inside = large.final.values[:135]
@@ -489,8 +493,8 @@ def test_embed_initial_keeps_node_j_of_an_open_box(unit):
     phi, _ = ground_state(INITIAL, unit, dx=setup.dx)
     psi_j = phi.values[n - 1]
     assert abs(psi_j) > 1e-3 * np.max(np.abs(phi.values))
-    ends_at_j = WavefunctionGrid(0.0, setup.dx, phi.values[:n].copy())
-    padded = WavefunctionGrid(0.0, setup.dx, np.concatenate([phi.values[:n], np.zeros(20)]))
+    ends_at_j = WavefunctionGrid(setup.dx, phi.values[:n].copy())
+    padded = WavefunctionGrid(setup.dx, np.concatenate([phi.values[:n], np.zeros(20)]))
     for state in (ends_at_j, padded):
         embedded, tail, rho = _embed_initial(state, setup)
         assert embedded[-1] == psi_j and (tail, rho) == (0j, 0.0)

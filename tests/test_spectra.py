@@ -63,6 +63,19 @@ def test_energy_grid_dense_near_resonance(res):
     assert grid.size >= 2000
 
 
+@pytest.mark.parametrize("e_cut", [200.0, 400.0, 1000.0, 3000.0])
+def test_spectrum_grid_has_n_energy_points_or_is_refused(res, e_cut):
+    # the dense part alone is 502 energies at gamma/50 over e_r +- 5 gamma,
+    # and the grid adds at least two more
+    for n in (2, 300, 503, 504, 505, 2000):
+        spec = SpectrumRunSpec(e_cut=e_cut, n_energy=n)
+        if n < 504:
+            with pytest.raises(InvalidArgumentError, match=f"n_energy >= 504 .* got {n}$"):
+                spec.grid(res)
+        else:
+            assert spec.grid(res).size == n
+
+
 def test_lorentzian_reference_peak_and_weight(res):
     peak = lorentzian_reference(res, np.array([res.e_r]))[0]
     assert peak == pytest.approx(2.0 / (math.pi * res.gamma), rel=1e-12)
@@ -83,7 +96,7 @@ def test_lorentzian_fit_exact_round_trip():
     er, g = 134.511, 2.433
     a = 2.0 / (math.pi * g)  # unit-area amplitude
     y = a * (g / 2.0) ** 2 / ((e - er) ** 2 + (g / 2.0) ** 2)
-    fit = fit_lorentzian(e, y)
+    fit = fit_lorentzian(e, y, with_offset=False)
     assert fit.e_r == pytest.approx(er, abs=1e-8)
     assert fit.gamma == pytest.approx(g, abs=1e-8)
     assert fit.amplitude == pytest.approx(a, abs=1e-10)
@@ -98,11 +111,11 @@ def test_lorentzian_fit_window_and_data_guards():
     e = np.linspace(0.0, 10.0, 50)
     y = 1.0 / ((e - 9.8) ** 2 + 0.25)
     with pytest.raises(WindowError):
-        fit_lorentzian(e, y)  # peak pinned to the window edge
+        fit_lorentzian(e, y, with_offset=False)  # peak pinned to the window edge
     with pytest.raises(InvalidArgumentError):
-        fit_lorentzian(e[:6], y[:6])
+        fit_lorentzian(e[:6], y[:6], with_offset=False)
     centered = 1.0 / ((e - 5.0) ** 2 + 0.25)
-    fit = fit_lorentzian(e, centered)
+    fit = fit_lorentzian(e, centered, with_offset=False)
     assert fit.e_r == pytest.approx(5.0, abs=1e-8)
 
 
@@ -213,7 +226,7 @@ def test_batched_projection_matches_single_projections(unit, res):
         single = energy_distribution(state, FINAL, unit, grid, edge=edge)
         assert np.max(np.abs(dist.p - single.p)) <= 1e-13 * np.max(single.p)
         assert dist.total == pytest.approx(single.total, rel=1e-13)
-    shorter = WavefunctionGrid(0.0, spec.dx, released[1][0].values[:-1])
+    shorter = WavefunctionGrid(spec.dx, released[1][0].values[:-1])
     with pytest.raises(InvalidArgumentError, match="one node grid"):
         energy_distributions([released[0], (shorter, None)], FINAL, unit, grid)
 
@@ -225,7 +238,7 @@ def test_synthetic_projection_matches_the_pointwise_oracle(unit, res, n_outer):
     n = 121 + n_outer
     values = rng.normal(size=n) + 1j * rng.normal(size=n)
     values[0] = 0.0
-    state = WavefunctionGrid(0.0, 0.125, values)
+    state = WavefunctionGrid(0.125, values)
     assert int(np.sum(state.x > FINAL.outer_edge)) == n_outer
     grid = energy_grid(res.e_r, res.gamma, 1000.0, 300)
     _assert_matches_pointwise(state, unit, grid)
@@ -237,7 +250,7 @@ def test_projection_memory_stays_flat(unit, res):
     # energies in one block peaks near 33 MB, chunks of 128 near 5 MB.
     x = 0.15 * np.arange(50_000)
     values = np.exp(-0.5 * ((x - 3000.0) / 400.0) ** 2) * np.exp(1j * 0.3 * x)
-    state = WavefunctionGrid(0.0, 0.15, values).normalized()
+    state = WavefunctionGrid(0.15, values).normalized()
     grid = energy_grid(res.e_r, res.gamma, 400.0, 2000)
     tracemalloc.start()
     try:
@@ -259,7 +272,7 @@ def test_map_runs_returns_results_in_the_order_given(monkeypatch, cpus):
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
     schedule = SwitchingSchedule(INITIAL, FINAL, 0.0)
     setups = [
-        PropagationSetup(schedule, dx=0.5, box_length=box, dt=1e-3, t_end=t_end)
+        PropagationSetup(schedule, dx=0.5, box_length=box, dt=1e-3, t_end=t_end, e_cut=1000.0)
         for box, t_end in ((20.0, 0.02), (30.0, 0.01), (20.0, 0.01), (40.0, 0.04))
     ]
     got = [pending() for pending in map_runs(_grid_work, setups, "x")]
