@@ -34,8 +34,8 @@ negative-imaginary part, the open edge a constant on the last diagonal),
 stored as (diagonal, off-diagonal) arrays.  The
 switch changes the step matrix only in the trap rows, x <= d + b, so while
 it changes each step is solved by block elimination: the constant far block
-past the trap is LU-factored (LAPACK `zgttrf`, pivoted) once per run and
-time step, and each step refactors only the few hundred trap rows, whose
+past the trap is LU-factored (LAPACK `zgttrf`) once per run and time step,
+and each step refactors only the few hundred trap rows, whose
 last diagonal carries the far block's Schur complement.  A far block with
 fewer rows than the trap block is not worth its own solve and joins the
 trap block, so such a box solves all its rows each step.  The far block's
@@ -45,11 +45,17 @@ roundoff and would otherwise fill the per-step update with slow subnormal
 arithmetic.  Once the switching weight is exactly 1 (all steps of a sudden
 switch, and every step after w(t) = -expm1(-t/T) rounds to 1) the step
 matrix is constant: it is factored whole on the first such step, and each
-later one is a single `zgttrs` over all rows.  The steps run in blocks
+later one is a single solve over all rows.  A factorization kept across
+steps is solved by two unit-bidiagonal sweeps (BLAS `ztbsv`) around one
+scaling by the reciprocal pivots, which divides on no row, where `zgttrs`
+divides on every row; the sweeps need a factorization that swapped no
+rows, and `zgttrf`'s partial pivoting swaps none on these matrices, whose
+pivots stay above the subdiagonal below them (a block where it would is
+refused).  The steps run in blocks
 (13 steps on the decay box's 300 trap rows, 30 on the 134-row spectrum
 box): the trap rows of a block's steps are built as tables, one broadcast
 each from the scalar weights w(t), and only for a block where some w < 1;
-each step then indexes its row.  The LAPACK routines are called
+each step then indexes its row.  The LAPACK and BLAS routines are called
 positionally with their overwrite flags, so f2py copies nothing and each
 step solves in place in the buffer that holds 2M psi.  The recorded norm
 comes from the step's own right-hand side 2M psi, and the in-well
@@ -207,40 +213,36 @@ def _config_mass(config, x, dx):
     """
     diag = np.zeros(x.size)
     off = np.zeros(x.size - 1)
-    xa = x[:-1]
     regions = ((0.0, config.d, -config.v_well), (config.d, config.outer_edge, config.v_barrier))
     for lo, hi, v in regions:
+        k = min(off.size, int(hi / dx) + 1)  # elements from x_k on add nothing
+        xa = x[:k]
         s = np.clip((lo - xa) / dx, 0.0, 1.0)
         t = np.clip((hi - xa) / dx, 0.0, 1.0)
         left, right, cross = _hat_overlaps(s, t)
-        diag[:-1] += v * dx * left
-        diag[1:] += v * dx * right
-        off += v * dx * cross
+        diag[:k] += v * dx * left
+        diag[1 : k + 1] += v * dx * right
+        off[:k] += v * dx * cross
     return diag, off
 
 
 def _absorber_mass(x: np.ndarray, dx: float, box_length: float):
     """FEM mass integrals of the cubic absorber ramp over the last
-    ABSORBER_FRACTION of the box, 3-point Gauss exact."""
-    n = x.size
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
+    ABSORBER_FRACTION of the box, 3-point Gauss exact, in one array pass
+    over the elements from the one where the ramp starts."""
     width = ABSORBER_FRACTION * box_length
     x_on = box_length - width
     gauss_u = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
     gauss_w = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
     j0 = max(0, int(math.floor(x_on / dx)))
-    for j in range(j0, n - 1):
-        xa = x[j]
-        for u, wgt in zip(gauss_u, gauss_w):
-            xp = xa + u * dx
-            r = (xp - x_on) / width
-            if r <= 0.0:
-                continue
-            wv = ABSORBER_STRENGTH * r**3
-            diag[j] += wgt * dx * wv * (1.0 - u) ** 2
-            diag[j + 1] += wgt * dx * wv * u * u
-            off[j] += wgt * dx * wv * u * (1.0 - u)
+    r = np.maximum((x[j0:-1, None] + gauss_u * dx - x_on) / width, 0.0)
+    # weight times the ramp at each (element, Gauss point)
+    wv = gauss_w * dx * (ABSORBER_STRENGTH * r**3)
+    diag = np.zeros(x.size)
+    off = np.zeros(x.size - 1)
+    diag[j0:-1] += wv @ (1.0 - gauss_u) ** 2
+    diag[j0 + 1 :] += wv @ (gauss_u * gauss_u)
+    off[j0:] = wv @ (gauss_u * (1.0 - gauss_u))
     return diag, off
 
 
@@ -308,8 +310,52 @@ def _lapack():
     return lapack
 
 
+@functools.cache
+def _blas():
+    """scipy.linalg.blas, imported on first use like `_lapack`."""
+    from scipy.linalg import blas
+
+    return blas
+
+
 def _lapack_error(routine, info):
     return NumericalBlowupError(f"{routine} failed on a Crank-Nicolson block (info {info})")
+
+
+class _Prefactored:
+    """A tridiagonal block A = L U from `zgttrf`, solved in place by two
+    unit-bidiagonal sweeps (BLAS `ztbsv`) and one scaling.
+
+    L is unit lower with the multipliers dl; U = D (I + D^-1 N) with the
+    pivots D and the superdiagonal N = du.  So A x = b is L y = b, then
+    y *= 1/D, then the unit upper sweep with du/D: no row divides, where
+    `zgttrs`'s back substitution divides on every row.  The sweeps hold
+    only while `zgttrf` swapped no rows, so a factorization that did is
+    refused."""
+
+    def __init__(self, dl, d, du, du2, ipiv):
+        n = d.size
+        swapped = ipiv != np.arange(1, n + 1)
+        swapped[: du2.size] |= du2 != 0.0
+        if swapped.any():
+            raise NumericalBlowupError(
+                f"zgttrf swapped rows of a {n}-row Crank-Nicolson block, first at row "
+                f"{int(np.argmax(swapped))}, where a pivot is smaller than the row below it"
+            )
+        self.r = 1.0 / d
+        # (2, n) Fortran-ordered bands, as ztbsv reads them without a copy
+        self.lower = np.zeros((2, n), dtype=complex, order="F")
+        self.lower[1, :-1] = dl
+        self.upper = np.zeros((2, n), dtype=complex, order="F")
+        self.upper[0, 1:] = du * self.r[:-1]
+        self.tbsv = _blas().ztbsv
+
+    def solve(self, b):
+        """Overwrite b, contiguous complex, with A^-1 b."""
+        # positional: k, band, x, incx, offx, lower, trans, unit diag, overwrite
+        self.tbsv(1, self.lower, b, 1, 0, 1, 0, 1, 1)
+        b *= self.r
+        self.tbsv(1, self.upper, b, 1, 0, 0, 0, 1, 1)
 
 
 class _Stepper:
@@ -322,7 +368,7 @@ class _Stepper:
     diagonal; the caller adds the edge's share to the last entry of rhs.
     At w == 1.0 exactly L is constant: it is factored whole (`zgttrf`,
     `factor_whole`) on the first such step, and each such step is one
-    `zgttrs` over all rows.
+    `_Prefactored` solve over all rows.
     Otherwise L(w) depends on w only in its first m rows, the trap block
     that holds the support of dV.  The far block A22 below them is constant
     and is factored once here.  Such a step solves A22, then the trap block
@@ -336,7 +382,8 @@ class _Stepper:
     The trap rows of `block` steps at a time come from `trap_rows` as
     tables, one broadcast each, so a step only indexes its row; a table
     stays under TABLE_BYTES.
-    Every factorization keeps partial pivoting.
+    Every factorization keeps partial pivoting: `zgtsv` pivots each step,
+    and `_Prefactored` refuses factors that `zgttrf` pivoted.
     """
 
     def __init__(self, ops: _Operators, dt: float, edge: complex):
@@ -368,11 +415,9 @@ class _Stepper:
         if m < n:
             self.far = self._factor(lhs_off[m:], lhs_diag[m:])
             self.c = lhs_off[m - 1]
-            e1 = np.zeros(n - m, dtype=complex)
-            e1[0] = 1.0
-            g, info = self.lapack.zgttrs(*self.far, e1)
-            if info:
-                raise _lapack_error("zgttrs", info)
+            g = np.zeros(n - m, dtype=complex)
+            g[0] = 1.0
+            self.far.solve(g)
             self.schur = self.c * self.c * g[0]
             # g decays geometrically into the far block.  Past the cut its
             # entries move x2 by less than roundoff, and once they turn
@@ -394,10 +439,10 @@ class _Stepper:
         *factors, info = self.lapack.zgttrf(off, diag, off)
         if info:
             raise _lapack_error("zgttrf", info)
-        return factors
+        return _Prefactored(*factors)
 
     def factor_whole(self):
-        """The factors of L(1) over all rows, kept as `whole`."""
+        """L(1) over all rows, prefactored and kept as `whole`."""
         diag, off = self._lhs(1.0)
         self.whole = self._factor(off, diag)
         return self.whole
@@ -664,7 +709,7 @@ def propagate(
 
     double_mass(cur, nxt)
     sample(0, cur[0], nxt[0])
-    zgtsv, zgttrs = stepper.lapack.zgtsv, stepper.lapack.zgttrs
+    zgtsv = stepper.lapack.zgtsv
     if far is not None:
         c, g = stepper.c, stepper.g
     if edge is not None:
@@ -687,18 +732,14 @@ def propagate(
             if w == 1.0:
                 if whole is None:
                     whole = stepper.factor_whole()
-                info = zgttrs(*whole, rhs, "N", 1)[-1]
-                if info:
-                    raise _lapack_error("zgttrs", info)
+                whole.solve(rhs)
             elif far is None:
                 info = zgtsv(lowers[k], diags[k], uppers[k], rhs, 1, 1, 1, 1)[-1]
                 if info:
                     raise _lapack_error("zgtsv", info)
             else:
                 _, _, _, x1, x2, x2_head = nxt
-                info = zgttrs(*far, x2, "N", 1)[-1]
-                if info:
-                    raise _lapack_error("zgttrs", info)
+                far.solve(x2)
                 rhs[m - 1] -= c * x2[0]
                 info = zgtsv(lowers[k], diags[k], uppers[k], x1, 1, 1, 1, 1)[-1]
                 if info:

@@ -74,7 +74,8 @@ E_MIN = 0.5
 
 def energy_grid(e_r: float, gamma: float, e_cut: float, n_points: int) -> np.ndarray:
     """Grid dense near the resonance (spacing gamma/50 within e_r +- 5 gamma),
-    linear elsewhere from E_MIN up to e_cut."""
+    linear elsewhere from E_MIN up to e_cut; refused when the dense part
+    and one energy on each side of it take more than n_points."""
     if e_cut <= E_MIN:
         raise InvalidArgumentError(f"e_cut must exceed E_MIN = {E_MIN}")
     if gamma <= 0.0 or e_r <= 0.0:
@@ -97,8 +98,13 @@ def energy_grid(e_r: float, gamma: float, e_cut: float, n_points: int) -> np.nda
     parts.append(dense)
     if n_hi > 0 and len_hi > 0:
         parts.append(np.linspace(w_hi, e_cut, n_hi + 1)[1:])
-    grid = np.concatenate(parts)
-    return np.unique(grid)
+    grid = np.unique(np.concatenate(parts))
+    if grid.size > n_points:
+        raise InvalidArgumentError(
+            f"energy grid needs n_energy >= {grid.size} for spacing gamma/50 "
+            f"within e_r +- 5 gamma, got {n_points}"
+        )
+    return grid
 
 
 #: Energies per block of the projection.  A block's temporaries (standing
@@ -511,14 +517,9 @@ class SpectrumRunSpec:
 
     def grid(self, resonance: Resonance) -> np.ndarray:
         """The energies P(E) is sampled at, dense around the resonance; refused
-        when the dense part alone takes more than n_energy, or when they
-        barely sample the window of lorentzian_deviation."""
+        when the dense part takes more than n_energy (`energy_grid`), or when
+        they barely sample the window of lorentzian_deviation."""
         grid = energy_grid(resonance.e_r, resonance.gamma, self.e_cut, self.n_energy)
-        if grid.size > self.n_energy:
-            raise InvalidArgumentError(
-                f"energy grid needs n_energy >= {grid.size} for spacing gamma/50 "
-                f"within e_r +- 5 gamma, got {self.n_energy}"
-            )
         _deviation_window(grid, resonance)
         return grid
 

@@ -1,14 +1,17 @@
 """The Crank-Nicolson step as `trapswitch.propagate` took it before block
-elimination: rebuild the whole matrix and run one banded LU per step.
+elimination: rebuild the whole matrix and run one banded LU per step; and
+its prefactored solve as it took it before the bidiagonal sweeps, one
+LAPACK `zgttrs` on `zgttrf`'s factors.
 
-Kept only as a test oracle: `test_propagate.py` checks whole `propagate`
-runs against a loop of `_cn_step` (`cn_states`), and the ground-state
-residual checks (criterion 8g, `test_groundstate`) apply the inverse mass
-matrix with `_tri_solve`.  Not a test module.
+Kept only as test oracles: `test_propagate.py` checks whole `propagate`
+runs against a loop of `_cn_step` (`cn_states`) and the sweeps of
+`_Prefactored` against `zgttrs_solve`, and the ground-state residual checks
+(criterion 8g, `test_groundstate`) apply the inverse mass matrix with
+`_tri_solve`.  Not a test module.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 
 def _tri_mul(diag, off, v):
@@ -26,6 +29,17 @@ def _tri_solve(diag, off, rhs):
     ab[1, :] = diag
     ab[2, :-1] = off
     return solve_banded((1, 1), ab, rhs)
+
+
+def zgttrs_solve(diag, off, rhs):
+    """The symmetric tridiagonal (diag, off) solved for rhs by `zgttrf`
+    (partial pivoting) and one `zgttrs`, whose back substitution divides
+    on every row."""
+    *factors, info = lapack.zgttrf(off, diag, off)
+    assert info == 0, info
+    x, info = lapack.zgttrs(*factors, rhs)
+    assert info == 0, info
+    return x
 
 
 def _cn_step(ops, weight, dt, psi):

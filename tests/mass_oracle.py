@@ -1,9 +1,12 @@
 """The potential's finite-element integrals as `trapswitch.propagate` took
 them before the per-region pass: a bulk fill that assumes each element lies
-inside one region, then a correction of each element cut by an edge.
+inside one region, then a correction of each element cut by an edge; and
+the absorber's integrals as it took them before the array pass, one element
+and one Gauss point at a time.
 
-Kept only as a test oracle: `test_propagate.py` checks `_config_mass`
-against `config_mass_by_edges`.  It holds while no element holds both
+Kept only as test oracles: `test_propagate.py` checks `_config_mass`
+against `config_mass_by_edges`, and `_absorber_mass` against
+`absorber_mass_by_elements`.  The first holds while no element holds both
 region edges; such an element is corrected once per edge, so it counts its
 pieces twice.  Not a test module.
 """
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-from trapswitch.propagate import _hat_overlaps
+from trapswitch.propagate import ABSORBER_FRACTION, ABSORBER_STRENGTH, _hat_overlaps
 
 
 def potential_mass(x: np.ndarray, dx: float, edges: list[float], values: list[float]):
@@ -64,3 +67,29 @@ def config_mass_by_edges(config, x, dx):
     edges = [config.d, config.outer_edge]
     values = [-config.v_well, config.v_barrier, 0.0]
     return potential_mass(x, dx, edges, values)
+
+
+def absorber_mass_by_elements(x: np.ndarray, dx: float, box_length: float):
+    """FEM mass integrals of the cubic absorber ramp over the last
+    ABSORBER_FRACTION of the box, 3-point Gauss exact, by a loop over the
+    elements the ramp reaches."""
+    n = x.size
+    diag = np.zeros(n)
+    off = np.zeros(n - 1)
+    width = ABSORBER_FRACTION * box_length
+    x_on = box_length - width
+    gauss_u = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
+    gauss_w = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+    j0 = max(0, int(math.floor(x_on / dx)))
+    for j in range(j0, n - 1):
+        xa = x[j]
+        for u, wgt in zip(gauss_u, gauss_w):
+            xp = xa + u * dx
+            r = (xp - x_on) / width
+            if r <= 0.0:
+                continue
+            wv = ABSORBER_STRENGTH * r**3
+            diag[j] += wgt * dx * wv * (1.0 - u) ** 2
+            diag[j + 1] += wgt * dx * wv * u * u
+            off[j] += wgt * dx * wv * u * (1.0 - u)
+    return diag, off

@@ -15,13 +15,16 @@ import numpy as np
 import pytest
 
 import trapswitch.propagate as propagate_module
-from trapswitch.errors import InvalidArgumentError
+from trapswitch.errors import InvalidArgumentError, NumericalBlowupError
 from trapswitch.groundstate import WavefunctionGrid, ground_state
 from trapswitch.model import PotentialConfig, SwitchingSchedule
 from trapswitch.propagate import (
     PropagationSetup,
+    _absorber_mass,
     _config_mass,
     _embed_initial,
+    _OpenEdge,
+    _Prefactored,
     _Stepper,
     assemble_operators,
     edge_kernel,
@@ -38,9 +41,9 @@ from trapswitch.spectra import (
     switch_and_record,
 )
 
-from cn_oracle import _tri_mul, cn_states
+from cn_oracle import _tri_mul, cn_states, zgttrs_solve
 from conftest import FINAL, INITIAL, KAPPA_BOUND, TAU_RES
-from mass_oracle import config_mass_by_edges, potential_mass
+from mass_oracle import absorber_mass_by_elements, config_mass_by_edges, potential_mass
 
 
 def _sudden():
@@ -208,6 +211,19 @@ def test_config_mass_on_an_element_holding_both_edges(dx, box, b):
     well = potential_mass(x, dx, [config.d], [-config.v_well - config.v_barrier, 0.0])
     step = potential_mass(x, dx, [config.outer_edge], [config.v_barrier, 0.0])
     _assert_mass_matches(config, x, dx, well[0] + step[0], well[1] + step[1])
+
+
+@pytest.mark.parametrize("dx, box", [(0.05, 150.0), (0.1, 60.0), (0.0375, 20.0), (0.15, 20.1)],
+                         ids=["decay", "60um", "fine", "off-grid-box"])
+def test_absorber_mass_matches_the_element_loop(dx, box):
+    x = dx * np.arange(int(round(box / dx)) + 1)
+    diag, off = _absorber_mass(x, dx, box)
+    ref_diag, ref_off = absorber_mass_by_elements(x, dx, box)
+    tol = 1e-15 * np.max(ref_diag)
+    assert np.max(np.abs(diag - ref_diag)) <= tol
+    assert np.max(np.abs(off - ref_off)) <= tol
+    # nothing before the ramp starts
+    assert np.all(diag[x < 0.75 * box - dx] == 0.0)
 
 
 def test_trap_rows_match_the_edge_oracle_on_the_shipped_boxes(unit, monkeypatch):
@@ -389,6 +405,75 @@ def test_far_block_is_factored_once_per_time_step(unit, monkeypatch):
     _, factored, trap_solved = run(0.0)
     assert factored == [far_rows, rows]
     assert trap_solved == []
+
+
+def _open_gain(setup, unit):
+    return _OpenEdge(*edge_rows(setup.dx, setup.dt, unit.kappa), 1, 0j, 0.0, 0j).gain
+
+
+def _sweep_drift(solver, diag, off):
+    """Largest difference of solver's sweeps from `zgttrs` on the same
+    matrix, relative to max|x|, for a random right-hand side."""
+    rhs = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, diag.size))
+    ref = zgttrs_solve(diag, off, rhs)
+    x = rhs.copy()
+    solver.solve(x)
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def test_bidiagonal_sweeps_match_zgttrs(unit):
+    """The prefactored solves of the decay box (its L(1) and far block) and
+    of the 135-node open box with its edge gain (its L(1)) against the
+    `zgttrs` they replace."""
+    decay = DecayRunSpec(t_end=2.5).setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES))
+    stepper = _Stepper(assemble_operators(decay, unit), decay.dt, 0.0)
+    diag, off = stepper._lhs(0.0)
+    m = stepper.m
+    assert _sweep_drift(stepper.far, diag[m:], off[m:]) <= 1e-13
+    assert _sweep_drift(stepper.factor_whole(), *stepper._lhs(1.0)) <= 1e-13
+
+    spectrum = SpectrumRunSpec(dx=0.15, dt=2.5e-4).setup(SwitchingSchedule(INITIAL, FINAL, 0.0))
+    stepper = _Stepper(assemble_operators(spectrum, unit), spectrum.dt, _open_gain(spectrum, unit))
+    diag, off = stepper._lhs(1.0)
+    assert diag.size == 134 and stepper.far is None
+    assert _sweep_drift(stepper.factor_whole(), diag, off) <= 1e-13
+
+
+#: dx and dt from the finest in use up to the largest that validate_setup
+#: admits on the shipped traps (at e_cut 1: dx <= 0.62, dt <= 2.85e-3)
+PIVOT_DX = [0.01, 0.05, 0.15, 0.6]
+PIVOT_DT = [1e-6, 2e-4, 2.8e-3]
+
+
+@pytest.mark.parametrize("box, absorbed", [(150.0, True), (20.0, False), (60.0, False)],
+                         ids=["absorbing-150um", "open-20um", "open-60um"])
+@pytest.mark.parametrize("dt", PIVOT_DT)
+@pytest.mark.parametrize("dx", PIVOT_DX)
+def test_zgttrf_swaps_no_rows(unit, dx, dt, box, absorbed):
+    """The premise of the bidiagonal sweeps: partial pivoting keeps every
+    row of L(w) in place for w in {0, 1/2, 1}, far block included."""
+    setup = PropagationSetup(SwitchingSchedule(INITIAL, FINAL, 0.01), dx, box, dt,
+                             t_end=0.0, e_cut=1.0, absorber=absorbed)
+    assert validate_setup(setup, unit) == []
+    gain = 0.0 if absorbed else _open_gain(setup, unit)
+    stepper = _Stepper(assemble_operators(setup, unit), dt, gain)  # refuses a swapping far block
+    lapack = propagate_module._lapack()
+    for w in (0.0, 0.5, 1.0):
+        diag, off = stepper._lhs(w)
+        _, _, _, du2, ipiv, info = lapack.zgttrf(off, diag, off)
+        assert info == 0
+        assert np.array_equal(ipiv, np.arange(1, diag.size + 1)) and not np.any(du2)
+
+
+def test_a_pivoted_factorization_is_refused():
+    # the second pivot, 0.1 - 0.5^2 / 1, is smaller than the 0.5 below it,
+    # so zgttrf swaps rows 1 and 2
+    diag = np.array([1.0, 0.1, 1.0, 1.0], dtype=complex)
+    off = np.full(3, 0.5, dtype=complex)
+    *factors, info = propagate_module._lapack().zgttrf(off, diag, off)
+    assert info == 0 and factors[-1][1] == 3
+    with pytest.raises(NumericalBlowupError, match=r"4-row Crank-Nicolson block, first at row 1,"):
+        _Prefactored(*factors)
 
 
 @pytest.mark.parametrize("absorbed", [True, False], ids=["absorbed-sudden", "unabsorbed-ramp"])

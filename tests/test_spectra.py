@@ -66,14 +66,16 @@ def test_energy_grid_dense_near_resonance(res):
 @pytest.mark.parametrize("e_cut", [200.0, 400.0, 1000.0, 3000.0])
 def test_spectrum_grid_has_n_energy_points_or_is_refused(res, e_cut):
     # the dense part alone is 502 energies at gamma/50 over e_r +- 5 gamma,
-    # and the grid adds at least two more
+    # and the grid adds at least two more; energy_grid itself refuses, so
+    # no caller gets more energies than it asked for
     for n in (2, 300, 503, 504, 505, 2000):
         spec = SpectrumRunSpec(e_cut=e_cut, n_energy=n)
-        if n < 504:
-            with pytest.raises(InvalidArgumentError, match=f"n_energy >= 504 .* got {n}$"):
-                spec.grid(res)
-        else:
-            assert spec.grid(res).size == n
+        for grid in (spec.grid, lambda r: energy_grid(r.e_r, r.gamma, e_cut, n)):
+            if n < 504:
+                with pytest.raises(InvalidArgumentError, match=f"n_energy >= 504 .* got {n}$"):
+                    grid(res)
+            else:
+                assert grid(res).size == n
 
 
 def test_lorentzian_reference_peak_and_weight(res):
@@ -205,7 +207,7 @@ def test_propagated_projection_matches_the_pointwise_oracle(unit, res):
     spec = SpectrumRunSpec(dx=0.3, dt=1e-3)
     setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * res.tau))
     state = spec.release(setup, unit).final
-    grid = energy_grid(res.e_r, res.gamma, spec.e_cut, 500)
+    grid = energy_grid(res.e_r, res.gamma, spec.e_cut, 504)
     _assert_matches_pointwise(state, unit, grid)
 
 
@@ -240,7 +242,7 @@ def test_synthetic_projection_matches_the_pointwise_oracle(unit, res, n_outer):
     values[0] = 0.0
     state = WavefunctionGrid(0.125, values)
     assert int(np.sum(state.x > FINAL.outer_edge)) == n_outer
-    grid = energy_grid(res.e_r, res.gamma, 1000.0, 300)
+    grid = energy_grid(res.e_r, res.gamma, 1000.0, 504)
     _assert_matches_pointwise(state, unit, grid)
 
 
