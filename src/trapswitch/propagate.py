@@ -55,12 +55,13 @@ refused).  The steps run in blocks
 (13 steps on the decay box's 300 trap rows, 30 on the 134-row spectrum
 box): the trap rows of a block's steps are built as tables, one broadcast
 each from the scalar weights w(t), and only for a block where some w < 1;
-each step then indexes its row.  The LAPACK and BLAS routines are called
-positionally with their overwrite flags, so f2py copies nothing and each
-step solves in place in the buffer that holds 2M psi.  The recorded norm
-comes from the step's own right-hand side 2M psi, and the in-well
-probability from one dot of |psi|^2 with the trapezoid weights of
-`non_escape_probability`.
+each step then indexes its row.  M is (dx/6)(4, 1, 1) on every row, so
+each step solves L/c, c = dx/3, against the stencil (4, 1, 1) psi.  The
+LAPACK and BLAS routines are called positionally with their overwrite
+flags, so f2py copies nothing and each step solves in place in the buffer
+that holds the stencil.  The recorded norm is c/2 times the dot of psi with
+the step's own stencil, and the in-well probability one dot of |psi|^2 with
+the trapezoid weights of `non_escape_probability`.
 """
 
 import functools
@@ -362,10 +363,11 @@ class _Stepper:
     """The constant parts of the Crank-Nicolson steps at one dt.
 
     With z = i dt/2 and L(w) = M + z(H0 + w dV - iW), one step is
-    psi' = L^-1 (2M - L) psi = L^-1 (2M psi) - psi, so the right-hand side
-    2M psi does not depend on the switch; `propagate` solves into it.
-    An open box adds the constant edge (a nu_0 of `_OpenEdge`) to L's last
-    diagonal; the caller adds the edge's share to the last entry of rhs.
+    psi' = L^-1 (2M psi) - psi = (L/scale)^-1 S psi - psi, with scale = dx/3
+    and the stencil S = (4, 1, 1) (`_stencil`); S psi does not depend on the
+    switch, and `propagate` solves into it.  Every matrix here is L/scale.
+    An open box adds its edge (a nu_0 of `_OpenEdge`) over scale to the last
+    diagonal; the caller adds the edge's share, over scale, to rhs[-1].
     At w == 1.0 exactly L is constant: it is factored whole (`zgttrf`,
     `factor_whole`) on the first such step, and each such step is one
     `_Prefactored` solve over all rows.
@@ -376,9 +378,9 @@ class _Stepper:
     g = A22^-1 e1), then corrects the far part by -c x1[-1] g.  A far block
     with fewer rows than the trap block joins it, and each such step is one
     `zgtsv` over all rows: the block path's extra solve and update cost more
-    than the rows they spare (on a 2-core host the 135-node spectrum box
-    takes 12 us per step whole, 15 us in blocks; the 3,000-row decay box
-    keeps its blocks).
+    than the rows they spare (on one core of a 2-core host the 135-node
+    spectrum box takes 14 us per step whole, 16 us in blocks; the
+    3,000-row decay box keeps its blocks).
     The trap rows of `block` steps at a time come from `trap_rows` as
     tables, one broadcast each, so a step only indexes its row; a table
     stays under TABLE_BYTES.
@@ -387,15 +389,12 @@ class _Stepper:
     """
 
     def __init__(self, ops: _Operators, dt: float, edge: complex):
-        z = 0.5j * dt
         n = ops.m_diag.size
-        self.ops, self.z, self.edge = ops, z, edge
+        self.scale = 2.0 * float(ops.m_off[0])  # dx/3 as rounded: halving is exact
+        zs = 0.5j * dt / self.scale
+        self.ops, self.zs, self.edge = ops, zs, edge / self.scale
         self.lapack = _lapack()
-        # doubling is exact, so 2M psi carries the roundoff of M psi; numpy
-        # multiplies complex by complex faster than real by complex
-        self.m2_diag = 2.0 * ops.m_diag.astype(complex)
-        self.m2_off = 2.0 * ops.m_off.astype(complex)
-        lhs_diag, lhs_off = self._lhs(0.0)  # adding 0.0 z dV leaves L(0) exact
+        lhs_diag, lhs_off = self._lhs(0.0)  # adding 0.0 zs dV leaves L(0) exact
         # the trap block holds every row dV touches (an off entry touches
         # two) and at least MIN_BLOCK rows; a smaller far block joins it
         rows = np.concatenate(
@@ -408,8 +407,8 @@ class _Stepper:
         self.block = max(1, TABLE_BYTES // (16 * m))
         self.lhs_diag = lhs_diag[:m].copy()  # not a view: the rest is freed
         self.lhs_off = lhs_off[: m - 1].copy()
-        self.zdv_diag = z * ops.dv_diag[:m]
-        self.zdv_off = z * ops.dv_off[: m - 1]
+        self.zdv_diag = zs * ops.dv_diag[:m]
+        self.zdv_off = zs * ops.dv_off[: m - 1]
         self.whole = None  # the factors of L(1), made on the first step at w == 1.0
         self.far = None
         if m < n:
@@ -426,11 +425,12 @@ class _Stepper:
             self.g = g[: keep[-1] + 1]
 
     def _lhs(self, weight):
-        """Diagonal and off-diagonal of L(weight) over all interior rows,
-        rounded as the block path forms its trap rows."""
-        ops, z = self.ops, self.z
-        diag = ops.m_diag + z * (ops.h0_diag - 1j * ops.w_diag) + weight * (z * ops.dv_diag)
-        off = ops.m_off + z * (ops.h0_off - 1j * ops.w_off) + weight * (z * ops.dv_off)
+        """Diagonal and off-diagonal of L(weight)/scale over all interior
+        rows, rounded as the block path forms its trap rows.  The mass part
+        is (2, 1/2) exactly: a rounded 3/dx would bias every step alike."""
+        ops, zs = self.ops, self.zs
+        diag = 2.0 + zs * (ops.h0_diag - 1j * ops.w_diag) + weight * (zs * ops.dv_diag)
+        off = 0.5 + zs * (ops.h0_off - 1j * ops.w_off) + weight * (zs * ops.dv_off)
         if self.edge:
             diag[-1] += self.edge
         return diag, off
@@ -457,6 +457,13 @@ class _Stepper:
         if self.far is not None:
             diag[:, -1] -= self.schur
         return diag, lower, lower.copy()
+
+
+def _stencil(src, dst):
+    """dst = (4, 1, 1) src = (6/dx) M src, for views (v, v[1:], v[:-1], ...)."""
+    np.multiply(src[0], 4.0, out=dst[0])
+    np.add(dst[1], src[2], out=dst[1])
+    np.add(dst[2], src[1], out=dst[2])
 
 
 def _well_weights(span: float, dx: float, n: int) -> np.ndarray:
@@ -677,16 +684,16 @@ def propagate(
 
     def sample(j, vec, rhs):
         p = float(np.dot(well, np.abs(vec[: well.size]) ** 2))
-        nm = 0.5 * np.vdot(vec, rhs).real
+        nm = 0.5 * stepper.scale * np.vdot(vec, rhs).real
         if not (math.isfinite(p) and math.isfinite(nm)):
             raise NumericalBlowupError(f"non-finite observables at step {j}", step=j)
         times.append(j * dt)
         p_ws.append(p)
         norms.append(nm)
 
-    # Two buffers take turns: one holds psi, the other 2M psi, into which
-    # the step solves in place; psi' = x - psi overwrites x, and the old
-    # psi's buffer then takes 2M psi'.  Each carries the views a step uses.
+    # Two buffers take turns: one holds psi, the other S psi, into which the
+    # step solves in place; psi' = x - psi overwrites x, and the old psi's
+    # buffer then takes S psi'.  Each carries the views a step uses.
     m, far, whole = stepper.m, stepper.far, stepper.whole
     g_rows = 0 if far is None else stepper.g.size
 
@@ -696,26 +703,17 @@ def propagate(
         return v, v[1:], v[:-1], v[:m], v[m:], v[m : m + g_rows]
 
     cur, nxt = views(psi), views(np.empty_like(psi))
-    m2_diag, m2_off = stepper.m2_diag, stepper.m2_off
-    tmp = np.empty_like(m2_off)
-
-    def double_mass(src, dst):
-        """dst = 2M src, rounded as diag * v + off * v[1:] + off * v[:-1]."""
-        np.multiply(m2_diag, src[0], out=dst[0])
-        np.multiply(m2_off, src[1], out=tmp)
-        np.add(dst[2], tmp, out=dst[2])
-        np.multiply(m2_off, src[2], out=tmp)
-        np.add(dst[1], tmp, out=dst[1])
-
-    double_mass(cur, nxt)
+    _stencil(cur, nxt)
     sample(0, cur[0], nxt[0])
     zgtsv = stepper.lapack.zgtsv
     if far is not None:
         c, g = stepper.c, stepper.g
     if edge is not None:
-        s_rev, u_edge, u_out = edge.s_rev, edge.u_edge, edge.u_out
-        forcing, f_next = edge.forcing, edge.f_next
-        nu0, decay, ac, bc, a = edge.nu0, edge.decay, edge.ac, edge.bc, edge.a
+        s_rev, u_edge, u_out, f_next = edge.s_rev, edge.u_edge, edge.u_out, edge.f_next
+        nu0, ac, bc, a = edge.nu0, edge.ac, edge.bc, edge.a
+        # row J's load, over scale like the rest of the step
+        half, decay = 0.5 / stepper.scale, edge.decay / stepper.scale
+        forcing = [f / stepper.scale for f in edge.forcing]
         hist = last_edge = last_out = 0j  # u_J, u_{J+1} at the current step
     weight = schedule.weight
     block = stepper.block
@@ -728,7 +726,7 @@ def propagate(
             psi, rhs = cur[0], nxt[0]
             if edge is not None:
                 hist = complex(np.dot(s_rev[s_rev.size - j - 1 :], u_edge[: j + 1]))
-                rhs[-1] += 0.5 * hist - decay * last_edge + forcing[j]
+                rhs[-1] += half * hist - decay * last_edge + forcing[j]
             if w == 1.0:
                 if whole is None:
                     whole = stepper.factor_whole()
@@ -752,7 +750,7 @@ def propagate(
                 out = nu0 * u + (2.0 * ac * last_out + bc * last_edge - hist) / (2.0 * a)
                 u_edge[j + 1] = last_edge = u
                 u_out[j + 1] = last_out = out
-            double_mass(nxt, cur)
+            _stencil(nxt, cur)
             cur, nxt = nxt, cur
             step = j + 1
             if step % record_every == 0 or step == n_steps:

@@ -462,8 +462,9 @@ def map_runs(job, setups, *args) -> list:
 
     The runs are independent.  With more than one usable CPU they go to a
     pool of forked processes, one per CPU and at most one per setup, largest
-    grid work (n_nodes * n_steps) first, and all have finished on return, so
-    what the caller does next (a fit, a projection) has the CPUs to itself.
+    grid work (n_nodes * n_steps) first and, of equal work, the longest ramp
+    first, whose steps cost more.  All have finished on return, so what the
+    caller does next (a fit, a projection) has the CPUs to itself.
     With one, each run happens in this process when its callable is called.
     job, its arguments and its result must pickle, job by its import path.
 
@@ -481,11 +482,12 @@ def map_runs(job, setups, *args) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    largest_first = sorted(
-        range(len(setups)), key=lambda i: -setups[i].n_nodes() * setups[i].n_steps()
+    slowest_first = sorted(
+        range(len(setups)),
+        key=lambda i: (-setups[i].n_nodes() * setups[i].n_steps(), -setups[i].schedule.t_switch),
     )
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(job, setups[i], *args) for i in largest_first}
+        futures = {i: pool.submit(job, setups[i], *args) for i in slowest_first}
     return [futures[i].result for i in range(len(setups))]
 
 

@@ -26,6 +26,7 @@ from trapswitch.propagate import (
     _OpenEdge,
     _Prefactored,
     _Stepper,
+    _stencil,
     assemble_operators,
     edge_kernel,
     edge_rows,
@@ -476,10 +477,55 @@ def test_a_pivoted_factorization_is_refused():
         _Prefactored(*factors)
 
 
+#: The decay box and the 135-node open spectrum box.
+STENCIL_SPECS = [DecayRunSpec(t_end=2.5), SpectrumRunSpec(dx=0.15, dt=2.5e-4)]
+STENCIL_IDS = ["decay", "open-135"]
+
+
+@pytest.mark.parametrize("spec", STENCIL_SPECS, ids=STENCIL_IDS)
+def test_stencil_times_half_the_scale_is_the_mass_product(unit, spec):
+    """The step's right-hand side (4, 1, 1) psi is M psi over scale/2 on
+    every row, the open box's node J included."""
+    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES))
+    ops = assemble_operators(setup, unit)
+    psi = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, ops.m_diag.size))
+    rhs = np.empty_like(psi)
+    _stencil((psi, psi[1:], psi[:-1]), (rhs, rhs[1:], rhs[:-1]))
+    ref = _tri_mul(ops.m_diag, ops.m_off, psi)
+    scale = _Stepper(ops, setup.dt, 0.0).scale
+    assert np.max(np.abs(0.5 * scale * rhs - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spec", STENCIL_SPECS, ids=STENCIL_IDS)
+def test_scaled_step_matrices_have_an_exact_mass_part(unit, monkeypatch, spec):
+    """At dt = 0 every matrix the stepper factors or solves is its mass part
+    alone, which must be (2, 1/2) bit for bit: L scaled by a rounded 3/dx
+    would bias every step the same way."""
+    factored = []
+    lapack = propagate_module._lapack()
+    zgttrf = lapack.zgttrf
+
+    def recording(dl, d, du):
+        factored.append((d.copy(), dl.copy()))
+        return zgttrf(dl, d, du)
+
+    monkeypatch.setattr(lapack, "zgttrf", recording)
+    setup = spec.setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES))
+    stepper = _Stepper(assemble_operators(setup, unit), 0.0, 0.0)
+    stepper.factor_whole()
+    diags, lowers, uppers = stepper.trap_rows([0.0, 0.5, 1.0])
+    m = stepper.m if stepper.far is None else stepper.m - 1  # the last row holds the Schur term
+    assert len(factored) == (1 if stepper.far is None else 2)
+    for diag, off in [*factored, (stepper.lhs_diag, stepper.lhs_off), *zip(diags[:, :m], lowers),
+                      *zip(diags[:, :m], uppers)]:
+        assert np.array_equal(diag, np.full(diag.size, 2.0))
+        assert np.array_equal(off, np.full(off.size, 0.5))
+
+
 @pytest.mark.parametrize("absorbed", [True, False], ids=["absorbed-sudden", "unabsorbed-ramp"])
 def test_recorded_observables_match_the_final_state(unit, absorbed):
     """The record takes p_w from fixed trapezoid weights and the norm from
-    the step's right-hand side 2M psi; both must equal the direct forms on
+    the step's stencil right-hand side; both must equal the direct forms on
     the state they sample."""
     if absorbed:
         setup = DecayRunSpec(t_end=0.05).setup(_sudden())

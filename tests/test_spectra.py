@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +286,28 @@ def test_map_runs_returns_results_in_the_order_given(monkeypatch, cpus):
         assert pids == {os.getpid()}
     else:
         assert os.getpid() not in pids and 1 <= len(pids) <= cpus
+
+
+def test_map_runs_submits_the_longest_ramp_of_equal_work_first(monkeypatch):
+    """Of runs with equal grid work the one with the longest ramp goes first,
+    since its steps while the switch changes cost more than settled ones."""
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording(self, job, setup, *args):
+        submitted.append((setup.n_nodes() * setup.n_steps(), setup.schedule.t_switch))
+        return submit(self, job, setup, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    setups = [
+        PropagationSetup(SwitchingSchedule(INITIAL, FINAL, t_switch), dx=0.5, box_length=box,
+                         dt=1e-3, t_end=0.01, e_cut=1000.0)
+        for t_switch, box in ((0.0, 20.0), (0.024, 20.0), (0.053, 20.0), (0.41, 20.0), (0.0, 40.0))
+    ]
+    got = [pending() for pending in map_runs(_grid_work, setups, "x")]
+    assert [work for _, work, _ in got] == [41 * 10] * 4 + [81 * 10]
+    assert submitted == [(810, 0.0), (410, 0.41), (410, 0.053), (410, 0.024), (410, 0.0)]
 
 
 def _reflection_free(unit, spec, t_switch, grid):
