@@ -34,32 +34,30 @@ negative-imaginary part, the open edge a constant on the last diagonal),
 stored as (diagonal, off-diagonal) arrays.  The
 switch changes the step matrix only in the trap rows, x <= d + b, so while
 it changes each step is solved by block elimination: the constant far block
-past the trap is LU-factored (LAPACK `zgttrf`) once per run and time step,
-and each step refactors only the few hundred trap rows, whose
-last diagonal carries the far block's Schur complement.  A far block with
-fewer rows than the trap block is not worth its own solve and joins the
-trap block, so such a box solves all its rows each step.  The far block's
-response to its first row, g, decays geometrically; it is cut where it falls
-below 1e-17 of its first entry, because its tail changes nothing above
-roundoff and would otherwise fill the per-step update with slow subnormal
-arithmetic.  Once the switching weight is exactly 1 (all steps of a sudden
-switch, and every step after w(t) = -expm1(-t/T) rounds to 1) the step
-matrix is constant: it is factored whole on the first such step, and each
-later one is a single solve over all rows.  A factorization kept across
-steps is solved by two unit-bidiagonal sweeps (BLAS `ztbsv`) around one
-scaling by the reciprocal pivots, which divides on no row, where `zgttrs`
-divides on every row; the sweeps need a factorization that swapped no
-rows, and `zgttrf`'s partial pivoting swaps none on these matrices, whose
-pivots stay above the subdiagonal below them (a block where it would is
-refused).  The steps run in blocks
-(13 steps on the decay box's 300 trap rows, 30 on the 134-row spectrum
-box): the trap rows of a block's steps are built as tables, one broadcast
-each from the scalar weights w(t), and only for a block where some w < 1;
-each step then indexes its row.  M is (dx/6)(4, 1, 1) on every row, so
-each step solves L/c, c = dx/3, against the stencil (4, 1, 1) psi.  The
+past the trap is factored once per run and time step, from its bottom row
+up (LAPACK `zgttrf` on the reversed block), so it meets the trap rows only
+through its top pivot p_0; each step refactors only the few hundred trap
+rows, whose last diagonal carries the Schur term c^2/p_0, and nothing
+corrects the far rows afterwards.  A far block with fewer rows than the
+trap block is not worth its own solve and joins the trap block, so such a
+box solves all its rows each step.  Once the switching weight is exactly 1
+(all steps of a sudden switch, and every step after w(t) = -expm1(-t/T)
+rounds to 1) the step matrix is constant: it is factored whole on the
+first such step, and each later one is a single solve over all rows.  A
+factorization kept across steps is solved by two unit-bidiagonal sweeps
+(BLAS `ztbsv`) and one scaling by the reciprocal pivots, which divides on
+no row, where `zgttrs` divides on every row; the sweeps need a
+factorization that swapped no rows, and `zgttrf`'s partial pivoting swaps
+none on these matrices (a block where it would is refused).  The steps
+run in blocks (13 steps on the decay box's 300 trap rows, 30 on the
+134-row spectrum box): the trap rows of a block's steps are built as
+tables, one broadcast each from the scalar weights w(t), and only for a
+block where some w < 1; each step then indexes its row.  M is
+(dx/6)(4, 1, 1) on every row, so each step solves L/(dx/3) against the
+stencil (4, 1, 1) psi.  The
 LAPACK and BLAS routines are called positionally with their overwrite
 flags, so f2py copies nothing and each step solves in place in the buffer
-that holds the stencil.  The recorded norm is c/2 times the dot of psi with
+that holds the stencil.  The recorded norm is dx/6 times the dot of psi with
 the step's own stencil, and the in-well probability one dot of |psi|^2 with
 the trapezoid weights of `non_escape_probability`.
 """
@@ -120,11 +118,14 @@ def validate_setup(setup: PropagationSetup, unit: UnitSystem) -> list[str]:
     if setup.box_length <= 0.0:
         problems.append(f"box_length must be positive, got {setup.box_length}")
         return problems
-    if setup.dx > 0.0 and setup.n_nodes() - 2 < MIN_BLOCK:
-        problems.append(
-            f"box_length={setup.box_length:.6g} holds {max(setup.n_nodes() - 2, 0)} "
-            f"interior nodes at dx={setup.dx:.6g}; need >= {MIN_BLOCK}"
-        )
+    if setup.dx > 0.0:
+        # the rows `assemble_operators` keeps: an open box keeps its last node
+        rows = setup.n_nodes() - (2 if setup.absorber else 1)
+        if rows < MIN_BLOCK:
+            problems.append(
+                f"box_length={setup.box_length:.6g} at dx={setup.dx:.6g} leaves the solver "
+                f"{max(rows, 0)} of the {MIN_BLOCK} rows it needs"
+            )
     if setup.e_cut > 0.0:
         # both steps must carry components up to e_top = e_cut + v_top:
         # dx samples their wavelength 20 times, and dt keeps CN's group
@@ -294,9 +295,6 @@ def assemble_operators(setup: PropagationSetup, unit: UnitSystem) -> _Operators:
     )
 
 
-#: Relative size below which the tail of g = A22^-1 e1 is dropped.
-SCHUR_TAIL_CUT = 1e-17
-
 #: Largest size in bytes of one table of trap rows: a block of steps takes
 #: as many steps as keep its tables this small, so they stay in cache.
 TABLE_BYTES = 1 << 16
@@ -324,39 +322,54 @@ def _lapack_error(routine, info):
 
 
 class _Prefactored:
-    """A tridiagonal block A = L U from `zgttrf`, solved in place by two
-    unit-bidiagonal sweeps (BLAS `ztbsv`) and one scaling.
+    """A tridiagonal block (off, diag) factored from its bottom row up,
+    A = U L, and solved in place by two unit-bidiagonal sweeps (BLAS
+    `ztbsv`) and one scaling.
 
-    L is unit lower with the multipliers dl; U = D (I + D^-1 N) with the
-    pivots D and the superdiagonal N = du.  So A x = b is L y = b, then
-    y *= 1/D, then the unit upper sweep with du/D: no row divides, where
-    `zgttrs`'s back substitution divides on every row.  The sweeps hold
-    only while `zgttrf` swapped no rows, so a factorization that did is
-    refused."""
+    `zgttrf` factors the reversed block: U is unit upper, L lower with the
+    pivots p on its diagonal, p_0 made last.  `up` solves U y = b; `down`
+    sweeps with L's subdiagonal over p, then scales by r = 1/p, so no row
+    divides, where `zgttrs` divides on every row.  Row 0 of L is p_0 alone,
+    so rows joined to row 0 meet the block only through p_0.  The sweeps
+    hold only while `zgttrf` swapped no rows; a factorization that did is
+    refused, naming the row in the block's own order."""
 
-    def __init__(self, dl, d, du, du2, ipiv):
-        n = d.size
+    def __init__(self, off, diag):
+        n = diag.size
+        *factors, info = _lapack().zgttrf(off[::-1], diag[::-1], off[::-1])
+        if info:
+            raise _lapack_error("zgttrf", info)
+        multipliers, pivots, sub, du2, ipiv = factors
         swapped = ipiv != np.arange(1, n + 1)
         swapped[: du2.size] |= du2 != 0.0
         if swapped.any():
             raise NumericalBlowupError(
                 f"zgttrf swapped rows of a {n}-row Crank-Nicolson block, first at row "
-                f"{int(np.argmax(swapped))}, where a pivot is smaller than the row below it"
+                f"{n - 1 - int(np.argmax(swapped))}, where a pivot is smaller than the row "
+                "above it"
             )
-        self.r = 1.0 / d
+        self.r = 1.0 / pivots[::-1]
         # (2, n) Fortran-ordered bands, as ztbsv reads them without a copy
-        self.lower = np.zeros((2, n), dtype=complex, order="F")
-        self.lower[1, :-1] = dl
         self.upper = np.zeros((2, n), dtype=complex, order="F")
-        self.upper[0, 1:] = du * self.r[:-1]
+        self.upper[0, 1:] = multipliers[::-1]
+        self.lower = np.zeros((2, n), dtype=complex, order="F")
+        self.lower[1, :-1] = sub[::-1] * self.r[:-1]
         self.tbsv = _blas().ztbsv
+
+    # positional ztbsv: k, band, x, incx, offx, lower, trans, unit diag, overwrite
+    def up(self, b):
+        """Overwrite b, contiguous complex, with U^-1 b."""
+        self.tbsv(1, self.upper, b, 1, 0, 0, 0, 1, 1)
+
+    def down(self, b):
+        """Overwrite b, contiguous complex, with L^-1 b."""
+        self.tbsv(1, self.lower, b, 1, 0, 1, 0, 1, 1)
+        b *= self.r
 
     def solve(self, b):
         """Overwrite b, contiguous complex, with A^-1 b."""
-        # positional: k, band, x, incx, offx, lower, trans, unit diag, overwrite
-        self.tbsv(1, self.lower, b, 1, 0, 1, 0, 1, 1)
-        b *= self.r
-        self.tbsv(1, self.upper, b, 1, 0, 0, 0, 1, 1)
+        self.up(b)
+        self.down(b)
 
 
 class _Stepper:
@@ -368,17 +381,18 @@ class _Stepper:
     switch, and `propagate` solves into it.  Every matrix here is L/scale.
     An open box adds its edge (a nu_0 of `_OpenEdge`) over scale to the last
     diagonal; the caller adds the edge's share, over scale, to rhs[-1].
-    At w == 1.0 exactly L is constant: it is factored whole (`zgttrf`,
-    `factor_whole`) on the first such step, and each such step is one
+    At w == 1.0 exactly L is constant: it is factored whole
+    (`factor_whole`) on the first such step, and each such step is one
     `_Prefactored` solve over all rows.
     Otherwise L(w) depends on w only in its first m rows, the trap block
     that holds the support of dV.  The far block A22 below them is constant
-    and is factored once here.  Such a step solves A22, then the trap block
-    with the Schur term c^2 g0 on its last diagonal (c couples the blocks,
-    g = A22^-1 e1), then corrects the far part by -c x1[-1] g.  A far block
+    and is factored once here, bottom-up: `lhs_diag[-1]` carries the Schur
+    term c^2/p_0, c the entry that joins the blocks.  Such a step is
+    `far.up`, x1[-1] -= (c/p_0) x2[0], the trap solve, x2[0] -= c x1[-1]
+    and `far.down`.  A far block
     with fewer rows than the trap block joins it, and each such step is one
-    `zgtsv` over all rows: the block path's extra solve and update cost more
-    than the rows they spare (on one core of a 2-core host the 135-node
+    `zgtsv` over all rows: the block path's extra solve costs more
+    than the rows it spares (on one core of a 2-core host the 135-node
     spectrum box takes 14 us per step whole, 16 us in blocks; the
     3,000-row decay box keeps its blocks).
     The trap rows of `block` steps at a time come from `trap_rows` as
@@ -393,7 +407,6 @@ class _Stepper:
         self.scale = 2.0 * float(ops.m_off[0])  # dx/3 as rounded: halving is exact
         zs = 0.5j * dt / self.scale
         self.ops, self.zs, self.edge = ops, zs, edge / self.scale
-        self.lapack = _lapack()
         lhs_diag, lhs_off = self._lhs(0.0)  # adding 0.0 zs dV leaves L(0) exact
         # the trap block holds every row dV touches (an off entry touches
         # two) and at least MIN_BLOCK rows; a smaller far block joins it
@@ -412,17 +425,10 @@ class _Stepper:
         self.whole = None  # the factors of L(1), made on the first step at w == 1.0
         self.far = None
         if m < n:
-            self.far = self._factor(lhs_off[m:], lhs_diag[m:])
-            self.c = lhs_off[m - 1]
-            g = np.zeros(n - m, dtype=complex)
-            g[0] = 1.0
-            self.far.solve(g)
-            self.schur = self.c * self.c * g[0]
-            # g decays geometrically into the far block.  Past the cut its
-            # entries move x2 by less than roundoff, and once they turn
-            # subnormal they make the per-step update several times slower.
-            keep = np.flatnonzero(np.abs(g) >= SCHUR_TAIL_CUT * abs(g[0]))
-            self.g = g[: keep[-1] + 1]
+            self.far = _Prefactored(lhs_off[m:], lhs_diag[m:])
+            self.c = complex(lhs_off[m - 1])
+            self.c_p0 = self.c * complex(self.far.r[0])  # c/p_0
+            self.lhs_diag[-1] -= self.c * self.c_p0
 
     def _lhs(self, weight):
         """Diagonal and off-diagonal of L(weight)/scale over all interior
@@ -435,16 +441,10 @@ class _Stepper:
             diag[-1] += self.edge
         return diag, off
 
-    def _factor(self, off, diag):
-        *factors, info = self.lapack.zgttrf(off, diag, off)
-        if info:
-            raise _lapack_error("zgttrf", info)
-        return _Prefactored(*factors)
-
     def factor_whole(self):
         """L(1) over all rows, prefactored and kept as `whole`."""
         diag, off = self._lhs(1.0)
-        self.whole = self._factor(off, diag)
+        self.whole = _Prefactored(off, diag)
         return self.whole
 
     def trap_rows(self, weights):
@@ -454,8 +454,6 @@ class _Stepper:
         w = np.array(weights)[:, None]
         diag = self.lhs_diag + w * self.zdv_diag
         lower = self.lhs_off + w * self.zdv_off
-        if self.far is not None:
-            diag[:, -1] -= self.schur
         return diag, lower, lower.copy()
 
 
@@ -695,19 +693,17 @@ def propagate(
     # step solves in place; psi' = x - psi overwrites x, and the old psi's
     # buffer then takes S psi'.  Each carries the views a step uses.
     m, far, whole = stepper.m, stepper.far, stepper.whole
-    g_rows = 0 if far is None else stepper.g.size
 
     def views(v):
-        """v, its two shifts, its trap rows, its far rows and the far rows
-        that g reaches."""
-        return v, v[1:], v[:-1], v[:m], v[m:], v[m : m + g_rows]
+        """v, its two shifts, its trap rows and its far rows."""
+        return v, v[1:], v[:-1], v[:m], v[m:]
 
     cur, nxt = views(psi), views(np.empty_like(psi))
     _stencil(cur, nxt)
     sample(0, cur[0], nxt[0])
-    zgtsv = stepper.lapack.zgtsv
+    zgtsv = _lapack().zgtsv
     if far is not None:
-        c, g = stepper.c, stepper.g
+        c, c_p0 = stepper.c, stepper.c_p0
     if edge is not None:
         s_rev, u_edge, u_out, f_next = edge.s_rev, edge.u_edge, edge.u_out, edge.f_next
         nu0, ac, bc, a = edge.nu0, edge.ac, edge.bc, edge.a
@@ -736,13 +732,14 @@ def propagate(
                 if info:
                     raise _lapack_error("zgtsv", info)
             else:
-                _, _, _, x1, x2, x2_head = nxt
-                far.solve(x2)
-                rhs[m - 1] -= c * x2[0]
+                _, _, _, x1, x2 = nxt
+                far.up(x2)
+                x1[-1] -= c_p0 * x2[0]
                 info = zgtsv(lowers[k], diags[k], uppers[k], x1, 1, 1, 1, 1)[-1]
                 if info:
                     raise _lapack_error("zgtsv", info)
-                x2_head -= (c * x1[-1]) * g
+                x2[0] -= c * x1[-1]
+                far.down(x2)
             np.subtract(rhs, psi, out=rhs)
             if edge is not None:
                 # psi_J at step j + 1 and the psi_{J+1} it implies

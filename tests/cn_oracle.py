@@ -5,9 +5,10 @@ LAPACK `zgttrs` on `zgttrf`'s factors.
 
 Kept only as test oracles: `test_propagate.py` checks whole `propagate`
 runs against a loop of `_cn_step` (`cn_states`) and the sweeps of
-`_Prefactored` against `zgttrs_solve`, and the ground-state residual checks
+`_Prefactored` against `zgttrs_solve`, the ground-state residual checks
 (criterion 8g, `test_groundstate`) apply the inverse mass matrix with
-`_tri_solve`.  Not a test module.
+`_tri_solve`, and the Schur-term check solves the far block with it.  Not
+a test module.
 """
 
 import numpy as np

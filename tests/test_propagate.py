@@ -42,7 +42,7 @@ from trapswitch.spectra import (
     switch_and_record,
 )
 
-from cn_oracle import _tri_mul, cn_states, zgttrs_solve
+from cn_oracle import _tri_mul, _tri_solve, cn_states, zgttrs_solve
 from conftest import FINAL, INITIAL, KAPPA_BOUND, TAU_RES
 from mass_oracle import absorber_mass_by_elements, config_mass_by_edges, potential_mass
 
@@ -74,9 +74,22 @@ def test_validate_setup_flags_each_constraint(unit):
     ]
     assert validate_setup(replace(inside, absorber=True), unit) == []
 
+    # rows are what `assemble_operators` keeps: an open box keeps its last
+    # node, the absorbing box drops it
     tiny = PropagationSetup(schedule=_sudden(), dx=0.05, box_length=0.1,
                             dt=2e-4, t_end=0.0, e_cut=40.0)
-    assert any("1 interior nodes" in p for p in validate_setup(tiny, unit))
+    too_few = "box_length=0.1 at dx=0.05 leaves the solver {} of the 3 rows it needs"
+    assert too_few.format(2) in validate_setup(tiny, unit)
+    assert too_few.format(1) in validate_setup(replace(tiny, absorber=True), unit)
+    # four nodes around a trap that ends at 0.1 um: three rows, enough to run
+    trap = [replace(config, d=0.05, b=0.05) for config in (INITIAL, FINAL)]
+    smallest = replace(tiny, schedule=SwitchingSchedule(*trap, 0.0), box_length=0.15,
+                       t_end=10 * tiny.dt)
+    assert smallest.n_nodes() == 4 and validate_setup(smallest, unit) == []
+    phi = WavefunctionGrid(smallest.dx, np.array([0.0, 1.0, 1.0, 1.0])).normalized()
+    record = propagate(phi, smallest, unit, record_every=1).record
+    assert record.times.size == 11
+    assert np.all(np.isfinite(record.p_w)) and np.all(np.isfinite(record.norm))
 
     # CN carries e_cut + v_top = 390 hbar/s at 1/(1 + 0.975^2) of its group
     # velocity here, so dt must come down to 1/390 s
@@ -422,10 +435,18 @@ def _sweep_drift(solver, diag, off):
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
 
+def _open_60um(unit):
+    """A 60 um open box: its 900-row far block ends in the edge-gain row."""
+    setup = PropagationSetup(SwitchingSchedule(INITIAL, FINAL, 0.01), dx=0.05, box_length=60.0,
+                             dt=2e-4, t_end=0.1, e_cut=1000.0)
+    return _Stepper(assemble_operators(setup, unit), setup.dt, _open_gain(setup, unit))
+
+
 def test_bidiagonal_sweeps_match_zgttrs(unit):
-    """The prefactored solves of the decay box (its L(1) and far block) and
-    of the 135-node open box with its edge gain (its L(1)) against the
-    `zgttrs` they replace."""
+    """The prefactored solves of the decay box (its L(1) and far block), of
+    a 60 um open box's far block, whose last row carries the edge gain and
+    is the first the bottom-up elimination takes, and of the 135-node open
+    box with its edge gain (its L(1)) against the `zgttrs` they replace."""
     decay = DecayRunSpec(t_end=2.5).setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES))
     stepper = _Stepper(assemble_operators(decay, unit), decay.dt, 0.0)
     diag, off = stepper._lhs(0.0)
@@ -433,11 +454,36 @@ def test_bidiagonal_sweeps_match_zgttrs(unit):
     assert _sweep_drift(stepper.far, diag[m:], off[m:]) <= 1e-13
     assert _sweep_drift(stepper.factor_whole(), *stepper._lhs(1.0)) <= 1e-13
 
+    stepper = _open_60um(unit)
+    diag, off = stepper._lhs(0.0)
+    m = stepper.m
+    assert diag.size - m == 900 and stepper.edge
+    assert _sweep_drift(stepper.far, diag[m:], off[m:]) <= 1e-13
+
     spectrum = SpectrumRunSpec(dx=0.15, dt=2.5e-4).setup(SwitchingSchedule(INITIAL, FINAL, 0.0))
     stepper = _Stepper(assemble_operators(spectrum, unit), spectrum.dt, _open_gain(spectrum, unit))
     diag, off = stepper._lhs(1.0)
     assert diag.size == 134 and stepper.far is None
     assert _sweep_drift(stepper.factor_whole(), diag, off) <= 1e-13
+
+
+@pytest.mark.parametrize("box", ["decay", "open-60um"])
+def test_schur_term_is_the_far_blocks_top_response(unit, box):
+    """The bottom-up factors meet the trap rows through the top pivot p_0
+    alone: the Schur term on the trap block's last diagonal, c^2/p_0, is
+    c^2 (A22^-1)_00 from a banded solve of the far block."""
+    if box == "decay":
+        decay = DecayRunSpec(t_end=2.5).setup(SwitchingSchedule(INITIAL, FINAL, 0.058 * TAU_RES))
+        stepper = _Stepper(assemble_operators(decay, unit), decay.dt, 0.0)
+    else:
+        stepper = _open_60um(unit)
+    diag, off = stepper._lhs(0.0)
+    m = stepper.m
+    e0 = np.zeros(diag.size - m, dtype=complex)
+    e0[0] = 1.0
+    ref = off[m - 1] ** 2 * _tri_solve(diag[m:], off[m:], e0)[0]
+    term = diag[m - 1] - stepper.lhs_diag[-1]
+    assert abs(term - ref) <= 1e-14 * abs(ref)
 
 
 #: dx and dt from the finest in use up to the largest that validate_setup
@@ -451,8 +497,9 @@ PIVOT_DT = [1e-6, 2e-4, 2.8e-3]
 @pytest.mark.parametrize("dt", PIVOT_DT)
 @pytest.mark.parametrize("dx", PIVOT_DX)
 def test_zgttrf_swaps_no_rows(unit, dx, dt, box, absorbed):
-    """The premise of the bidiagonal sweeps: partial pivoting keeps every
-    row of L(w) in place for w in {0, 1/2, 1}, far block included."""
+    """The premise of the bidiagonal sweeps: partial pivoting, from the
+    bottom row up as `_Prefactored` factors, keeps every row of L(w) in
+    place for w in {0, 1/2, 1}, far block included."""
     setup = PropagationSetup(SwitchingSchedule(INITIAL, FINAL, 0.01), dx, box, dt,
                              t_end=0.0, e_cut=1.0, absorber=absorbed)
     assert validate_setup(setup, unit) == []
@@ -461,20 +508,20 @@ def test_zgttrf_swaps_no_rows(unit, dx, dt, box, absorbed):
     lapack = propagate_module._lapack()
     for w in (0.0, 0.5, 1.0):
         diag, off = stepper._lhs(w)
-        _, _, _, du2, ipiv, info = lapack.zgttrf(off, diag, off)
+        _, _, _, du2, ipiv, info = lapack.zgttrf(off[::-1], diag[::-1], off[::-1])
         assert info == 0
         assert np.array_equal(ipiv, np.arange(1, diag.size + 1)) and not np.any(du2)
 
 
 def test_a_pivoted_factorization_is_refused():
-    # the second pivot, 0.1 - 0.5^2 / 1, is smaller than the 0.5 below it,
-    # so zgttrf swaps rows 1 and 2
+    # from the bottom up, row 1's pivot, 0.1 - 0.5^2 / 0.75, is smaller than
+    # the 0.5 above it, so zgttrf swaps rows 1 and 0 (2 and 3 reversed)
     diag = np.array([1.0, 0.1, 1.0, 1.0], dtype=complex)
     off = np.full(3, 0.5, dtype=complex)
-    *factors, info = propagate_module._lapack().zgttrf(off, diag, off)
-    assert info == 0 and factors[-1][1] == 3
+    *_, ipiv, info = propagate_module._lapack().zgttrf(off, diag[::-1], off)
+    assert info == 0 and ipiv[2] == 4
     with pytest.raises(NumericalBlowupError, match=r"4-row Crank-Nicolson block, first at row 1,"):
-        _Prefactored(*factors)
+        _Prefactored(off, diag)
 
 
 #: The decay box and the 135-node open spectrum box.
@@ -516,8 +563,8 @@ def test_scaled_step_matrices_have_an_exact_mass_part(unit, monkeypatch, spec):
     diags, lowers, uppers = stepper.trap_rows([0.0, 0.5, 1.0])
     m = stepper.m if stepper.far is None else stepper.m - 1  # the last row holds the Schur term
     assert len(factored) == (1 if stepper.far is None else 2)
-    for diag, off in [*factored, (stepper.lhs_diag, stepper.lhs_off), *zip(diags[:, :m], lowers),
-                      *zip(diags[:, :m], uppers)]:
+    for diag, off in [*factored, (stepper.lhs_diag[:m], stepper.lhs_off),
+                      *zip(diags[:, :m], lowers), *zip(diags[:, :m], uppers)]:
         assert np.array_equal(diag, np.full(diag.size, 2.0))
         assert np.array_equal(off, np.full(off.size, 0.5))
 
