@@ -81,6 +81,11 @@ def _pole_region(unit):
     return (0.0, k_hi, -0.45 * k_hi, k_hi)
 
 
+def _resonance(spec: ExperimentSpec):
+    with _stage("resonance"):
+        return lowest_resonance(spec.final, spec.unit)
+
+
 def run_poles(spec: ExperimentSpec):
     region = spec.options.get("region") or _pole_region(spec.unit)
     with _stage("pole-search"):
@@ -155,8 +160,7 @@ def run_delay_spectrum(spec: ExperimentSpec):
     halfwidth = spec.options.get("window_halfwidth", 10.0)
     n_energy = spec.options.get("n_energy", 800)
     with_offset = spec.options.get("with_offset", True)
-    with _stage("resonance"):
-        res = lowest_resonance(spec.final, spec.unit)
+    res = _resonance(spec)
     e = np.linspace(
         res.e_r - halfwidth * res.gamma, res.e_r + halfwidth * res.gamma, n_energy
     )
@@ -195,33 +199,23 @@ def run_delay_spectrum(spec: ExperimentSpec):
     return [table], scalars, checks, {"delay_spectrum": plot}
 
 
-def _t_fractions(spec: ExperimentSpec):
-    return spec.options.get("t_switch_fractions", DEFAULT_T_FRACTIONS)
-
-
-def _decay_plan(spec: ExperimentSpec, tau: float):
-    """Switching fractions, late-fit starts and run record of decay-curves."""
-    fracs = _t_fractions(spec)
+def _decay_plan(spec: ExperimentSpec):
+    """Lifetime, switching fractions, late-fit starts, run record and setups
+    of decay-curves."""
+    tau = _resonance(spec).tau
+    fracs = spec.options.get("t_switch_fractions", DEFAULT_T_FRACTIONS)
     # late-fit start: past the switch transient, where the residual trap
     # reshaping perturbs the decay rate well below the check tolerance
     t_mins = [max(0.5, 6.32 * f * tau) for f in fracs]
     t_end = max(t_mins) + max(1.45, FIT_SPAN_LIFETIMES * tau)
-    return fracs, t_mins, replace(DecayRunSpec(t_end=t_end), **spec.numerics)
-
-
-def _setups(
-    spec: ExperimentSpec, run: DecayRunSpec | SpectrumRunSpec, t_switches
-) -> list[PropagationSetup]:
-    """The setups of one run record at the given switching times."""
-    return [run.setup(SwitchingSchedule(spec.initial, spec.final, t)) for t in t_switches]
+    run = replace(DecayRunSpec(t_end=t_end), **spec.numerics)
+    setups = [run.setup(SwitchingSchedule(spec.initial, spec.final, f * tau)) for f in fracs]
+    return tau, fracs, t_mins, run, setups
 
 
 def run_decay_curves(spec: ExperimentSpec):
-    with _stage("resonance"):
-        res = lowest_resonance(spec.final, spec.unit)
-    tau = res.tau
-    fracs, t_mins, run = _decay_plan(spec, tau)
-    runs = map_runs(run.release, _setups(spec, run, [f * tau for f in fracs]), spec.unit)
+    tau, fracs, t_mins, run, setups = _decay_plan(spec)
+    runs = map_runs(run.release, setups, spec.unit)
     table = Table("decay_curves")
     checks = []
     scalars = {"tau_pole": tau, "t_end": run.t_end}
@@ -255,19 +249,20 @@ def run_decay_curves(spec: ExperimentSpec):
 
 
 def _spectrum_plan(spec: ExperimentSpec):
-    """Switching fractions and run record of spectrum-vs-T."""
-    return _t_fractions(spec), replace(SpectrumRunSpec(), **spec.numerics)
+    """Resonance, switching fractions, run record, energy grid and setups of
+    spectrum-vs-T; a grid that misses the deviation window is refused."""
+    res = _resonance(spec)
+    fracs = spec.options.get("t_switch_fractions", DEFAULT_T_FRACTIONS)
+    run = replace(SpectrumRunSpec(), **spec.numerics)
+    setups = [run.setup(SwitchingSchedule(spec.initial, spec.final, f * res.tau)) for f in fracs]
+    return res, fracs, run, run.grid(res), setups
 
 
 def run_spectrum_vs_t(spec: ExperimentSpec):
-    with _stage("resonance"):
-        res = lowest_resonance(spec.final, spec.unit)
-    tau = res.tau
-    fracs, run = _spectrum_plan(spec)
-    grid = run.grid(res)
+    res, fracs, run, grid, setups = _spectrum_plan(spec)
     # the sudden point's run takes no step: it cuts the prepared state at the
     # box edge, with its tail
-    runs = map_runs(run.release, _setups(spec, run, [f * tau for f in fracs]), spec.unit)
+    runs = map_runs(run.release, setups, spec.unit)
     released = []
     for frac, pending in zip(fracs, runs):
         with _stage(f"spectrum-{frac_label(frac)}"):
@@ -279,7 +274,7 @@ def run_spectrum_vs_t(spec: ExperimentSpec):
     table.add("e", "hbar/s", grid)
     table.add("lorentzian_ref", "s/hbar", lorentzian_reference(res, grid))
     checks = []
-    scalars = {"e_r": res.e_r, "gamma": res.gamma, "tau": tau}
+    scalars = {"e_r": res.e_r, "gamma": res.gamma, "tau": res.tau}
     for frac, (state, edge), dist in zip(fracs, released, dists):
         label = frac_label(frac)
         total = dist.total
@@ -376,22 +371,30 @@ def run_iso_curves(spec: ExperimentSpec):
     return tables, scalars, checks, {"iso_curves": plot}
 
 
-def run_t_scan(spec: ExperimentSpec):
+def _scan_plan(spec: ExperimentSpec):
+    """Resonance, objectives and scan options of t-scan."""
     scan = dict(spec.options)  # t_range_fractions, n_coarse, refine_rtol
     objectives = scan.pop("objectives", OBJECTIVES)
+    return _resonance(spec), objectives, scan
+
+
+def run_t_scan(spec: ExperimentSpec):
+    res, objectives, scan = _scan_plan(spec)
     tables, checks, scalars = [], [], {}
     stars = {}
     for objective in objectives:
         short = objective.split("-")[0]
         with _stage(f"scan-{short}"):
-            result = optimal_switch_time(objective, spec.initial, spec.final, spec.unit, **scan)
+            result = optimal_switch_time(
+                objective, spec.initial, spec.final, spec.unit, res, **scan
+            )
         table = Table(f"tscan_{short}")
         table.add("t_switch", "s", result.t_values)
         table.add("objective", "-", result.values)
         tables.append(table)
         stars[objective] = result.t_star
         scalars[f"t_star_{short}"] = result.t_star
-        scalars[f"t_star_{short}_over_tau"] = result.t_star / result.tau
+        scalars[f"t_star_{short}_over_tau"] = result.t_star / res.tau
         scalars[f"multimodal_{short}"] = int(result.multimodal)
         checks.append(
             Check(
@@ -427,32 +430,19 @@ def run_t_scan(spec: ExperimentSpec):
 
 
 def planned_setups(spec: ExperimentSpec) -> list[PropagationSetup]:
-    """The setups `run` would propagate, built without propagating (t-scan:
-    the coarse scan points; refined points lie between them).  Raises what
-    the runner refuses before its first run, such as an energy grid that
-    misses the resonance."""
-    if spec.name not in ("decay-curves", "spectrum-vs-T", "t-scan"):
-        return []
-    with _stage("resonance"):
-        res = lowest_resonance(spec.final, spec.unit)
-    tau = res.tau
+    """The setups `run` would propagate, from the runner's own planner,
+    without propagating (t-scan: the coarse scan points; refined points lie
+    between them).  Raises what the planner refuses before the first run,
+    such as an energy grid that misses the resonance."""
     if spec.name == "decay-curves":
-        fracs, _, run = _decay_plan(spec, tau)
-        return _setups(spec, run, [f * tau for f in fracs])
+        return _decay_plan(spec)[-1]
     if spec.name == "spectrum-vs-T":
-        fracs, run = _spectrum_plan(spec)
-        run.grid(res)  # the runner refuses a grid that misses the resonance
-        return _setups(spec, run, [f * tau for f in fracs])
-    scan = dict(spec.options)  # t_range_fractions, n_coarse, refine_rtol
-    objectives = scan.pop("objectives", OBJECTIVES)
+        return _spectrum_plan(spec)[-1]
+    if spec.name != "t-scan":
+        return []
+    res, objectives, scan = _scan_plan(spec)
     scan.pop("refine_rtol", None)
-    setups = []
-    for objective in objectives:
-        run, t_switches = scan_plan(objective, tau, **scan)
-        if objective == LORENTZIAN_OBJECTIVE:
-            run.grid(res)
-        setups += _setups(spec, run, t_switches)
-    return setups
+    return [s for o in objectives for s in scan_plan(o, spec.initial, spec.final, res, **scan)[1]]
 
 
 RUNNERS = {

@@ -142,11 +142,15 @@ def validate_setup(setup: PropagationSetup, unit: UnitSystem) -> list[str]:
                 f"dt={setup.dt:.6g} carries energy e_cut + v_top = {e_top:.6g} over 20% "
                 f"slow; need dt <= {1.0 / e_top:.6g}"
             )
+    # the open edge, or the absorbing ramp over the box's last ABSORBER_FRACTION, needs V = 0
     trap_edge = max(setup.schedule.initial.outer_edge, setup.schedule.final.outer_edge)
-    if not setup.absorber and setup.box_length < trap_edge:
+    start = 1.0 - ABSORBER_FRACTION if setup.absorber else 1.0
+    if setup.box_length * start < trap_edge:
+        where = "starts its absorber" if setup.absorber else "ends"
+        layer = "absorber" if setup.absorber else "open edge"
         problems.append(
-            f"box_length={setup.box_length:.6g} ends inside the trap; the open edge "
-            f"needs V = 0 past it, so box_length >= {trap_edge:.6g}"
+            f"box_length={setup.box_length:.6g} {where} inside the trap; the {layer} "
+            f"needs V = 0 past it, so box_length >= {trap_edge / start:.6g}"
         )
     return problems
 

@@ -659,7 +659,6 @@ class SwitchScanResult:
     t_values: np.ndarray
     values: np.ndarray
     multimodal: bool
-    tau: float
 
 
 def _golden_refine(f, a, b, rtol):
@@ -689,14 +688,21 @@ def _golden_refine(f, a, b, rtol):
 
 def scan_plan(
     objective: str,
-    tau: float,
+    initial_config: PotentialConfig,
+    final_config: PotentialConfig,
+    resonance: Resonance,
     t_range_fractions: tuple[float, float] = (0.01, 0.6),
     n_coarse: int = 15,
-) -> tuple[SpectrumRunSpec | DecayRunSpec, np.ndarray]:
-    """The run record and the coarse switching times of one scan; the range
-    is in lifetimes, 0 < low < high <= 2 (checked when a spec is parsed)."""
+) -> tuple[SpectrumRunSpec | DecayRunSpec, list[PropagationSetup], np.ndarray | None]:
+    """The run record, the setups at the coarse switching times and, for the
+    Lorentzian objective, the energy grid (refused when it misses the
+    deviation window) of one scan; the range is in lifetimes of the given
+    resonance, 0 < low < high <= 2 (checked when a spec is parsed)."""
+    tau = resonance.tau
+    grid = None
     if objective == LORENTZIAN_OBJECTIVE:
         run = SpectrumRunSpec()
+        grid = run.grid(resonance)
     elif objective == EXPONENTIAL_OBJECTIVE:
         run = DecayRunSpec(t_end=LATE_FIT_T_MIN + FIT_SPAN_LIFETIMES * tau)
     else:
@@ -705,7 +711,9 @@ def scan_plan(
             f"{LORENTZIAN_OBJECTIVE!r} or {EXPONENTIAL_OBJECTIVE!r}"
         )
     lo, hi = t_range_fractions
-    return run, np.geomspace(lo * tau, hi * tau, n_coarse)
+    ts = np.geomspace(lo * tau, hi * tau, n_coarse)
+    setups = [run.setup(SwitchingSchedule(initial_config, final_config, t)) for t in ts]
+    return run, setups, grid
 
 
 def optimal_switch_time(
@@ -713,43 +721,41 @@ def optimal_switch_time(
     initial_config: PotentialConfig,
     final_config: PotentialConfig,
     unit: UnitSystem,
+    resonance: Resonance,
     refine_rtol: float = 0.05,
     **plan,
 ) -> SwitchScanResult:
-    """Scan the switching time for the best release, under a declared metric.
+    """Scan the switching time for the best release into the given
+    resonance of the final trap, under a declared metric; the caller finds
+    it (`lowest_resonance`) once for every objective.
 
-    A coarse log-spaced scan, `scan_plan(objective, tau, **plan)` (keywords
-    t_range_fractions, n_coarse), brackets the minimum, golden-section
-    refines it to +-refine_rtol.  Several coarse local minima within 10% of
-    each other flag the scan as multimodal; the global grid minimum is then
-    returned unrefined rather than silently picking one basin.
+    A coarse log-spaced scan, `scan_plan(objective, initial_config,
+    final_config, resonance, **plan)` (keywords t_range_fractions,
+    n_coarse), brackets the minimum, golden-section refines it to
+    +-refine_rtol.  Several coarse local minima within 10% of each other
+    flag the scan as multimodal; the global grid minimum is then returned
+    unrefined rather than silently picking one basin.
     """
-    resonance = lowest_resonance(final_config, unit)
-    tau = resonance.tau
-    run, ts = scan_plan(objective, tau, **plan)
+    run, coarse, grid = scan_plan(objective, initial_config, final_config, resonance, **plan)
+    ts = np.array([setup.schedule.t_switch for setup in coarse])
     n_coarse = len(ts)
 
     if objective == LORENTZIAN_OBJECTIVE:
-        grid = run.grid(resonance)
-
         def scores(runs):
             released = [(out.final, out.edge) for out in runs]
             dists = energy_distributions(released, final_config, unit, grid)
             return [lorentzian_deviation(dist, resonance) for dist in dists]
     else:
         def scores(records):
-            return [exponential_deviation(record, tau) for record in records]
-
-    def setup(t_switch):
-        return run.setup(SwitchingSchedule(initial_config, final_config, t_switch))
+            return [exponential_deviation(record, resonance.tau) for record in records]
 
     def evaluate(t_switch: float) -> float:
-        return scores([run.release(setup(t_switch), unit)])[0]
+        setup = run.setup(SwitchingSchedule(initial_config, final_config, t_switch))
+        return scores([run.release(setup, unit)])[0]
 
     # the coarse points run at once and are scored together; each refinement
     # point depends on the last
-    coarse = map_runs(run.release, [setup(t) for t in ts], unit)
-    vs = np.array(scores([pending() for pending in coarse]))
+    vs = np.array(scores([pending() for pending in map_runs(run.release, coarse, unit)]))
 
     minima = []
     for i in range(n_coarse):
@@ -781,5 +787,4 @@ def optimal_switch_time(
         t_values=t_sorted,
         values=v_sorted,
         multimodal=multimodal,
-        tau=tau,
     )

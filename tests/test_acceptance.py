@@ -57,10 +57,10 @@ def resonance(unit):
 
 
 @pytest.fixture(scope="module")
-def scan_results(unit):
+def scan_results(unit, resonance):
     """Both switching-time scans at production settings (the slow part)."""
-    lor = optimal_switch_time(LORENTZIAN_OBJECTIVE, INITIAL, FINAL, unit)
-    exp = optimal_switch_time(EXPONENTIAL_OBJECTIVE, INITIAL, FINAL, unit)
+    lor = optimal_switch_time(LORENTZIAN_OBJECTIVE, INITIAL, FINAL, unit, resonance)
+    exp = optimal_switch_time(EXPONENTIAL_OBJECTIVE, INITIAL, FINAL, unit, resonance)
     return lor, exp
 
 

@@ -353,8 +353,9 @@ class _FirstStep(Exception):
 
 #: (config, override, refused): a dt ladder at theta = (e_cut + v_top) dt/2
 #: from 0.094 to 2.7 (refused above 0.5), a ramp shorter than one step, an
-#: e_cut below the resonance, whose P(E) grid misses the fit window, and an
-#: n_energy below the 504 energies the grid needs
+#: e_cut below the resonance, whose P(E) grid misses the fit window, an
+#: n_energy below the 504 energies the grid needs, and decay boxes whose wall
+#: or absorbing quarter starts inside the 15 um trap
 LADDER = [
     ("decay_curves.yaml", "numerics.dt=2e-4", False),  # theta 0.135
     ("decay_curves.yaml", "numerics.dt=4e-4", False),  # 0.27
@@ -362,6 +363,9 @@ LADDER = [
     ("decay_curves.yaml", "numerics.dt=1.6e-3", True),  # 1.08
     ("decay_curves.yaml", "numerics.dt=4.0e-3", True),  # 2.7
     ("decay_curves.yaml", "experiment.t_switch_fractions=[1e-4]", False),  # T = 0.2 dt
+    ("decay_curves.yaml", "numerics.box_length=10", True),  # wall inside the trap
+    ("decay_curves.yaml", "numerics.box_length=18", True),  # absorber from 13.5 um
+    ("decay_curves.yaml", "numerics.box_length=20", False),  # absorber from 15 um
     ("spectrum_vs_t.yaml", "numerics.dt=2.5e-4", False),  # 0.094
     ("spectrum_vs_t.yaml", "numerics.dt=8e-4", False),  # 0.30
     ("spectrum_vs_t.yaml", "numerics.dt=1.6e-3", True),  # 0.60

@@ -226,7 +226,7 @@ def test_decay_default_window_spans_the_fit_margin_for_long_lifetimes(tmp_path):
     )
     tau = lowest_resonance(spec.final, spec.unit).tau
     assert tau > 0.5
-    _, t_mins, run = _decay_plan(spec, tau)
+    _, _, t_mins, run, _ = _decay_plan(spec)
     # t_end = max(t_mins) + 3.3 tau, and subtracting max(t_mins) back can
     # lose an ulp, so the span is compared with a relative allowance
     span = run.t_end - max(t_mins)

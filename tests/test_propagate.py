@@ -66,13 +66,18 @@ def test_validate_setup_flags_each_constraint(unit):
                                 absorber=True)
     assert validate_setup(absorbed, unit) == []
 
-    # an open edge needs V = 0 past it; the absorbing box has a wall there
+    # an open edge needs V = 0 past it, and so does the absorbing ramp over
+    # the box's last quarter, which a 12 um box starts at 9 um
     inside = replace(absorbed, box_length=12.0, absorber=False)
     assert validate_setup(inside, unit) == [
         "box_length=12 ends inside the trap; the open edge needs V = 0 past it, "
         "so box_length >= 15"
     ]
-    assert validate_setup(replace(inside, absorber=True), unit) == []
+    assert validate_setup(replace(inside, absorber=True), unit) == [
+        "box_length=12 starts its absorber inside the trap; the absorber needs V = 0 "
+        "past it, so box_length >= 20"
+    ]
+    assert validate_setup(replace(inside, box_length=20.0, absorber=True), unit) == []
 
     # rows are what `assemble_operators` keeps: an open box keeps its last
     # node, the absorbing box drops it
