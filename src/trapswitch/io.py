@@ -24,10 +24,8 @@ from .errors import SpecValidationError
 from .model import PotentialConfig, UnitSystem, make_unit_system
 from .spectra import MIN_FIT_SAMPLES, OBJECTIVES, DecayRunSpec, SpectrumRunSpec
 
-_PHYSICS_KEYS = {"mass_amu", "initial", "final", "d", "b"}
 #: default well width d and barrier width b, in um
 _GEOMETRY = {"d": 5.0, "b": 10.0}
-_TRAP_KEYS = {"v_well", "v_barrier"}
 _ROOT_PROBLEM = "spec root must be a mapping with experiment/physics/numerics/outputs"
 
 
@@ -80,46 +78,49 @@ def _objectives_fault(value):
     return None if len(set(value)) == len(value) else f"names an objective twice: {value}"
 
 
-#: experiment -> {option key its runner reads: why a value is bad, or None},
-#: for every experiment name; well-formed values are kept as parsed
-_OPTION_KEYS = {
-    "iso-curves": {
+#: experiment -> check tables of the options and numerics keys its runner
+#: reads (for a propagating runner, the fields of its run record).  A check is
+#: a number type (a finite one > 0), a function saying why a value is bad (or
+#: None), or a subsection's (expected, check table); values are kept as parsed.
+_SCHEMA = {
+    "iso-curves": ({
         "e_r_targets": lambda v: _numbers_fault(v) or _number_fault(min(v)),
-        "v_well_range": lambda v: _range_fault(v, 0.0),
         "n_points": lambda v: _number_fault(v, int, 2, closed=True),
-    },
-    "delay-spectrum": {
-        "window_halfwidth": _number_fault,
+        "v_well_range": lambda v: _range_fault(v, 0.0),
+    }, {}),
+    "delay-spectrum": ({
         "n_energy": lambda v: _number_fault(v, int, MIN_FIT_SAMPLES, closed=True),
+        "window_halfwidth": float,
         "with_offset": lambda v: (
             None if isinstance(v, bool) else f"expected true or false, got {v!r}"
         ),
-    },
-    "decay-curves": {"t_switch_fractions": _fractions_fault},
-    "spectrum-vs-T": {"t_switch_fractions": _fractions_fault},
-    "t-scan": {
+    }, {}),
+    "decay-curves": ({"t_switch_fractions": _fractions_fault},
+                     {f.name: f.type for f in fields(DecayRunSpec)}),
+    "spectrum-vs-T": ({"t_switch_fractions": _fractions_fault},
+                      {f.name: f.type for f in fields(SpectrumRunSpec)}),
+    "t-scan": ({
+        # three points are the fewest that can hold an interior minimum
+        "n_coarse": lambda v: _number_fault(v, int, 3, closed=True),
         "objectives": _objectives_fault,
+        "refine_rtol": float,
         "t_range_fractions": lambda v: _range_fault(v, 0.0, 2.0, closed=False),
-        "n_coarse": lambda v: _number_fault(v, int),
-        "refine_rtol": _number_fault,
-    },
-    "poles": {
+    }, {}),
+    "poles": ({
         "region": lambda v: _numbers_fault(v, 4) or (
             None if v[0] < v[1] and v[2] < v[3] else f"need min < max on both axes, got {v}"
         ),
-    },
-    "ground-state": {"x_max": _number_fault},
+    }, {}),
+    "ground-state": ({"x_max": float}, {"dx": float}),
 }
-#: experiment -> {numerics key its runner reads: type}; every value is > 0.
-#: The propagating runners accept exactly the fields of their run record.
-_NUMERICS_KEYS = {
-    "iso-curves": {},
-    "delay-spectrum": {},
-    "decay-curves": {f.name: f.type for f in fields(DecayRunSpec)},
-    "spectrum-vs-T": {f.name: f.type for f in fields(SpectrumRunSpec)},
-    "t-scan": {},
-    "poles": {},
-    "ground-state": {"dx": float},
+#: a trap's depths in hbar/s, each >= 0
+_TRAP = ("a mapping with v_well/v_barrier",
+         dict.fromkeys(["v_barrier", "v_well"], lambda v: _number_fault(v, closed=True)))
+_PHYSICS = {"d": float, "b": float, "mass_amu": float, "initial": _TRAP, "final": _TRAP}
+_OUTPUTS = {
+    "directory": lambda v: (
+        None if isinstance(v, str) and v else f"expected a non-empty string, got {v!r}"
+    ),
 }
 
 
@@ -136,9 +137,24 @@ class ExperimentSpec:
     output_dir: str
 
 
-def _check(fault, path, problems):
-    if fault:
-        problems.append(f"{path}: {fault}")
+def _section_problems(raw, path, expected, table, suffix):
+    """Problems of one spec section: `<path>: expected ...` unless a mapping
+    (null reads as empty), then its unknown keys and each present key's fault;
+    no check table (an unknown experiment's) checks only the mapping."""
+    raw = raw or {}
+    if not isinstance(raw, dict):
+        return [f"{path}: expected {expected}"]
+    if table is None:
+        return []
+    unknown = sorted(set(raw) - set(table))
+    problems = [f"{path}: unknown keys {unknown}{suffix}"] if unknown else []
+    for key, check in table.items():
+        if key in raw and isinstance(check, tuple):
+            problems += _section_problems(raw[key], f"{path}.{key}", *check, "")
+        elif key in raw:
+            fault = _number_fault(raw[key], check) if isinstance(check, type) else check(raw[key])
+            problems += [f"{path}.{key}: {fault}"] if fault else []
+    return problems
 
 
 def spec_problems(document) -> list[str]:
@@ -151,71 +167,30 @@ def spec_problems(document) -> list[str]:
         problems.append(f"unknown top-level sections {sorted(unknown)}")
 
     exp = document.get("experiment")
-    name = None
+    name = exp.get("name") if isinstance(exp, dict) else None
+    options, kinds = _SCHEMA.get(name, (None, None)) if isinstance(name, str) else (None, None)
     if not isinstance(exp, dict) or "name" not in exp:
         problems.append("experiment.name: required")
+    elif options is None:
+        problems.append(f"experiment.name: {name!r} not one of {sorted(_SCHEMA)}")
     else:
-        name = exp["name"]
-        if name not in _OPTION_KEYS:
-            problems.append(
-                f"experiment.name: {name!r} not one of {sorted(_OPTION_KEYS)}"
-            )
-        else:
-            faults = _OPTION_KEYS[name]
-            unknown = set(exp) - {"name"} - set(faults)
-            if unknown:
-                problems.append(f"experiment: unknown keys {sorted(unknown)} for {name}")
-            for key in sorted(set(faults) & set(exp)):
-                _check(faults[key](exp[key]), f"experiment.{key}", problems)
+        given = {key: value for key, value in exp.items() if key != "name"}
+        problems += _section_problems(given, "experiment", "a mapping", options, f" for {name}")
 
-    phys = document.get("physics") or {}
-    if not isinstance(phys, dict):
-        problems.append("physics: expected a mapping")
-        phys = {}
-    unknown = set(phys) - _PHYSICS_KEYS
-    if unknown:
-        problems.append(f"physics: unknown keys {sorted(unknown)}")
-    for key in ("d", "b", "mass_amu"):
-        if key in phys:
-            _check(_number_fault(phys[key]), f"physics.{key}", problems)
-    for trap in ("initial", "final"):
-        raw = phys.get(trap) or {}
-        if not isinstance(raw, dict):
-            problems.append(f"physics.{trap}: expected a mapping with v_well/v_barrier")
-            continue
-        unknown = set(raw) - _TRAP_KEYS
-        if unknown:
-            problems.append(f"physics.{trap}: unknown keys {sorted(unknown)}")
-        for key in sorted(_TRAP_KEYS & set(raw)):
-            _check(_number_fault(raw[key], closed=True), f"physics.{trap}.{key}", problems)
+    phys = document.get("physics")
+    problems += _section_problems(phys, "physics", "a mapping", _PHYSICS, "")
     if name == "ground-state" and "x_max" in exp:
         # the grid must hold the whole trap, or the state is cut inside it
+        phys = phys if isinstance(phys, dict) else {}
         edge = [phys.get(key, default) for key, default in _GEOMETRY.items()]
         if not any(map(_number_fault, [exp["x_max"], *edge])) and exp["x_max"] <= sum(edge):
             problems.append(
                 f"experiment.x_max: must be > the trap's outer edge physics.d + physics.b "
                 f"= {sum(edge):g}, got {exp['x_max']}"
             )
-
-    num = document.get("numerics") or {}
-    if not isinstance(num, dict):
-        problems.append("numerics: expected a mapping")
-    elif name in _OPTION_KEYS:
-        kinds = _NUMERICS_KEYS[name]
-        unknown = set(num) - set(kinds)
-        if unknown:
-            problems.append(f"numerics: unknown keys {sorted(unknown)} for {name}")
-        for key, kind in kinds.items():
-            if key in num:
-                _check(_number_fault(num[key], kind), f"numerics.{key}", problems)
-
-    out = document.get("outputs") or {}
-    if not isinstance(out, dict):
-        problems.append("outputs: expected a mapping")
-    else:
-        unknown = set(out) - {"directory"}
-        if unknown:
-            problems.append(f"outputs: unknown keys {sorted(unknown)}")
+    numerics = document.get("numerics")
+    problems += _section_problems(numerics, "numerics", "a mapping", kinds, f" for {name}")
+    problems += _section_problems(document.get("outputs"), "outputs", "a mapping", _OUTPUTS, "")
     return problems
 
 
@@ -237,7 +212,7 @@ def parse_spec(document) -> ExperimentSpec:
 
     unit = make_unit_system(float(phys["mass_amu"])) if "mass_amu" in phys else make_unit_system()
     exp = document["experiment"]
-    kinds = _NUMERICS_KEYS[exp["name"]]
+    kinds = _SCHEMA[exp["name"]][1]
     options = {k: v for k, v in exp.items() if k != "name"}
     outputs = document.get("outputs") or {}
     return ExperimentSpec(
@@ -247,7 +222,7 @@ def parse_spec(document) -> ExperimentSpec:
         final=trap("final", 100.0, 200.0),
         numerics={k: kinds[k](v) for k, v in (document.get("numerics") or {}).items()},
         options=options,
-        output_dir=str(outputs.get("directory", os.path.join("out", exp["name"]))),
+        output_dir=outputs.get("directory", os.path.join("out", exp["name"])),
     )
 
 

@@ -42,7 +42,7 @@ from trapswitch.groundstate import WavefunctionGrid
 
 import fd_oracle
 from cn_oracle import _tri_mul, _tri_solve
-from conftest import FINAL, INITIAL
+from frozen import FINAL, INITIAL
 from distributions import distribution_median, l1_difference
 
 

@@ -11,7 +11,8 @@ import yaml
 
 from trapswitch import experiments, spectra
 from trapswitch import propagate as propagate_module
-from trapswitch.cli import main
+from trapswitch.cli import _DIRECT, main
+from trapswitch.io import _SCHEMA
 from trapswitch.model import make_unit_system
 from trapswitch.propagate import DecayRecord, PropagationResult, validate_setup
 from trapswitch.spectra import EnergyDistribution
@@ -69,6 +70,21 @@ def test_run_rejects_unknown_experiment(tmp_path, capsys):
     assert main(["run", spec]) == 2
     err = capsys.readouterr().err
     assert "not one of" in err
+
+
+def test_schema_runners_and_subcommands_name_the_same_experiments():
+    assert set(_SCHEMA) == set(experiments.RUNNERS) == set(_DIRECT.values())
+
+
+@pytest.mark.parametrize("directory", ["", "''", "[a, b]"])
+def test_a_bad_output_directory_is_refused_before_the_run(tmp_path, monkeypatch, capsys, directory):
+    monkeypatch.chdir(tmp_path)
+    args = [os.path.join(CONFIGS, "ground_state.yaml"), "--set", f"outputs.directory={directory}"]
+    assert main(["validate", *args]) == 1
+    assert capsys.readouterr().out.startswith("outputs.directory: expected a non-empty string")
+    assert main(["run", *args]) == 2
+    assert "  - outputs.directory: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
@@ -354,8 +370,9 @@ class _FirstStep(Exception):
 #: (config, override, refused): a dt ladder at theta = (e_cut + v_top) dt/2
 #: from 0.094 to 2.7 (refused above 0.5), a ramp shorter than one step, an
 #: e_cut below the resonance, whose P(E) grid misses the fit window, an
-#: n_energy below the 504 energies the grid needs, and decay boxes whose wall
-#: or absorbing quarter starts inside the 15 um trap
+#: n_energy below the 504 energies the grid needs, decay boxes whose wall
+#: or absorbing quarter starts inside the 15 um trap, and an experiment name
+#: that is not a string
 LADDER = [
     ("decay_curves.yaml", "numerics.dt=2e-4", False),  # theta 0.135
     ("decay_curves.yaml", "numerics.dt=4e-4", False),  # 0.27
@@ -374,6 +391,7 @@ LADDER = [
     ("spectrum_vs_t.yaml", "numerics.e_cut=80", True),
     ("spectrum_vs_t.yaml", "numerics.n_energy=300", True),
     ("spectrum_vs_t.yaml", "numerics.n_energy=504", False),
+    ("poles.yaml", "experiment.name=[poles]", True),
 ]
 
 

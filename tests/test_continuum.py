@@ -23,7 +23,7 @@ from trapswitch.io import load_document, parse_spec
 from trapswitch.model import SwitchingSchedule
 from trapswitch.propagate import PropagationSetup, propagate
 
-from conftest import FINAL, INITIAL
+from frozen import FINAL, INITIAL
 from continuum_oracle import captured_weight, in_well_probability
 
 #: Sample times (s): every 25th record of a decay run from 0.05 s, where the

@@ -31,7 +31,7 @@ from trapswitch.spectra import (
     lowest_resonance,
 )
 
-from conftest import E_RES, GAMMA_RES
+from frozen import E_RES, GAMMA_RES
 
 
 def _spec(tmp_path, name, options=None, outdir="run"):
@@ -348,7 +348,7 @@ OPTIONS = {
             ["lorentzian-deviation", ["lorentz"], [], ["exponential-deviation"] * 2],
         ),
         "t_range_fractions": ([0.02, 0.3], ["abc", [0.6, 0.01], [0.0, 0.6], [0.01, 2.5], [0.1]]),
-        "n_coarse": (5, ["abc", 0, 3.0]),
+        "n_coarse": (5, ["abc", 0, 3.0, 1, 2]),
         "refine_rtol": (0.1, ["abc", -1, 0.0]),
     },
 }

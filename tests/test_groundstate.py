@@ -13,7 +13,7 @@ from trapswitch.propagate import (
 )
 
 from cn_oracle import _tri_mul, _tri_solve
-from conftest import E_BOUND, FINAL, INITIAL, P_WELL_BOUND
+from frozen import E_BOUND, FINAL, INITIAL, P_WELL_BOUND
 
 
 def _fem_residual(unit, dx):

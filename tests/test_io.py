@@ -10,9 +10,8 @@ import yaml
 
 from trapswitch.errors import SpecValidationError
 from trapswitch.io import (
-    _NUMERICS_KEYS,
-    _OPTION_KEYS,
     _ROW_BLOCK,
+    _SCHEMA,
     Check,
     Table,
     apply_overrides,
@@ -70,6 +69,20 @@ def test_experiment_name_is_required_and_checked():
     assert any("'warp-drive' not one of" in p for p in problems)
 
 
+@pytest.mark.parametrize("name", [["poles"], {"poles": 1}, 5, None])
+def test_an_experiment_name_that_is_no_string_is_refused(name):
+    problems = spec_problems({"experiment": {"name": name}, "numerics": {"dx": 1}})
+    assert problems == [f"experiment.name: {name!r} not one of {sorted(_SCHEMA)}"]
+
+
+@pytest.mark.parametrize("directory", [None, "", ["out"], 5])
+def test_output_directory_must_be_a_non_empty_string(directory):
+    doc = {"experiment": {"name": "poles"}, "outputs": {"directory": directory}}
+    assert spec_problems(doc) == [
+        f"outputs.directory: expected a non-empty string, got {directory!r}"
+    ]
+
+
 @pytest.mark.parametrize(
     "section, key, value, fragment",
     [
@@ -118,8 +131,8 @@ def test_readme_key_tables_match_the_schema():
         rows = re.findall(r"^\| `([\w-]+)` \| `(experiment|numerics)\.(\w+)` \|", fh.read(), re.M)
     accepted = {
         (name, section, key)
-        for section, table in (("experiment", _OPTION_KEYS), ("numerics", _NUMERICS_KEYS))
-        for name, keys in table.items()
+        for name, tables in _SCHEMA.items()
+        for section, keys in zip(("experiment", "numerics"), tables)
         for key in keys
     }
     assert len(rows) == len(set(rows))

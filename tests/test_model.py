@@ -12,7 +12,7 @@ from trapswitch.model import (
     make_unit_system,
 )
 
-from conftest import FINAL, INITIAL, KAPPA
+from frozen import FINAL, INITIAL, KAPPA
 
 
 def test_kappa_matches_si_constants(unit):

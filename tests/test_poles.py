@@ -21,7 +21,7 @@ from trapswitch.poles import (
 )
 from trapswitch.scattering import pole_function_derivatives, pole_function_terms
 
-from conftest import (
+from frozen import (
     E_BOUND,
     E_RES,
     FINAL,

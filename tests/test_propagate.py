@@ -43,7 +43,7 @@ from trapswitch.spectra import (
 )
 
 from cn_oracle import _tri_mul, _tri_solve, cn_states, zgttrs_solve
-from conftest import FINAL, INITIAL, KAPPA_BOUND, TAU_RES
+from frozen import FINAL, INITIAL, KAPPA_BOUND, TAU_RES
 from mass_oracle import absorber_mass_by_elements, config_mass_by_edges, potential_mass
 
 

@@ -31,7 +31,7 @@ from trapswitch.scattering import (
 )
 
 from complex_state_oracle import scattering_state_complex
-from conftest import E_RES, FINAL, GAMMA_RES, K_RES, KAPPA
+from frozen import E_RES, FINAL, GAMMA_RES, K_RES, KAPPA
 from pointwise_oracle import delay_time_pointwise, phase_shift_curve_pointwise
 from trapswitch.spectra import lowest_resonance
 

@@ -37,7 +37,7 @@ from trapswitch.spectra import (
     switch_and_project,
 )
 
-from conftest import E_RES, FINAL, GAMMA_RES, INITIAL, TAU_RES
+from frozen import E_RES, FINAL, GAMMA_RES, INITIAL, TAU_RES
 from distributions import distribution_median, l1_difference
 from pointwise_oracle import energy_distribution_pointwise
 
