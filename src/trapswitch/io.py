@@ -166,10 +166,12 @@ def spec_problems(document) -> list[str]:
     if unknown:
         problems.append(f"unknown top-level sections {sorted(unknown)}")
 
-    exp = document.get("experiment")
+    exp = document.get("experiment") or {}
     name = exp.get("name") if isinstance(exp, dict) else None
     options, kinds = _SCHEMA.get(name, (None, None)) if isinstance(name, str) else (None, None)
-    if not isinstance(exp, dict) or "name" not in exp:
+    if not isinstance(exp, dict):
+        problems.append("experiment: expected a mapping")
+    elif "name" not in exp:
         problems.append("experiment.name: required")
     elif options is None:
         problems.append(f"experiment.name: {name!r} not one of {sorted(_SCHEMA)}")

@@ -661,29 +661,24 @@ class SwitchScanResult:
     multimodal: bool
 
 
-def _golden_refine(f, a, b, rtol):
-    """Golden-section minimization on [a, b], at most 20 steps; returns
-    (t_min, extra points)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    extra = [(c, fc), (d, fd)]
+def _refine_bracket(batch, bracket, rtol):
+    """Halve a bracket [(a, f_a), (c, f_c), (b, f_b)] whose middle point
+    scores lowest until (b - a) <= rtol (a + b), at most 20 rounds; returns
+    (t_min, the new points).  Each round scores the midpoints of [a, c] and
+    [c, b] in one batch(list of t) call and keeps the lowest of the three
+    inner points with its two neighbours, which score no lower."""
+    extra = []
     for _ in range(20):
-        if (b - a) <= rtol * 2.0 * (0.5 * (a + b)):
+        (a, _), (c, _), (b, _) = bracket
+        if (b - a) <= rtol * (a + b):
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-            extra.append((c, fc))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-            extra.append((d, fd))
-    t_min = c if fc < fd else d
-    return t_min, extra
+        mids = [0.5 * (a + c), 0.5 * (c + b)]
+        new = list(zip(mids, batch(mids)))
+        extra += new
+        five = [bracket[0], new[0], bracket[1], new[1], bracket[2]]
+        best = min((1, 2, 3), key=lambda i: five[i][1])
+        bracket = five[best - 1 : best + 2]
+    return bracket[1][0], extra
 
 
 def scan_plan(
@@ -731,10 +726,14 @@ def optimal_switch_time(
 
     A coarse log-spaced scan, `scan_plan(objective, initial_config,
     final_config, resonance, **plan)` (keywords t_range_fractions,
-    n_coarse), brackets the minimum, golden-section refines it to
-    +-refine_rtol.  Several coarse local minima within 10% of each other
-    flag the scan as multimodal; the global grid minimum is then returned
-    unrefined rather than silently picking one basin.
+    n_coarse), brackets the minimum, and rounds that halve the bracket
+    (`_refine_bracket`) refine it to +-refine_rtol.  Each batch of switching
+    times, the coarse grid and then each round's two midpoints, runs through
+    `map_runs` at once and is scored together, so which times run depends
+    on the scan alone, never on the CPU count.  Several coarse local minima
+    within 10% of each other flag the scan as multimodal; the global grid
+    minimum is then returned unrefined rather than silently picking one
+    basin.
     """
     run, coarse, grid = scan_plan(objective, initial_config, final_config, resonance, **plan)
     ts = np.array([setup.schedule.t_switch for setup in coarse])
@@ -749,13 +748,11 @@ def optimal_switch_time(
         def scores(records):
             return [exponential_deviation(record, resonance.tau) for record in records]
 
-    def evaluate(t_switch: float) -> float:
-        setup = run.setup(SwitchingSchedule(initial_config, final_config, t_switch))
-        return scores([run.release(setup, unit)])[0]
+    def batch(times):
+        setups = [run.setup(SwitchingSchedule(initial_config, final_config, t)) for t in times]
+        return scores([pending() for pending in map_runs(run.release, setups, unit)])
 
-    # the coarse points run at once and are scored together; each refinement
-    # point depends on the last
-    vs = np.array(scores([pending() for pending in map_runs(run.release, coarse, unit)]))
+    vs = np.array(batch(ts))
 
     minima = []
     for i in range(n_coarse):
@@ -774,9 +771,7 @@ def optimal_switch_time(
     if multimodal or best in (0, n_coarse - 1):
         t_star = float(ts[best])
     else:
-        a = float(ts[best - 1])
-        b = float(ts[best + 1])
-        t_star, extra = _golden_refine(evaluate, a, b, refine_rtol)
+        t_star, extra = _refine_bracket(batch, points[best - 1 : best + 2], refine_rtol)
         points.extend(extra)
 
     points.sort(key=lambda p: p[0])

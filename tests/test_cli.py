@@ -392,6 +392,7 @@ LADDER = [
     ("spectrum_vs_t.yaml", "numerics.n_energy=300", True),
     ("spectrum_vs_t.yaml", "numerics.n_energy=504", False),
     ("poles.yaml", "experiment.name=[poles]", True),
+    ("poles.yaml", "experiment=poles", True),
 ]
 
 

@@ -65,6 +65,7 @@ def test_unknown_sections_and_keys_are_each_reported():
 
 def test_experiment_name_is_required_and_checked():
     assert spec_problems({}) == ["experiment.name: required"]
+    assert spec_problems({"experiment": "poles"}) == ["experiment: expected a mapping"]
     problems = spec_problems({"experiment": {"name": "warp-drive"}})
     assert any("'warp-drive' not one of" in p for p in problems)
 

@@ -22,6 +22,7 @@ from trapswitch.model import SwitchingSchedule
 from trapswitch.poles import find_poles
 from trapswitch.propagate import DecayRecord, PropagationSetup, propagate
 from trapswitch.spectra import (
+    LORENTZIAN_OBJECTIVE,
     EnergyDistribution,
     SpectrumRunSpec,
     energy_distribution,
@@ -34,6 +35,7 @@ from trapswitch.spectra import (
     lorentzian_reference,
     lowest_resonance,
     map_runs,
+    optimal_switch_time,
     switch_and_project,
 )
 
@@ -308,6 +310,71 @@ def test_map_runs_submits_the_longest_ramp_of_equal_work_first(monkeypatch):
     got = [pending() for pending in map_runs(_grid_work, setups, "x")]
     assert [work for _, work, _ in got] == [41 * 10] * 4 + [81 * 10]
     assert submitted == [(810, 0.0), (410, 0.41), (410, 0.053), (410, 0.024), (410, 0.0)]
+
+
+def test_scan_runs_every_point_in_pooled_batches(monkeypatch, unit, res):
+    """The coarse grid is one map_runs batch and each refinement round is
+    another of two midpoints; nothing propagates outside those batches."""
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 1)
+    batches, inside = [], []
+    pool, step = spectra.map_runs, spectra.propagate
+
+    def recording(job, setups, *args):
+        batches.append(len(setups))
+
+        def pooled(*job_args):
+            inside.append(job)
+            try:
+                return job(*job_args)
+            finally:
+                inside.pop()
+
+        return pool(pooled, setups, *args)
+
+    def checked(*args, **kwargs):
+        assert inside, "a run propagated outside map_runs"
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "map_runs", recording)
+    monkeypatch.setattr(spectra, "propagate", checked)
+    scan = optimal_switch_time(
+        LORENTZIAN_OBJECTIVE, INITIAL, FINAL, unit, res, refine_rtol=0.1,
+        t_range_fractions=(0.005, 0.2), n_coarse=5,
+    )
+    ts = scan.t_values.tolist()
+    assert batches[0] == 5 and len(batches) > 1 and set(batches[1:]) == {2}
+    assert len(set(ts)) == len(ts) == sum(batches)
+    # criterion 6 reads the coarse grid's ratio from the end points
+    assert [ts[0], ts[-1]] == [0.005 * res.tau, 0.2 * res.tau]
+    assert ts[0] < scan.t_star < ts[-1] and not scan.multimodal
+
+
+@pytest.mark.parametrize("t0", [0.0123, 0.0537, 0.1, 0.4437])
+def test_bracket_rounds_close_on_the_minimum(t0):
+    """(ln t - ln t0)^2 from the shipped coarse grid (ratio 60^(1/14)): three
+    rounds of two points bring the bracket round the lowest point within the
+    stop rule, and that point within refine_rtol of t0."""
+    rtol = 0.05
+    coarse = np.geomspace(0.01, 0.6, 15).tolist()
+    batches = []
+
+    def objective(t):
+        return (math.log(t) - math.log(t0)) ** 2
+
+    def batch(times):
+        batches.append(len(times))
+        return [objective(t) for t in times]
+
+    best = min(range(len(coarse)), key=lambda i: objective(coarse[i]))
+    bracket = [(t, objective(t)) for t in coarse[best - 1 : best + 2]]
+    t_star, extra = spectra._refine_bracket(batch, bracket, rtol)
+    assert batches == [2, 2, 2] and len(extra) == 6
+    points = sorted(bracket + extra)
+    i = points.index(min(points, key=lambda p: p[1]))
+    assert points[i][0] == t_star
+    a, b = points[i - 1][0], points[i + 1][0]
+    assert b - a <= rtol * (a + b)
+    assert abs(t_star - t0) <= rtol * t0
 
 
 def _reflection_free(unit, spec, t_switch, grid):
